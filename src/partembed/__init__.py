@@ -49,19 +49,18 @@ from .orders import (
     DEFAULT_NODE_BUDGET,
     BudgetExceeded,
     EmbeddingWitness,
-    RelationReport,
     Supermajorization,
     embed_powerq,
     embeds,
     first_fit,
     is_divisible_chain,
-    relations,
     supermajorizes,
 )
 from .stablep import (
     FAILS,
     HOLDS,
     UNKNOWN,
+    RelationReport,
     StableRefutation,
     StableVerdict,
     StableWitness,
@@ -71,6 +70,7 @@ from .stablep import (
     nu_order_compare,
     prefilter_stable,
     refine_witness,
+    relations,
     stable_embeds,
 )
 from . import oracle

@@ -29,15 +29,12 @@ from .core import (
     product,
     to_base_counts,
 )
-from .norms import BulkVerdict, EqualityPoint, dominates_all_s, exact_dominates_powerq
+from .norms import BulkVerdict, EqualityPoint, bulk_verdict, exact_dominates_powerq
 from .orders import (
     DEFAULT_NODE_BUDGET,
-    BudgetExceeded,
     EmbeddingWitness,
-    RelationReport,
-    embed_powerq,
+    decide_embed,
     embeds,
-    relations,
     supermajorizes,
 )
 from .stablep import (
@@ -46,14 +43,14 @@ from .stablep import (
     NORM_EQUALITY,
     TIGHT_VALUATION,
     UNKNOWN,
+    RelationReport,
     StableRefutation,
     StableVerdict,
     StableWitness,
     StepRecord,
-    construct_nu,
-    normalize_pair,
-    prefilter_stable,
+    relations,
     stable_embeds,
+    _stable_given,
 )
 
 EX_OK = 0
@@ -61,6 +58,9 @@ EX_FAILS = 1
 EX_UNKNOWN = 2
 EX_USAGE = 64
 EX_DATA = 65
+
+# Largest box total a count-form document may expand to.
+MAX_COUNT_BOXES = 10**6
 
 
 class _InputError(Exception):
@@ -106,7 +106,11 @@ def parse_partition_doc(obj) -> tuple[Partition, str | None]:
         counts = list(obj["counts"])
         while counts and counts[-1] == 0:
             counts.pop()
-        return from_base_counts(PowerPartition(base, tuple(counts))), obj.get("name")
+        pp = PowerPartition(base, tuple(counts))
+        if pp.box_count > MAX_COUNT_BOXES:
+            raise _InputError(f"'counts' form holds {pp.box_count} boxes, "
+                              f"more than the limit of {MAX_COUNT_BOXES}")
+        return from_base_counts(pp), obj.get("name")
     except PartitionError as exc:
         raise _InputError(str(exc)) from exc
     except TypeError as exc:
@@ -283,17 +287,6 @@ def _load_doc(inline: str | None, path: str | None, side: str):
     return parse_partition_doc(obj)
 
 
-def _decide_embed(lam, mu, node_budget):
-    """Witness or None, plus an undecided flag; power-of-q pairs skip the search."""
-    base = common_power_base(lam, mu)
-    if base is not None:
-        return embed_powerq(to_base_counts(lam, base), to_base_counts(mu, base)), False
-    try:
-        return embeds(lam, mu, node_budget), False
-    except BudgetExceeded:
-        return None, True
-
-
 def cmd_check(args) -> int:
     lam, _ = _load_doc(args.lhs, args.lhs_file, "lhs")
     mu, _ = _load_doc(args.rhs, args.rhs_file, "rhs")
@@ -305,7 +298,7 @@ def cmd_check(args) -> int:
             raise _InputError(f"--base {args.base}: {exc}") from exc
 
     if args.relation == "embed":
-        witness, undecided = _decide_embed(lam, mu, args.budget)
+        witness, undecided = decide_embed(lam, mu, common_power_base(lam, mu), args.budget)
         if args.json:
             doc = {"relation": "embed",
                    "verdict": "UNKNOWN" if undecided else ("HOLDS" if witness else "FAILS"),
@@ -333,11 +326,8 @@ def cmd_check(args) -> int:
         return EX_OK if sup.holds else EX_FAILS
 
     if args.relation == "bulk":
-        base = common_power_base(lam, mu, args.base)
-        if base is not None:
-            verdict = exact_dominates_powerq(to_base_counts(lam, base), to_base_counts(mu, base))
-        else:
-            verdict = dominates_all_s(lam, mu, tol=args.tol, grid=args.grid)
+        base = common_power_base(lam, mu)
+        verdict = bulk_verdict(lam, mu, base, args.tol, args.grid)
         if args.json:
             print(json.dumps({"relation": "bulk", "verdict": "HOLDS" if verdict.holds else "FAILS",
                               "base": base, "report": bulk_doc(verdict)}, indent=2))
@@ -500,7 +490,7 @@ def _scan_pair(name: str, lam: Partition, mu: Partition, max_steps: int | None) 
     base = common_power_base(lam, mu)
     if base is None:
         return {"name": name, "status": "excluded", "detail": "no common power base"}
-    bulk = exact_dominates_powerq(to_base_counts(lam, base), to_base_counts(mu, base))
+    bulk = bulk_verdict(lam, mu, base)
     if not bulk.holds:
         return {"name": name, "status": "excluded", "detail": "norm dominance fails"}
     if not bulk.tight_at_one:
@@ -511,13 +501,9 @@ def _scan_pair(name: str, lam: Partition, mu: Partition, max_steps: int | None) 
                 "detail": f"not tight at s=oo ({lam.max_entry} < {mu.max_entry})"}
     if bulk.interior_equalities:
         return {"name": name, "status": "excluded", "detail": "interior equality point"}
-    ref = prefilter_stable(lam, mu)
-    if ref is not None:
-        return {"name": name, "status": "fails", "detail": ref.rule}
-    lt, mt = normalize_pair(to_base_counts(lam, base), to_base_counts(mu, base))
-    if lt.is_empty:
-        return {"name": name, "status": "holds", "steps": 0, "nu": [1]}
-    verdict = construct_nu(lt, mt, max_steps)
+    verdict = _stable_given(lam, mu, base, bulk, False, max_steps)
+    if verdict.status == FAILS:
+        return {"name": name, "status": "fails", "detail": verdict.reason.rule}
     if verdict.status == HOLDS:
         return {"name": name, "status": "holds", "steps": verdict.budget_spent,
                 "nu": list(verdict.witness.nu.entries)}

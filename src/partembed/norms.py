@@ -15,7 +15,8 @@ substitution x = q**s turns f into an integer polynomial P(x), and dominance
 on [q, oo) is decided exactly with rational arithmetic (Sturm chains for root
 isolation, gap sign samples to separate touch roots from crossings).  Interior
 equality points discovered this way are certified by isolating intervals;
-numeric ones are only flagged, never trusted as refutations.
+numeric ones are only flagged, never trusted as refutations.  ``bulk_verdict``
+picks the path for a pair.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .core import (
     Partition,
     PowerPartition,
     integer_root,
+    to_base_counts,
 )
 
 INF = math.inf
@@ -471,6 +473,17 @@ def _refine_root_interval(S: list[int], a: Fraction, b: Fraction, width: Fractio
 _EQUALITY_INTERVAL_WIDTH = Fraction(1, 10**10)
 
 
+def profile_poly(lam: PowerPartition, mu: PowerPartition) -> list[int]:
+    """P(x) = sum_i (b_i - a_i) x^i for same-base count vectors a (lam), b (mu)."""
+    a, b = lam.counts, mu.counts
+    coeffs = [0] * max(len(a), len(b))
+    for i, c in enumerate(b):
+        coeffs[i] += c
+    for i, c in enumerate(a):
+        coeffs[i] -= c
+    return _trim(coeffs)
+
+
 def exact_dominates_powerq(lam: PowerPartition, mu: PowerPartition) -> BulkVerdict:
     """Exact dominance decision for two same-base power partitions.
 
@@ -483,13 +496,7 @@ def exact_dominates_powerq(lam: PowerPartition, mu: PowerPartition) -> BulkVerdi
     if lam.base != mu.base:
         raise BaseMismatch(f"bases differ: {lam.base} vs {mu.base}")
     q = lam.base
-    a, b = lam.counts, mu.counts
-    coeffs = [0] * max(len(a), len(b))
-    for i, c in enumerate(b):
-        coeffs[i] += c
-    for i, c in enumerate(a):
-        coeffs[i] -= c
-    P = _trim(list(coeffs))
+    P = profile_poly(lam, mu)
     tight_inf = (not lam.is_empty and not mu.is_empty and lam.top_index == mu.top_index) or (
         lam.is_empty and mu.is_empty
     )
@@ -584,3 +591,12 @@ def _positive_root_bound(P: list[int], lo: Fraction) -> Fraction:
     lead = abs(P[-1])
     bound = 1 + max(abs(c) for c in P) // lead + 1
     return max(Fraction(bound), lo + 1)
+
+
+def bulk_verdict(lam: Partition, mu: Partition, base: int | None,
+                 tol=None, grid: int = 64) -> BulkVerdict:
+    """Bulk dominance of a pair: exact when ``base`` is a common power base of
+    both partitions, numeric (with ``tol`` and ``grid``) when it is None."""
+    if base is not None:
+        return exact_dominates_powerq(to_base_counts(lam, base), to_base_counts(mu, base))
+    return dominates_all_s(lam, mu, tol=tol, grid=grid)

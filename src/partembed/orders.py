@@ -5,8 +5,7 @@ that no target is overfilled; deciding it is bin packing, so the exact
 search is a budgeted branch-and-bound.  Supermajorization compares tail
 sums at every threshold.  For power-of-q partitions the two coincide, and
 the witness is built greedily by splitting leftover capacity into base-q
-digits.  ``relations`` bundles all four relations into one report and
-asserts the implication diagram between them.
+digits.  ``decide_embed`` picks the greedy path or the search for a pair.
 """
 
 from __future__ import annotations
@@ -20,12 +19,10 @@ from .core import (
     Partition,
     PartitionError,
     PowerPartition,
-    common_power_base,
     from_base_counts,
     to_base_counts,
     _power_exponent,
 )
-from .norms import BulkVerdict, dominates_all_s, exact_dominates_powerq
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -247,76 +244,17 @@ def embed_powerq(lam: PowerPartition, mu: PowerPartition) -> EmbeddingWitness | 
     return witness
 
 
-@dataclass
-class RelationReport:
-    """All four relations for one pair, with certificates.
+def decide_embed(lam: Partition, mu: Partition, base: int | None,
+                 node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[EmbeddingWitness | None, bool]:
+    """Embedding witness or None, plus an undecided flag.
 
-    ``embeds`` is None when the exact search ran out of budget; every other
-    field is always decided (stable may be UNKNOWN with its own budget note).
+    ``base`` is the pair's common power base (or None): such pairs take the
+    exact greedy path, the others the budgeted search, whose BudgetExceeded
+    becomes the undecided flag instead of an exception.
     """
-
-    embeds: bool | None
-    embed_witness: EmbeddingWitness | None
-    supermajorized: bool
-    supermajorization_failing_x: int | None
-    stable: "StableVerdict"
-    bulk: BulkVerdict
-    base: int | None = None
-
-
-def relations(lam: Partition, mu: Partition, *,
-              node_budget: int = DEFAULT_NODE_BUDGET,
-              max_steps: int | None = None,
-              tol=None, grid: int = 64,
-              max_base: int | None = None) -> RelationReport:
-    """Compute all four relations and enforce the implication diagram.
-
-    Power-of-q pairs take the exact fast paths for embedding and bulk.
-    BudgetExceeded is reported as an undecided field, never raised.
-    Diagram violations (embeds without supermajorization, and so on) are
-    internal errors and raise RuntimeError.
-    """
-    from . import stablep  # deferred: stablep drives its search through this module
-
-    base = common_power_base(lam, mu, max_base)
-    emb_unknown = False
     if base is not None:
-        witness = embed_powerq(to_base_counts(lam, base), to_base_counts(mu, base))
-    else:
-        try:
-            witness = embeds(lam, mu, node_budget)
-        except BudgetExceeded:
-            witness = None
-            emb_unknown = True
-    emb = None if emb_unknown else witness is not None
-
-    sup = supermajorizes(mu, lam)
-    if base is not None:
-        bulk = exact_dominates_powerq(to_base_counts(lam, base), to_base_counts(mu, base))
-    else:
-        bulk = dominates_all_s(lam, mu, tol=tol, grid=grid)
-
-    stable = stablep._stable_embeds_given(
-        lam, mu, witness, emb_unknown,
-        max_steps=max_steps, max_base=max_base, tol=tol, grid=grid,
-    )
-
-    if emb is True:
-        if not sup.holds:
-            raise RuntimeError("implication violated: embeds but not supermajorized")
-        if stable.status == stablep.FAILS:
-            raise RuntimeError("implication violated: embeds but stable=FAILS")
-    if sup.holds and not bulk.holds:
-        raise RuntimeError("implication violated: supermajorized but not bulk")
-    if stable.status == stablep.HOLDS and not bulk.holds:
-        raise RuntimeError("implication violated: stable holds but not bulk")
-
-    return RelationReport(
-        embeds=emb,
-        embed_witness=witness,
-        supermajorized=sup.holds,
-        supermajorization_failing_x=sup.failing_x,
-        stable=stable,
-        bulk=bulk,
-        base=base,
-    )
+        return embed_powerq(to_base_counts(lam, base), to_base_counts(mu, base)), False
+    try:
+        return embeds(lam, mu, node_budget), False
+    except BudgetExceeded:
+        return None, True

@@ -8,10 +8,12 @@ by a ceiling division against mu's top box count, otherwise the surplus is
 carried down (times q) as leftover M.  Once the trailing coefficients are all
 zero for long enough that no future demand can appear, the iteration has
 proved level-by-level dominance of the products and stops.  A second pass
-with the first coefficient scaled to (top count)^(N+1) makes every division
-exact, and the result is scaled to an integral partition.  The iteration
-need not terminate: it halts exactly on the stable pairs, so the step budget
-produces honest UNKNOWN verdicts, never fabricated ones.
+with the first coefficient scaled to (top count)^(N+1), N the last index of
+the first pass, makes every division exact; it may stop earlier than the
+first, and its own coefficients, scaled to an integral partition, are the
+catalyst.  The iteration need not terminate: it halts exactly on the stable
+pairs, so the step budget produces honest UNKNOWN verdicts, never fabricated
+ones.
 
 Refutations come from prefilters, each with a re-checkable certificate:
 failed norm dominance, an exactly certified interior norm equality point for
@@ -19,6 +21,11 @@ a pair that is not identical, a top-box-index gap after normalization, and a
 valuation gap under tight packing (equal totals force every product bin to
 be filled exactly, which is impossible when some prime divides every lam
 entry more often than every mu entry).
+
+This module owns the per-pair pipeline: ``relations`` and ``stable_embeds``
+decide a pair's common power base, its direct embedding and its bulk verdict
+once each, and every relation (and the CLI's ``conjecture-scan``) reads the
+same decisions.
 """
 
 from __future__ import annotations
@@ -40,14 +47,13 @@ from .core import (
     product,
     to_base_counts,
 )
-from .norms import BulkVerdict, EqualityPoint, dominates_all_s, exact_dominates_powerq, \
-    _eval_poly, _squarefree_part, _trim
+from .norms import BulkVerdict, EqualityPoint, bulk_verdict, profile_poly, \
+    _eval_poly, _squarefree_part
 from .orders import (
     DEFAULT_NODE_BUDGET,
-    BudgetExceeded,
     EmbeddingWitness,
+    decide_embed,
     embed_powerq,
-    embeds,
     supermajorizes,
     _make_witness,
 )
@@ -101,9 +107,9 @@ class StableRefutation:
             if self.bulk is None or self.bulk.holds:
                 return False
             if self.bulk.failure_x is not None and self.base is not None:
-                return _profile_poly_at(lam, mu, self.base, self.bulk.failure_x) < 0
-            verdict = _bulk_verdict(lam, mu, self.base)
-            return not verdict.holds
+                P = profile_poly(to_base_counts(lam, self.base), to_base_counts(mu, self.base))
+                return _eval_poly(P, self.bulk.failure_x) < 0
+            return not bulk_verdict(lam, mu, self.base).holds
         if self.rule == NORM_EQUALITY:
             if lam == mu or self.equality is None or not self.equality.exact:
                 return False
@@ -113,7 +119,7 @@ class StableRefutation:
             q = self.base
             if xa < q or xb < xa:
                 return False
-            P = _profile_poly(lam, mu, q)
+            P = profile_poly(to_base_counts(lam, q), to_base_counts(mu, q))
             if xa == xb:
                 return _eval_poly(P, xa) == 0
             S = _squarefree_part(P)
@@ -147,27 +153,6 @@ class StableVerdict:
     reason: StableRefutation | None = None
     budget_spent: int = 0
     detail: str | None = None
-
-
-def _profile_poly(lam: Partition, mu: Partition, q: int) -> list[int]:
-    a = to_base_counts(lam, q).counts
-    b = to_base_counts(mu, q).counts
-    coeffs = [0] * max(len(a), len(b))
-    for i, c in enumerate(b):
-        coeffs[i] += c
-    for i, c in enumerate(a):
-        coeffs[i] -= c
-    return _trim(coeffs)
-
-
-def _profile_poly_at(lam: Partition, mu: Partition, q: int, x: Fraction):
-    return _eval_poly(_profile_poly(lam, mu, q), x)
-
-
-def _bulk_verdict(lam: Partition, mu: Partition, base: int | None) -> BulkVerdict:
-    if base is not None:
-        return exact_dominates_powerq(to_base_counts(lam, base), to_base_counts(mu, base))
-    return dominates_all_s(lam, mu)
 
 
 def _valuation(n: int, r: int) -> int:
@@ -216,8 +201,8 @@ def normalize_pair(lam: PowerPartition, mu: PowerPartition) -> tuple[PowerPartit
     return PowerPartition(lam.base, tuple(a)), PowerPartition(lam.base, tuple(b))
 
 
-def prefilter_stable(lam: Partition, mu: Partition, *, tol=None, grid: int = 64,
-                     max_base: int | None = None) -> StableRefutation | None:
+def prefilter_stable(lam: Partition, mu: Partition, *, tol=None,
+                     grid: int = 64) -> StableRefutation | None:
     """Refutation rules, applied in order; None when no rule fires.
 
     (a) stability needs full norm dominance; (b) an exactly certified interior
@@ -225,10 +210,17 @@ def prefilter_stable(lam: Partition, mu: Partition, *, tol=None, grid: int = 64,
     box may not outrank mu's; (d) under tight packing (equal totals) a prime
     dividing every lam entry strictly more often than every mu entry is fatal,
     because every product bin would have to be filled exactly by pieces that
-    carry more of that prime than the bin does.
+    carry more of that prime than the bin does.  ``tol`` and ``grid`` steer
+    the numeric norm path of rule (a) for pairs with no common power base.
     """
-    base = common_power_base(lam, mu, max_base)
-    bulk = _bulk_verdict(lam, mu, base)
+    base = common_power_base(lam, mu)
+    return _refute(lam, mu, base, bulk_verdict(lam, mu, base, tol, grid))
+
+
+def _refute(lam: Partition, mu: Partition, base: int | None,
+            bulk: BulkVerdict) -> StableRefutation | None:
+    """The rules of ``prefilter_stable``, given the pair's common power base
+    (or None) and its bulk verdict."""
     if not bulk.holds:
         return StableRefutation(BULK_FAILS, bulk=bulk, base=base)
     if lam != mu:
@@ -329,16 +321,17 @@ def construct_nu(lam: PowerPartition, mu: PowerPartition,
     if first is None:
         return StableVerdict(UNKNOWN, None, None, spent,
                              detail="iteration budget exhausted in the first pass")
-    top = len(first) - 1
-    second, steps2 = run_pass(bm ** (top + 1), 2)
+    scale = len(first)
+    second, steps2 = run_pass(bm**scale, 2)
     spent += steps2
     if second is None:
         return StableVerdict(UNKNOWN, None, None, spent,
                              detail="iteration budget exhausted in the second pass")
-    if len(second) - 1 != top:
-        raise RuntimeError("internal error: passes disagree on the last nonzero coefficient")
+    # The scaled pass may stop earlier than the first; its own last nonzero
+    # coefficient sets the catalyst's span.
+    top = len(second) - 1
     for k, ck in enumerate(second):
-        e = top + 1 - k
+        e = scale - k
         if e > 0 and ck % bm**e:
             raise RuntimeError(
                 f"internal error: divisibility of coefficient {k} by top count^{e} failed")
@@ -467,7 +460,6 @@ def _nu_key(pp: PowerPartition):
 def stable_embeds(lam: Partition, mu: Partition, *,
                   node_budget: int = DEFAULT_NODE_BUDGET,
                   max_steps: int | None = None,
-                  max_base: int | None = None,
                   tol=None, grid: int = 64) -> StableVerdict:
     """Tri-state stable-embeddability decision.
 
@@ -476,45 +468,33 @@ def stable_embeds(lam: Partition, mu: Partition, *,
     catalyst construction; pairs with no common base come back UNKNOWN since
     no decision procedure is available for them.
     """
-    base = common_power_base(lam, mu, max_base)
-    embed_unknown = False
-    if base is not None:
-        witness = embed_powerq(to_base_counts(lam, base), to_base_counts(mu, base))
-    else:
-        try:
-            witness = embeds(lam, mu, node_budget)
-        except BudgetExceeded:
-            witness = None
-            embed_unknown = True
-    return _stable_embeds_given(lam, mu, witness, embed_unknown,
-                                max_steps=max_steps, max_base=max_base, tol=tol, grid=grid)
+    base = common_power_base(lam, mu)
+    witness, embed_unknown = decide_embed(lam, mu, base, node_budget)
+    if witness is not None:
+        return _embeds_directly(witness)
+    return _stable_given(lam, mu, base, bulk_verdict(lam, mu, base, tol, grid),
+                         embed_unknown, max_steps)
 
 
-def _stable_embeds_given(lam: Partition, mu: Partition,
-                         embed_witness: EmbeddingWitness | None,
-                         embed_unknown: bool, *,
-                         max_steps: int | None = None,
-                         max_base: int | None = None,
-                         tol=None, grid: int = 64) -> StableVerdict:
-    if embed_witness is not None:
-        return StableVerdict(HOLDS, StableWitness(from_entries([1]), embed_witness), None, 0)
-    ref = prefilter_stable(lam, mu, tol=tol, grid=grid, max_base=max_base)
+def _embeds_directly(witness: EmbeddingWitness) -> StableVerdict:
+    return StableVerdict(HOLDS, StableWitness(from_entries([1]), witness), None, 0)
+
+
+def _stable_given(lam: Partition, mu: Partition, base: int | None, bulk: BulkVerdict,
+                  embed_unknown: bool, max_steps: int | None) -> StableVerdict:
+    """Stable verdict for a pair with no direct embedding, given its common
+    power base (or None), its bulk verdict and whether the direct embedding
+    search ran out of budget: refutation rules, then normalization, the
+    catalyst construction and the extension of its witness to the pair."""
+    ref = _refute(lam, mu, base, bulk)
     if ref is not None:
         return StableVerdict(FAILS, None, ref, 0)
-    base = common_power_base(lam, mu, max_base)
     if base is None:
         detail = "no common power base, so no catalyst construction applies"
         if embed_unknown:
             detail += "; the direct embedding search also hit its budget"
         return StableVerdict(UNKNOWN, None, None, 0, detail=detail)
-    lam_pp = to_base_counts(lam, base)
-    mu_pp = to_base_counts(mu, base)
-    lt, mt = normalize_pair(lam_pp, mu_pp)
-    if lt.is_empty:
-        w = embed_powerq(lam_pp, mu_pp)
-        if w is None:
-            raise RuntimeError("internal error: fully cancelled pair must embed directly")
-        return StableVerdict(HOLDS, StableWitness(from_entries([1]), w), None, 0)
+    lt, mt = normalize_pair(to_base_counts(lam, base), to_base_counts(mu, base))
     verdict = construct_nu(lt, mt, max_steps)
     if verdict.status != HOLDS:
         return verdict
@@ -526,3 +506,63 @@ def _stable_embeds_given(lam: Partition, mu: Partition,
         raise RuntimeError("internal error: catalyst for the normalized pair does not extend")
     return StableVerdict(HOLDS, StableWitness(nu, w, verdict.witness.construction_log),
                          None, verdict.budget_spent)
+
+
+@dataclass
+class RelationReport:
+    """All four relations for one pair, with certificates.
+
+    ``embeds`` is None when the exact search ran out of budget; every other
+    field is always decided (stable may be UNKNOWN with its own budget note).
+    """
+
+    embeds: bool | None
+    embed_witness: EmbeddingWitness | None
+    supermajorized: bool
+    supermajorization_failing_x: int | None
+    stable: StableVerdict
+    bulk: BulkVerdict
+    base: int | None = None
+
+
+def relations(lam: Partition, mu: Partition, *,
+              node_budget: int = DEFAULT_NODE_BUDGET,
+              max_steps: int | None = None,
+              tol=None, grid: int = 64) -> RelationReport:
+    """Compute all four relations and enforce the implication diagram.
+
+    The common power base, the direct embedding and the bulk verdict are
+    decided once and shared by every relation; power-of-q pairs take the
+    exact paths for embedding and bulk.  BudgetExceeded is reported as an
+    undecided field, never raised.  Diagram violations (embeds without
+    supermajorization, and so on) are internal errors and raise RuntimeError.
+    """
+    base = common_power_base(lam, mu)
+    witness, emb_unknown = decide_embed(lam, mu, base, node_budget)
+    emb = None if emb_unknown else witness is not None
+    sup = supermajorizes(mu, lam)
+    bulk = bulk_verdict(lam, mu, base, tol, grid)
+    if witness is not None:
+        stable = _embeds_directly(witness)
+    else:
+        stable = _stable_given(lam, mu, base, bulk, emb_unknown, max_steps)
+
+    if emb is True:
+        if not sup.holds:
+            raise RuntimeError("implication violated: embeds but not supermajorized")
+        if stable.status == FAILS:
+            raise RuntimeError("implication violated: embeds but stable=FAILS")
+    if sup.holds and not bulk.holds:
+        raise RuntimeError("implication violated: supermajorized but not bulk")
+    if stable.status == HOLDS and not bulk.holds:
+        raise RuntimeError("implication violated: stable holds but not bulk")
+
+    return RelationReport(
+        embeds=emb,
+        embed_witness=witness,
+        supermajorized=sup.holds,
+        supermajorization_failing_x=sup.failing_x,
+        stable=stable,
+        bulk=bulk,
+        base=base,
+    )

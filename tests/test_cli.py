@@ -5,8 +5,7 @@ import pytest
 from partembed import cli
 from partembed.core import from_entries, to_base_counts
 from partembed.norms import dominates_all_s, exact_dominates_powerq
-from partembed.orders import relations
-from partembed.stablep import stable_embeds
+from partembed.stablep import relations, stable_embeds
 from helpers import LAM1, LAM2, LAM3, MU1, MU2, MU3, MU4
 
 
@@ -72,6 +71,29 @@ class TestCheckCommand:
         code, _, err = run(capsys, "check", "embed",
                            "--lhs", "[5]", "--rhs", "[5]", "--base", "2")
         assert code == 65
+
+    def test_oversized_count_doc_exit_65(self, capsys):
+        # One box over the limit, rejected before the counts are expanded.
+        half = cli.MAX_COUNT_BOXES // 2
+        rhs = json.dumps({"base": 2, "counts": [half + 1, half]})
+        code, out, err = run(capsys, "check", "all", "--lhs", "[1]", "--rhs", rhs)
+        assert code == 65 and out == ""
+        assert str(cli.MAX_COUNT_BOXES) in err
+
+    @pytest.mark.parametrize("tol", [(), ("--tol", "1e6")])
+    def test_stable_and_bulk_share_one_bulk_verdict(self, capsys, tol):
+        # f(s) = 4**s + 2 - 2 * 3**s dips below 0 by far less than 1e6.
+        pair = ("--lhs", "[3,3]", "--rhs", "[4,1,1]", *tol, "--json")
+        _, out, _ = run(capsys, "check", "all", *pair)
+        report = json.loads(out)
+        reason = report["stable"]["reason"]
+        assert (reason["rule"] == "BulkFails") == (not tol)
+        if reason["rule"] == "BulkFails":
+            assert reason["bulk"] == report["bulk"]
+        else:
+            assert report["bulk"]["holds"] and reason["rule"] == "TightValuation"
+        _, out, _ = run(capsys, "check", "stable", *pair)
+        assert json.loads(out)["report"] == report["stable"]
 
     def test_usage_error_exit_64(self):
         with pytest.raises(SystemExit) as e:

@@ -18,10 +18,10 @@ from partembed.orders import (
     embeds,
     first_fit,
     is_divisible_chain,
-    relations,
     supermajorizes,
 )
 from partembed import stablep
+from partembed.stablep import relations
 from helpers import (
     LAM1,
     LAM2,

@@ -1,8 +1,11 @@
 import random
+import sys
 import time
 
 import pytest
 
+import partembed.core
+import partembed.norms
 from partembed.core import (
     BaseMismatch,
     ContractViolation,
@@ -28,6 +31,7 @@ from partembed.stablep import (
     nu_order_compare,
     prefilter_stable,
     refine_witness,
+    relations,
     stable_embeds,
 )
 from helpers import LAM1, LAM2, LAM3, MU1, MU3, MU4, random_powerq
@@ -90,6 +94,16 @@ class TestPrefilter:
     def test_certificates_reject_wrong_pairs(self):
         ref = prefilter_stable(LAM3, MU4)
         assert not ref.verify(from_entries([2, 2]), from_entries([4]))
+
+    def test_tol_and_grid_reach_the_numeric_path(self, monkeypatch):
+        lam, mu = from_entries([3, 3]), from_entries([4, 1, 1])
+        assert prefilter_stable(lam, mu).rule == BULK_FAILS
+        # The dip of f below 0 is far inside a tolerance of 1e6.
+        ref = prefilter_stable(lam, mu, tol=1e6)
+        assert ref is not None and ref.rule == TIGHT_VALUATION
+        calls = count_calls(monkeypatch, partembed.norms.dominates_all_s)
+        prefilter_stable(lam, mu, tol=0.5, grid=7)
+        assert calls.kwargs == [{"tol": 0.5, "grid": 7}]
 
 
 class TestConstructNu:
@@ -164,6 +178,19 @@ class TestConstructNu:
                 lam_n, mu_n = from_base_counts(lt), from_base_counts(mt)
                 assert verdict.witness.embedding.validate(product(lam_n, nu), product(mu_n, nu))
         assert holds >= 20
+
+    def test_scaled_pass_may_stop_earlier(self):
+        # Base 2, counts (0,0,0,0,7) against (0,4,4,1,0,3), already normalized.
+        # The first pass ends at [1,1,2,3,4,5,4]; the pass scaled by 3**7 ends
+        # at [2187,729,972], and the catalyst comes from it.
+        lam = from_entries([16] * 7)
+        mu = from_entries([32] * 3 + [8] + [4] * 4 + [2] * 4)
+        verdict = stable_embeds(lam, mu)
+        assert verdict.status == HOLDS
+        nu = verdict.witness.nu
+        assert len(nu) == 3888
+        assert to_base_counts(nu, 2).counts == (972, 729, 2187)
+        assert verdict.witness.embedding.validate(product(lam, nu), product(mu, nu))
 
 
 class TestRefineWitness:
@@ -304,3 +331,48 @@ class TestStableEmbeds:
                 assert verdict.witness.embedding.validate(product(lam, nu), product(mu, nu))
             elif verdict.status == FAILS:
                 assert verdict.reason.verify(lam, mu)
+
+
+class _Calls:
+    def __init__(self, fn):
+        self.fn = fn
+        self.kwargs = []
+
+    @property
+    def n(self):
+        return len(self.kwargs)
+
+    def __call__(self, *args, **kwargs):
+        self.kwargs.append(kwargs)
+        return self.fn(*args, **kwargs)
+
+
+def count_calls(monkeypatch, fn) -> _Calls:
+    """Replace ``fn`` at every name it is bound to in the package with a counter."""
+    counter = _Calls(fn)
+    for name, module in list(sys.modules.items()):
+        if name == "partembed" or name.startswith("partembed."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counter)
+    return counter
+
+
+class TestOneDecisionPerPair:
+    """relations() decides the base and the bulk verdict once and shares them."""
+
+    @pytest.mark.parametrize("lam, mu", [
+        (from_entries([3, 3, 3]), from_entries([5, 5])),  # no common base, stable UNKNOWN
+        (LAM3, MU4),  # no common base, refuted by the valuation rule
+        (LAM1, MU1),  # base 2, catalyst constructed
+        (LAM2, MU3),  # base 2, refuted by the norm-equality rule
+    ])
+    def test_one_base_and_one_bulk_decision(self, monkeypatch, lam, mu):
+        base = count_calls(monkeypatch, partembed.core.common_power_base)
+        numeric = count_calls(monkeypatch, partembed.norms.dominates_all_s)
+        exact = count_calls(monkeypatch, partembed.norms.exact_dominates_powerq)
+        report = relations(lam, mu)
+        assert report.embeds is False
+        assert base.n == 1
+        assert numeric.n + exact.n == 1
+        assert (exact.n == 1) == (report.base is not None)

@@ -8,14 +8,20 @@ Partitions travel as JSON documents with exactly one of ``entries`` (a list
 of positive integers, any order) or ``counts`` plus ``base`` (the power
 count-vector form), and an optional ``name``.  Quick queries can pass a bare
 array inline: ``--lhs '[2,2,2,2]'``.  Corpora are newline-delimited JSON.
+Reports print as ``to_doc(x)``, and ``from_doc(type(x), to_doc(x)) == x``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
+import math
 import random
 import sys
+import types
+import typing
 from collections import Counter
 from fractions import Fraction
 
@@ -29,10 +35,9 @@ from .core import (
     product,
     to_base_counts,
 )
-from .norms import BulkVerdict, EqualityPoint, bulk_verdict, exact_dominates_powerq
+from .norms import bulk_verdict, exact_dominates_powerq
 from .orders import (
     DEFAULT_NODE_BUDGET,
-    EmbeddingWitness,
     decide_embed,
     embeds,
     supermajorizes,
@@ -43,11 +48,6 @@ from .stablep import (
     NORM_EQUALITY,
     TIGHT_VALUATION,
     UNKNOWN,
-    RelationReport,
-    StableRefutation,
-    StableVerdict,
-    StableWitness,
-    StepRecord,
     relations,
     stable_embeds,
     _stable_given,
@@ -72,19 +72,68 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _at_least(kind, low):
+    """argparse type: a finite ``kind`` >= ``low``; anything else is a usage error."""
+    def parse(text: str):
+        value = kind(text)
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a finite number >= {low}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
 # ---------------------------------------------------------------------------
-# JSON documents for every report type (parse(print(x)) == x)
+# JSON documents for every report type: from_doc(type(x), to_doc(x)) == x
 # ---------------------------------------------------------------------------
 
-
-def _frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+_SCALARS = (bool, int, float, str, type(None))
 
 
-def partition_doc(p: Partition, name: str | None = None) -> dict:
-    doc = {"entries": list(p.entries)}
-    if name:
-        doc["name"] = name
+@functools.cache
+def _fields(cls) -> tuple[tuple[str, str, object], ...]:
+    """(attribute, JSON key, type hint) of each field, in declaration order."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, f.metadata.get("key", f.name), hints[f.name])
+                 for f in dataclasses.fields(cls))
+
+
+def to_doc(obj):
+    """The JSON document of a report value: a dataclass as its fields in
+    declaration order, a Partition as its entry list, a Fraction as "p/q"
+    (exact, so 3 is "3/1"), a tuple as a list."""
+    if isinstance(obj, _SCALARS):
+        return obj
+    if isinstance(obj, tuple):
+        return [x if isinstance(x, _SCALARS) else to_doc(x) for x in obj]
+    if type(obj) is Partition:
+        return list(obj.entries)
+    if type(obj) is Fraction:
+        return f"{obj.numerator}/{obj.denominator}"
+    return {key: v if isinstance(v := getattr(obj, name), _SCALARS) else to_doc(v)
+            for name, key, _ in _fields(type(obj))}
+
+
+def from_doc(tp, doc):
+    """Rebuild a value of type ``tp`` from ``to_doc``'s output, guided by the
+    type hints: ``X | None``, ``tuple[X, ...]``, fixed tuples, Partition,
+    Fraction and nested dataclasses."""
+    if doc is None:
+        return None
+    args = typing.get_args(tp)
+    if isinstance(tp, types.UnionType):
+        (inner,) = [a for a in args if a is not type(None)]
+        return from_doc(inner, doc)
+    if typing.get_origin(tp) is tuple:
+        if args[-1] is Ellipsis:
+            return tuple(from_doc(args[0], x) for x in doc)
+        return tuple(from_doc(a, x) for a, x in zip(args, doc, strict=True))
+    if tp is Partition:
+        return Partition(tuple(doc))
+    if tp is Fraction:
+        return Fraction(doc)
+    if dataclasses.is_dataclass(tp):
+        return tp(**{name: from_doc(hint, doc[key]) for name, key, hint in _fields(tp)})
     return doc
 
 
@@ -116,151 +165,6 @@ def parse_partition_doc(obj) -> tuple[Partition, str | None]:
     except TypeError as exc:
         raise _InputError(f"malformed partition doc: {exc}") from exc
 
-
-def witness_doc(w: EmbeddingWitness) -> dict:
-    return {"assignment": list(w.assignment), "loads": list(w.loads)}
-
-
-def parse_witness(d: dict) -> EmbeddingWitness:
-    return EmbeddingWitness(tuple(d["assignment"]), tuple(d["loads"]))
-
-
-def equality_doc(e: EqualityPoint) -> dict:
-    return {
-        "s": e.s,
-        "exact": e.exact,
-        "x_interval": [_frac_str(e.x_interval[0]), _frac_str(e.x_interval[1])]
-        if e.x_interval is not None else None,
-        "base": e.base,
-    }
-
-
-def parse_equality(d: dict) -> EqualityPoint:
-    interval = d.get("x_interval")
-    return EqualityPoint(
-        s=d["s"],
-        exact=d["exact"],
-        x_interval=(Fraction(interval[0]), Fraction(interval[1])) if interval else None,
-        base=d.get("base"),
-    )
-
-
-def bulk_doc(v: BulkVerdict) -> dict:
-    return {
-        "holds": v.holds,
-        "failure_exponent": v.failure_exponent,
-        "failure_x": _frac_str(v.failure_x) if v.failure_x is not None else None,
-        "interior_equalities": [equality_doc(e) for e in v.interior_equalities],
-        "tight_at_one": v.tight_at_one,
-        "tight_at_infinity": v.tight_at_infinity,
-    }
-
-
-def parse_bulk(d: dict) -> BulkVerdict:
-    return BulkVerdict(
-        holds=d["holds"],
-        failure_exponent=d["failure_exponent"],
-        failure_x=Fraction(d["failure_x"]) if d.get("failure_x") else None,
-        interior_equalities=tuple(parse_equality(e) for e in d["interior_equalities"]),
-        tight_at_one=d["tight_at_one"],
-        tight_at_infinity=d["tight_at_infinity"],
-    )
-
-
-def refutation_doc(r: StableRefutation) -> dict:
-    return {
-        "rule": r.rule,
-        "bulk": bulk_doc(r.bulk) if r.bulk is not None else None,
-        "equality": equality_doc(r.equality) if r.equality is not None else None,
-        "base": r.base,
-        "top_lam": r.top_lam,
-        "top_mu": r.top_mu,
-        "prime": r.prime,
-        "lam_valuation": r.lam_valuation,
-        "mu_valuation": r.mu_valuation,
-    }
-
-
-def parse_refutation(d: dict) -> StableRefutation:
-    return StableRefutation(
-        rule=d["rule"],
-        bulk=parse_bulk(d["bulk"]) if d.get("bulk") else None,
-        equality=parse_equality(d["equality"]) if d.get("equality") else None,
-        base=d.get("base"),
-        top_lam=d.get("top_lam"),
-        top_mu=d.get("top_mu"),
-        prime=d.get("prime"),
-        lam_valuation=d.get("lam_valuation"),
-        mu_valuation=d.get("mu_valuation"),
-    )
-
-
-def stable_witness_doc(w: StableWitness) -> dict:
-    return {
-        "nu": list(w.nu.entries),
-        "embedding": witness_doc(w.embedding),
-        "construction_log": [
-            {"pass": r.pass_index, "step": r.step, "demand": r.demand,
-             "room": r.room, "coefficient": r.coefficient, "leftover": r.leftover}
-            for r in w.construction_log
-        ],
-    }
-
-
-def parse_stable_witness(d: dict) -> StableWitness:
-    return StableWitness(
-        nu=Partition(tuple(d["nu"])),
-        embedding=parse_witness(d["embedding"]),
-        construction_log=tuple(
-            StepRecord(r["pass"], r["step"], r["demand"], r["room"],
-                       r["coefficient"], r["leftover"])
-            for r in d["construction_log"]
-        ),
-    )
-
-
-def stable_doc(v: StableVerdict) -> dict:
-    return {
-        "status": v.status,
-        "witness": stable_witness_doc(v.witness) if v.witness is not None else None,
-        "reason": refutation_doc(v.reason) if v.reason is not None else None,
-        "budget_spent": v.budget_spent,
-        "detail": v.detail,
-    }
-
-
-def parse_stable(d: dict) -> StableVerdict:
-    return StableVerdict(
-        status=d["status"],
-        witness=parse_stable_witness(d["witness"]) if d.get("witness") else None,
-        reason=parse_refutation(d["reason"]) if d.get("reason") else None,
-        budget_spent=d["budget_spent"],
-        detail=d.get("detail"),
-    )
-
-
-def report_doc(r: RelationReport) -> dict:
-    return {
-        "embeds": r.embeds,
-        "embed_witness": witness_doc(r.embed_witness) if r.embed_witness is not None else None,
-        "supermajorized": r.supermajorized,
-        "supermajorization_failing_x": r.supermajorization_failing_x,
-        "stable": stable_doc(r.stable),
-        "bulk": bulk_doc(r.bulk),
-        "base": r.base,
-    }
-
-
-def parse_report(d: dict) -> RelationReport:
-    return RelationReport(
-        embeds=d["embeds"],
-        embed_witness=parse_witness(d["embed_witness"]) if d.get("embed_witness") else None,
-        supermajorized=d["supermajorized"],
-        supermajorization_failing_x=d.get("supermajorization_failing_x"),
-        stable=parse_stable(d["stable"]),
-        bulk=parse_bulk(d["bulk"]),
-        base=d.get("base"),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +206,7 @@ def cmd_check(args) -> int:
         if args.json:
             doc = {"relation": "embed",
                    "verdict": "UNKNOWN" if undecided else ("HOLDS" if witness else "FAILS"),
-                   "witness": witness_doc(witness) if witness else None}
+                   "witness": to_doc(witness)}
             print(json.dumps(doc, indent=2))
         else:
             if undecided:
@@ -330,7 +234,7 @@ def cmd_check(args) -> int:
         verdict = bulk_verdict(lam, mu, base, args.tol, args.grid)
         if args.json:
             print(json.dumps({"relation": "bulk", "verdict": "HOLDS" if verdict.holds else "FAILS",
-                              "base": base, "report": bulk_doc(verdict)}, indent=2))
+                              "base": base, "report": to_doc(verdict)}, indent=2))
         else:
             word = "HOLDS" if verdict.holds else "FAILS"
             path = f"exact, base {base}" if base is not None else "numeric"
@@ -347,7 +251,7 @@ def cmd_check(args) -> int:
                                 max_steps=args.max_steps, tol=args.tol, grid=args.grid)
         if args.json:
             print(json.dumps({"relation": "stable", "verdict": verdict.status,
-                              "report": stable_doc(verdict)}, indent=2))
+                              "report": to_doc(verdict)}, indent=2))
         else:
             print(f"stable: {verdict.status}")
             if verdict.witness is not None:
@@ -362,7 +266,7 @@ def cmd_check(args) -> int:
     report = relations(lam, mu, node_budget=args.budget, max_steps=args.max_steps,
                        tol=args.tol, grid=args.grid)
     if args.json:
-        print(json.dumps(report_doc(report), indent=2))
+        print(json.dumps(to_doc(report), indent=2))
     else:
         emb = "UNKNOWN" if report.embeds is None else ("HOLDS" if report.embeds else "FAILS")
         print(f"embed:          {emb}")
@@ -568,8 +472,8 @@ def build_parser() -> _Parser:
                        help="iteration budget for the catalyst construction")
     check.add_argument("--base", type=int, default=None,
                        help="require both partitions to be powers of this base")
-    check.add_argument("--tol", type=float, default=None,
-                       help="tolerance for the numeric norm path")
+    check.add_argument("--tol", type=_at_least(float, 0), default=None,
+                       help="equality band of the numeric norm path (finite, >= 0)")
     check.add_argument("--grid", type=int, default=64,
                        help="sample count for the numeric norm path")
     check.add_argument("--json", action="store_true", help="machine-readable output")
@@ -584,11 +488,12 @@ def build_parser() -> _Parser:
     gen.add_argument("kind", choices=["random", "powerq", "divisible"])
     gen.add_argument("--seed", type=int, default=0, help="RNG seed (echoed in names)")
     gen.add_argument("--count", type=int, default=1)
-    gen.add_argument("--len", dest="length", type=int, default=6, help="max length")
-    gen.add_argument("--max", dest="max_value", type=int, default=32, help="max entry")
-    gen.add_argument("--base", type=int, default=2, help="base for powerq docs")
-    gen.add_argument("--levels", type=int, default=4, help="levels for powerq docs")
-    gen.add_argument("--max-count", type=int, default=6, help="max count per level")
+    gen.add_argument("--len", dest="length", type=_at_least(int, 1), default=6, help="max length")
+    gen.add_argument("--max", dest="max_value", type=_at_least(int, 1), default=32,
+                     help="max entry")
+    gen.add_argument("--base", type=_at_least(int, 2), default=2, help="base for powerq docs")
+    gen.add_argument("--levels", type=_at_least(int, 1), default=4, help="levels for powerq docs")
+    gen.add_argument("--max-count", type=_at_least(int, 0), default=6, help="max count per level")
     gen.set_defaults(func=cmd_gen)
 
     scan = sub.add_parser("conjecture-scan",

@@ -142,11 +142,11 @@ class EqualityPoint:
 class BulkVerdict:
     holds: bool
     failure_exponent: float | None = None
+    # Exact rational witness x = q**s with P(x) < 0, when the exact path fails.
+    failure_x: Fraction | None = None
     interior_equalities: tuple[EqualityPoint, ...] = ()
     tight_at_one: bool = False
     tight_at_infinity: bool = False
-    # Exact rational witness x = q**s with P(x) < 0, when the exact path fails.
-    failure_x: Fraction | None = None
 
 
 def _default_tol(profile: NormProfile) -> Fraction:
@@ -195,14 +195,18 @@ def dominates_all_s(lam: Partition, mu: Partition, tol=None, grid: int = 64) -> 
         s_max = 1.0 + math.log(max(2, coeff_mass)) / (math.log(top_v) - math.log(v2))
 
     grid = max(2, grid)
-    tol_f = Fraction(tol) if tol is not None else _default_tol(profile)
+    # tol sets the band |f| <= tol of minima reported as equality hints.  A
+    # value below -min(tol, default) is a failure, so no tol hides a real dip.
+    default_tol = _default_tol(profile)
+    tol_f = Fraction(tol) if tol is not None else default_tol
     with mpmath.workprec(_PRECISION_BITS):
         tol_m = mpmath.mpf(tol_f.numerator) / tol_f.denominator
+        fail_m = min(tol_m, mpmath.mpf(default_tol.numerator) / default_tol.denominator)
         if tight_one:
             # f(1) = 0 with f decreasing at 1 dips negative before the first
             # grid sample; the derivative settles it without sampling.
             d1 = mpmath.fsum(n * v * mpmath.log(v) for v, n in profile.coefficients)
-            if d1 < -tol_m:
+            if d1 < -fail_m:
                 s = mpmath.mpf(1) + mpmath.mpf("1e-3")
                 while profile.f_mpf(s) >= 0:
                     s = 1 + (s - 1) / 2
@@ -212,7 +216,7 @@ def dominates_all_s(lam: Partition, mu: Partition, tol=None, grid: int = 64) -> 
         fs = [profile.f_mpf(x) for x in xs]
 
         for x, y in zip(xs, fs):
-            if y < -tol_m:
+            if y < -fail_m:
                 return BulkVerdict(holds=False, failure_exponent=float(x),
                                    tight_at_one=tight_one, tight_at_infinity=tight_inf)
 
@@ -225,7 +229,7 @@ def dominates_all_s(lam: Partition, mu: Partition, tol=None, grid: int = 64) -> 
             lo = xs[max(0, i - 1)]
             hi = xs[min(len(xs) - 1, i + 1)]
             s_min, f_min = _refine_minimum(profile, lo, hi)
-            if f_min < -tol_m:
+            if f_min < -fail_m:
                 return BulkVerdict(holds=False, failure_exponent=float(s_min),
                                    tight_at_one=tight_one, tight_at_infinity=tight_inf)
             if abs(f_min) <= tol_m and s_min > 1 + 1e-9:

@@ -31,7 +31,7 @@ same decisions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import (
@@ -72,7 +72,7 @@ TIGHT_VALUATION = "TightValuation"
 class StepRecord:
     """One iteration step: coefficient index decided, demand, room, result."""
 
-    pass_index: int
+    pass_index: int = field(metadata={"key": "pass"})
     step: int
     demand: int
     room: int

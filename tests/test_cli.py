@@ -1,11 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from partembed import cli
-from partembed.core import from_entries, to_base_counts
-from partembed.norms import dominates_all_s, exact_dominates_powerq
-from partembed.stablep import relations, stable_embeds
+from partembed.core import Partition, from_entries, to_base_counts
+from partembed.norms import BulkVerdict, dominates_all_s, exact_dominates_powerq
+from partembed.stablep import RelationReport, StableVerdict, relations, stable_embeds
 from helpers import LAM1, LAM2, LAM3, MU1, MU2, MU3, MU4
 
 
@@ -82,18 +83,28 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize("tol", [(), ("--tol", "1e6")])
     def test_stable_and_bulk_share_one_bulk_verdict(self, capsys, tol):
-        # f(s) = 4**s + 2 - 2 * 3**s dips below 0 by far less than 1e6.
+        # f(s) = 4**s + 2 - 2 * 3**s dips below 0 by far less than 1e6, and a
+        # tolerance does not hide the dip.
         pair = ("--lhs", "[3,3]", "--rhs", "[4,1,1]", *tol, "--json")
         _, out, _ = run(capsys, "check", "all", *pair)
         report = json.loads(out)
         reason = report["stable"]["reason"]
-        assert (reason["rule"] == "BulkFails") == (not tol)
-        if reason["rule"] == "BulkFails":
-            assert reason["bulk"] == report["bulk"]
-        else:
-            assert report["bulk"]["holds"] and reason["rule"] == "TightValuation"
+        assert reason["rule"] == "BulkFails"
+        assert reason["bulk"] == report["bulk"]
         _, out, _ = run(capsys, "check", "stable", *pair)
         assert json.loads(out)["report"] == report["stable"]
+
+    def test_large_tol_still_holds_where_dominance_holds(self, capsys):
+        code, out, _ = run(capsys, "check", "bulk", "--lhs", "[4,4,1]",
+                           "--rhs", "[5,3,1]", "--tol", "1e6")
+        assert code == 0 and "HOLDS" in out
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tol_exit_64(self, capsys, tol):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["check", "bulk", "--lhs", "[4,4,1]", "--rhs", "[5,3,1]", "--tol", tol])
+        assert e.value.code == 64
+        assert "--tol" in capsys.readouterr().err
 
     def test_usage_error_exit_64(self):
         with pytest.raises(SystemExit) as e:
@@ -140,6 +151,20 @@ class TestGen:
             part, name = cli.parse_partition_doc(json.loads(line))
             assert part.max_entry <= 32 and len(part) <= 6 and name
 
+    @pytest.mark.parametrize("argv", [
+        ("powerq", "--levels", "0"),
+        ("powerq", "--base", "1"),
+        ("powerq", "--max-count", "-1"),
+        ("random", "--len", "0"),
+        ("random", "--max", "0"),
+        ("divisible", "--max", "0"),
+    ], ids="_".join)
+    def test_bad_options_exit_64(self, capsys, argv):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["gen", *argv])
+        assert e.value.code == 64
+        assert argv[1] in capsys.readouterr().err
+
 
 class TestConjectureScan:
     def test_empty_corpus(self, capsys, tmp_path):
@@ -170,6 +195,30 @@ class TestConjectureScan:
         assert by_name["mixed"]["status"] == "excluded"
 
 
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_QUERIES = {
+    "all-2222-4_1x8": ("all", "[2,2,2,2]", "[4,1,1,1,1,1,1,1,1]"),
+    "all-8x4_4x4-16_2x16_1x16": ("all", "[8,8,8,8,4,4,4,4]",
+                                 json.dumps([16] + [2] * 16 + [1] * 16)),
+    "all-422-53": ("all", "[4,2,2]", "[5,3]"),
+    "all-4-22": ("all", "[4]", "[2,2]"),
+    "all-33-411": ("all", "[3,3]", "[4,1,1]"),
+    "embed-332-62": ("embed", "[3,3,2]", "[6,2]"),
+    "bulk-332-62": ("bulk", "[3,3,2]", "[6,2]"),
+}
+
+
+class TestJsonLayout:
+    # The round trips below pass whatever the keys and their order are; the
+    # printed documents are a public format, so pin them byte for byte.
+    @pytest.mark.parametrize("name", sorted(GOLDEN_QUERIES))
+    def test_json_stdout_is_unchanged(self, capsys, name):
+        relation, lhs, rhs = GOLDEN_QUERIES[name]
+        code, out, _ = run(capsys, "check", relation, "--lhs", lhs, "--rhs", rhs, "--json")
+        assert code == 0
+        assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
 class TestJsonRoundTrips:
     def test_bulk_verdicts(self):
         for verdict in (
@@ -179,8 +228,8 @@ class TestJsonRoundTrips:
             dominates_all_s(LAM2, MU3),
             dominates_all_s(from_entries([2]), from_entries([1, 1, 1])),
         ):
-            doc = json.loads(json.dumps(cli.bulk_doc(verdict)))
-            assert cli.parse_bulk(doc) == verdict
+            doc = json.loads(json.dumps(cli.to_doc(verdict)))
+            assert cli.from_doc(BulkVerdict, doc) == verdict
 
     def test_stable_verdicts(self):
         for verdict in (
@@ -189,15 +238,16 @@ class TestJsonRoundTrips:
             stable_embeds(LAM3, MU4),
             stable_embeds(from_entries([4, 4, 4]), from_entries([7, 6])),
         ):
-            doc = json.loads(json.dumps(cli.stable_doc(verdict)))
-            assert cli.parse_stable(doc) == verdict
+            doc = json.loads(json.dumps(cli.to_doc(verdict)))
+            assert cli.from_doc(StableVerdict, doc) == verdict
 
     def test_relation_reports(self):
         for lam, mu in ((LAM1, MU1), (LAM3, MU4), (LAM1, MU2)):
             report = relations(lam, mu)
-            doc = json.loads(json.dumps(cli.report_doc(report)))
-            assert cli.parse_report(doc) == report
+            doc = json.loads(json.dumps(cli.to_doc(report)))
+            assert cli.from_doc(RelationReport, doc) == report
 
     def test_partition_docs(self):
-        part, _ = cli.parse_partition_doc(json.loads(json.dumps(cli.partition_doc(MU3))))
-        assert part == MU3
+        doc = json.loads(json.dumps(cli.to_doc(MU3)))
+        assert cli.from_doc(Partition, doc) == MU3
+        assert cli.parse_partition_doc(doc)[0] == MU3

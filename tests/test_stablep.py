@@ -98,9 +98,10 @@ class TestPrefilter:
     def test_tol_and_grid_reach_the_numeric_path(self, monkeypatch):
         lam, mu = from_entries([3, 3]), from_entries([4, 1, 1])
         assert prefilter_stable(lam, mu).rule == BULK_FAILS
-        # The dip of f below 0 is far inside a tolerance of 1e6.
+        # The dip of f below 0 is far inside a tolerance of 1e6, which widens
+        # the equality band but cannot hide a failure.
         ref = prefilter_stable(lam, mu, tol=1e6)
-        assert ref is not None and ref.rule == TIGHT_VALUATION
+        assert ref is not None and ref.rule == BULK_FAILS
         calls = count_calls(monkeypatch, partembed.norms.dominates_all_s)
         prefilter_stable(lam, mu, tol=0.5, grid=7)
         assert calls.kwargs == [{"tol": 0.5, "grid": 7}]

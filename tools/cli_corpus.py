@@ -1,0 +1,119 @@
+"""Record the CLI's answers on a fixed query list, one NDJSON record per query.
+
+    python tools/cli_corpus.py [--tree DIR] OUT
+
+imports ``partembed`` from ``DIR/src`` (default: this checkout), calls
+``partembed.cli.main(argv)`` in-process for every query and writes
+``{"argv", "rc", "out", "err"}`` per line to ``OUT``.  An exception that
+escapes ``main`` is recorded as ``rc: null`` with its type and message in
+``err``.  Run it on two trees and compare the outputs with ``cmp``: equal
+files mean the two programs print the same bytes and exit codes.
+
+The query list is fixed: the first 300 seed-1 queries of ``general-mix`` and
+``powerq-mix`` re-asked as every relation with and without ``--json`` (deep
+``powerq-mix`` pairs, which ask ``check bulk``, only as embed, supermajorize
+and bulk), the first 100 ``binpack-hard`` queries as they are, both forms of
+``repro-example24``, the pairs pinned by ``tests/golden`` under every
+relation, and a few queries with a non-default ``--tol`` or an invalid option.
+The workload streams come from this checkout's ``bench/workloads.py``, which
+is only read.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import sys
+import traceback
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import islice
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+RELATIONS = ("embed", "supermajorize", "bulk", "stable", "all")
+PAIRS = (
+    ("[2,2,2,2]", "[4,1,1,1,1,1,1,1,1]"),
+    ("[8,8,8,8,4,4,4,4]", json.dumps([16] + [2] * 16 + [1] * 16)),
+    ("[4,2,2]", "[5,3]"),
+    ("[4]", "[2,2]"),
+    ("[3,3]", "[4,1,1]"),
+    ("[3,3,2]", "[6,2]"),
+)
+# Answers that depend on how --tol is applied and on the option range checks.
+EDGE_QUERIES = (
+    ["check", "bulk", "--lhs", "[3,3]", "--rhs", "[4,1,1]", "--tol", "1e6"],
+    ["check", "all", "--lhs", "[3,3]", "--rhs", "[4,1,1]", "--tol", "1e6", "--json"],
+    ["check", "bulk", "--lhs", "[4,4,1]", "--rhs", "[5,3,1]", "--tol", "1e6"],
+    ["check", "bulk", "--lhs", "[4,4,1]", "--rhs", "[5,3,1]", "--tol", "-1"],
+    ["check", "bulk", "--lhs", "[3,3]", "--rhs", "[4,1,1]", "--tol", "nan"],
+    ["check", "bulk", "--lhs", "[3,3]", "--rhs", "[4,1,1]", "--tol", "inf"],
+    ["gen", "powerq", "--levels", "0"],
+    ["gen", "powerq", "--base", "1"],
+    ["gen", "random", "--len", "0"],
+    ["gen", "random", "--max", "0"],
+    ["gen", "divisible", "--max", "0"],
+)
+
+
+def queries() -> list[list[str]]:
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+
+    def ask(query, relations):
+        for relation in relations:
+            argv = ["check", relation, "--lhs", json.dumps(query.lhs),
+                    "--rhs", json.dumps(query.rhs)]
+            yield argv + ["--json"]
+            yield argv
+
+    out = []
+    for query in islice(workloads.general_mix(1), 300):
+        out += ask(query, RELATIONS)
+    for query in islice(workloads.powerq_mix(1), 300):
+        out += ask(query, RELATIONS[:3] if query.relation == "bulk" else RELATIONS)
+    out += [query.argv() for query in islice(workloads.binpack_hard(1), 100)]
+    out += [["repro-example24"], ["repro-example24", "--json"]]
+    for lhs, rhs in PAIRS:
+        for relation in RELATIONS:
+            argv = ["check", relation, "--lhs", lhs, "--rhs", rhs]
+            out += [argv + ["--json"], argv]
+    out += [list(argv) for argv in EDGE_QUERIES]
+    return out
+
+
+def record(cli, argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        except Exception as exc:  # recorded, so that a crash shows in the comparison
+            rc = None
+            err.write("".join(traceback.format_exception_only(type(exc), exc)))
+    return {"argv": argv, "rc": rc, "out": out.getvalue(), "err": err.getvalue()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--tree", type=Path, default=ROOT,
+                        help="checkout whose src/ holds the partembed to run")
+    parser.add_argument("out", type=Path, help="NDJSON file to write")
+    args = parser.parse_args(argv)
+    todo = queries()
+    sys.path.insert(0, str(args.tree.resolve() / "src"))
+    import partembed.cli as cli
+
+    with open(args.out, "w", encoding="utf-8") as fh:
+        for query in todo:
+            fh.write(json.dumps(record(cli, query)) + "\n")
+    print(f"{len(todo)} queries -> {args.out} (partembed from {Path(cli.__file__).parent})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

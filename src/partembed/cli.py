@@ -466,15 +466,15 @@ def build_parser() -> _Parser:
     check.add_argument("rhs_file", nargs="?", help="JSON file with the right partition")
     check.add_argument("--lhs", help="inline JSON for the left partition")
     check.add_argument("--rhs", help="inline JSON for the right partition")
-    check.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+    check.add_argument("--budget", type=_at_least(int, 0), default=DEFAULT_NODE_BUDGET,
                        help="search node budget for exact embedding")
-    check.add_argument("--max-steps", type=int, default=None,
+    check.add_argument("--max-steps", type=_at_least(int, 0), default=None,
                        help="iteration budget for the catalyst construction")
-    check.add_argument("--base", type=int, default=None,
+    check.add_argument("--base", type=_at_least(int, 2), default=None,
                        help="require both partitions to be powers of this base")
     check.add_argument("--tol", type=_at_least(float, 0), default=None,
                        help="equality band of the numeric norm path (finite, >= 0)")
-    check.add_argument("--grid", type=int, default=64,
+    check.add_argument("--grid", type=_at_least(int, 2), default=64,
                        help="sample count for the numeric norm path")
     check.add_argument("--json", action="store_true", help="machine-readable output")
     check.set_defaults(func=cmd_check)
@@ -499,7 +499,7 @@ def build_parser() -> _Parser:
     scan = sub.add_parser("conjecture-scan",
                           help="tabulate catalyst construction on tight strictly-dominant pairs")
     scan.add_argument("corpus", help="newline-delimited JSON of {lhs, rhs, name?} pairs")
-    scan.add_argument("--max-steps", type=int, default=None)
+    scan.add_argument("--max-steps", type=_at_least(int, 0), default=None)
     scan.add_argument("--json", action="store_true")
     scan.set_defaults(func=cmd_conjecture_scan)
 

@@ -262,19 +262,18 @@ def base_digits(n: int, q: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def common_power_base(a: Partition, b: Partition, max_base: int | None = None) -> int | None:
+def common_power_base(a: Partition, b: Partition) -> int | None:
     """Smallest base q >= 2 such that every entry of both partitions is a power of q.
 
     Any valid base must be an exact integer root of the smallest entry above 1,
     so only those few candidates are tested (equivalent to scanning q upward,
-    but without touching every integer).  Returns None when no base exists or
-    the smallest valid base exceeds ``max_base``.
+    but without touching every integer).  Returns None when no base exists.
     """
     values = set(a.entries) | set(b.entries)
     values.discard(1)
     if not values:
         # All entries are 1; any base works, report the smallest.
-        return 2 if (max_base is None or max_base >= 2) else None
+        return 2
     m = min(values)
     candidates: list[int] = []
     for k in range(m.bit_length() - 1, 0, -1):
@@ -282,8 +281,6 @@ def common_power_base(a: Partition, b: Partition, max_base: int | None = None) -
         if r >= 2 and r**k == m:
             candidates.append(r)
     for q in candidates:  # ascending by construction
-        if max_base is not None and q > max_base:
-            return None
         if all(_power_exponent(v, q) is not None for v in values):
             return q
     return None

@@ -1,17 +1,19 @@
 """Stable embeddability: does some catalyst nu make lam x nu embed in mu x nu?
 
 For power-of-q pairs the catalyst is constructed level by level.  After
-cancelling common box counts (normalization), the iteration walks box sizes
-downward, at each size comparing the demand from lam's side with the room on
-mu's side; whenever demand exceeds room, the next nu coefficient is topped up
-by a ceiling division against mu's top box count, otherwise the surplus is
-carried down (times q) as leftover M.  Once the trailing coefficients are all
-zero for long enough that no future demand can appear, the iteration has
-proved level-by-level dominance of the products and stops.  A second pass
-with the first coefficient scaled to (top count)^(N+1), N the last index of
-the first pass, makes every division exact; it may stop earlier than the
-first, and its own coefficients, scaled to an integral partition, are the
-catalyst.  The iteration need not terminate: it halts exactly on the stable
+cancelling common box counts (normalization, which leaves stability
+unchanged), the iteration walks box sizes downward, at each size comparing
+the demand from lam's side with the room on mu's side; whenever demand
+exceeds room, the next nu coefficient is topped up by a ceiling division
+against mu's top box count, otherwise the surplus is carried down (times q)
+as leftover M.  Once the trailing coefficients are all zero for long enough
+that no future demand can appear, the iteration has proved level-by-level
+dominance of the products and stops.  A second pass with the first
+coefficient scaled to (top count)^(N+1), N the last index of the first pass,
+makes every division exact; it may stop earlier than the first, and its own
+coefficients, scaled to an integral partition, are the catalyst.  It is also
+a catalyst of the pair as given, so only that pair's products are built and
+embedded.  The iteration need not terminate: it halts exactly on the stable
 pairs, so the step budget produces honest UNKNOWN verdicts, never fabricated
 ones.
 
@@ -246,28 +248,27 @@ def _refute(lam: Partition, mu: Partition, base: int | None,
 
 def construct_nu(lam: PowerPartition, mu: PowerPartition,
                  max_steps: int | None = None) -> StableVerdict:
-    """Build the catalyst for a normalized, prefiltered power-of-q pair.
+    """Build the catalyst for a prefiltered power-of-q pair.
 
-    Preconditions (violations raise ContractViolation): same base, common
-    counts already cancelled, and mu's top box index strictly above lam's
-    whenever both sides are nonempty.  The verdict is HOLDS with a validated
+    The common box counts are cancelled first and the iteration runs on the
+    normalized pair; the witness embeds the products of the given pair.
+    Different bases raise BaseMismatch.  Preconditions on the normalized pair
+    (violations raise ContractViolation): mu nonempty whenever lam is, and
+    mu's top box index not below lam's.  A pair that cancels down to an empty
+    lam gets the trivial catalyst [1].  The verdict is HOLDS with a validated
     witness, or UNKNOWN when ``max_steps`` (default 64*(n+m+2)) runs out; the
     iteration halts exactly on stable pairs, so slow halting and divergence
     cannot be told apart within a budget.
     """
-    if lam.base != mu.base:
-        raise BaseMismatch(f"bases differ: {lam.base} vs {mu.base}")
+    lt, mt = normalize_pair(lam, mu)
     q = lam.base
-    if lam.is_empty:
-        nu = from_entries([1])
-        return StableVerdict(HOLDS, StableWitness(nu, EmbeddingWitness((), ())), None, 0)
-    if mu.is_empty:
+    if lt.is_empty:
+        return StableVerdict(HOLDS, StableWitness(from_entries([1]), embed_powerq(lam, mu)),
+                             None, 0)
+    if mt.is_empty:
         raise ContractViolation("lam has boxes but mu has none; prefilter should have refuted")
-    a = lam.counts
-    b = mu.counts
-    shared = [i for i in range(min(len(a), len(b))) if a[i] and b[i]]
-    if shared:
-        raise ContractViolation(f"pair not normalized: both sides hold boxes at level(s) {shared}")
+    a = lt.counts
+    b = mt.counts
     n = len(a) - 1
     m = len(b) - 1
     if m < n:
@@ -340,15 +341,11 @@ def construct_nu(lam: PowerPartition, mu: PowerPartition,
     # integral: counts[i] boxes of size q^i with counts[i] = second[top - i].
     nu_pp = PowerPartition(q, tuple(second[top - i] for i in range(top + 1)))
     nu = from_base_counts(nu_pp)
-    lam_p = from_base_counts(lam)
-    mu_p = from_base_counts(mu)
-    prod_l = product(lam_p, nu)
-    prod_m = product(mu_p, nu)
-    if not supermajorizes(prod_m, prod_l).holds:
-        raise RuntimeError("internal error: stop rule fired without product dominance")
+    prod_l = product(from_base_counts(lam), nu)
+    prod_m = product(from_base_counts(mu), nu)
     w = embed_powerq(to_base_counts(prod_l, q), to_base_counts(prod_m, q))
-    if w is None or not w.validate(prod_l, prod_m):
-        raise RuntimeError("internal error: product embedding failed despite dominance")
+    if w is None:
+        raise RuntimeError("internal error: stop rule fired without product dominance")
     return StableVerdict(HOLDS, StableWitness(nu, w, tuple(log)), None, spent)
 
 
@@ -484,8 +481,8 @@ def _stable_given(lam: Partition, mu: Partition, base: int | None, bulk: BulkVer
                   embed_unknown: bool, max_steps: int | None) -> StableVerdict:
     """Stable verdict for a pair with no direct embedding, given its common
     power base (or None), its bulk verdict and whether the direct embedding
-    search ran out of budget: refutation rules, then normalization, the
-    catalyst construction and the extension of its witness to the pair."""
+    search ran out of budget: the refutation rules, then for a power-of-q
+    pair the catalyst construction, whose witness is already the pair's."""
     ref = _refute(lam, mu, base, bulk)
     if ref is not None:
         return StableVerdict(FAILS, None, ref, 0)
@@ -494,18 +491,7 @@ def _stable_given(lam: Partition, mu: Partition, base: int | None, bulk: BulkVer
         if embed_unknown:
             detail += "; the direct embedding search also hit its budget"
         return StableVerdict(UNKNOWN, None, None, 0, detail=detail)
-    lt, mt = normalize_pair(to_base_counts(lam, base), to_base_counts(mu, base))
-    verdict = construct_nu(lt, mt, max_steps)
-    if verdict.status != HOLDS:
-        return verdict
-    nu = verdict.witness.nu
-    prod_l = product(lam, nu)
-    prod_m = product(mu, nu)
-    w = embed_powerq(to_base_counts(prod_l, base), to_base_counts(prod_m, base))
-    if w is None or not w.validate(prod_l, prod_m):
-        raise RuntimeError("internal error: catalyst for the normalized pair does not extend")
-    return StableVerdict(HOLDS, StableWitness(nu, w, verdict.witness.construction_log),
-                         None, verdict.budget_spent)
+    return construct_nu(to_base_counts(lam, base), to_base_counts(mu, base), max_steps)
 
 
 @dataclass

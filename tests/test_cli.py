@@ -106,6 +106,21 @@ class TestCheckCommand:
         assert e.value.code == 64
         assert "--tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("check", "embed", "--budget", "-1"),
+        ("check", "stable", "--max-steps", "-3"),
+        ("check", "embed", "--base", "1"),
+        ("check", "bulk", "--grid", "-5"),
+        ("check", "bulk", "--grid", "1"),
+        ("conjecture-scan", "corpus.ndjson", "--max-steps", "-1"),
+    ], ids="_".join)
+    def test_bad_options_exit_64(self, capsys, argv):
+        pair = ["--lhs", "[5,4,3,3,2]", "--rhs", "[9,8]"] if argv[0] == "check" else []
+        with pytest.raises(SystemExit) as e:
+            cli.main([*argv, *pair])
+        assert e.value.code == 64
+        assert argv[2] in capsys.readouterr().err
+
     def test_usage_error_exit_64(self):
         with pytest.raises(SystemExit) as e:
             cli.main(["check", "nonsense", "--lhs", "[1]", "--rhs", "[1]"])

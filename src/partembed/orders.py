@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple, Sequence
 
 from .core import (
@@ -80,19 +81,31 @@ class Supermajorization(NamedTuple):
 def supermajorizes(mu: Partition, lam: Partition) -> Supermajorization:
     """True iff for every threshold x the tail sum of mu dominates lam's.
 
-    The tail sums are step functions that change only at entry values, so the
-    checkpoints are the entry values of both partitions plus the point just
-    above each value (those are the block starts, which makes the reported
-    failing x the smallest failing integer).
+    The tail sums are step functions that change only at entry values, so one
+    merge of the two decreasing entry lists compares them at every distinct
+    value v of either partition.  A comparison failing at v fails for every x
+    down to just above the next smaller value, so the reported failing x is
+    that value + 1, or 1 below the smallest value: the smallest failing
+    integer.
     """
-    values = set(mu.entries) | set(lam.entries)
-    checkpoints = sorted({1} | values | {v + 1 for v in values})
-    for x in checkpoints:
-        lam_tail = sum(e for e in lam.entries if e >= x)
-        mu_tail = sum(e for e in mu.entries if e >= x)
-        if mu_tail < lam_tail:
-            return Supermajorization(False, x)
-    return Supermajorization(True, None)
+    a, b = mu.entries, lam.entries
+    i = j = mu_tail = lam_tail = 0
+    failing_x = None
+    failed = False
+    while i < len(a) or j < len(b):
+        v = max(a[i] if i < len(a) else 0, b[j] if j < len(b) else 0)
+        if failed:
+            failing_x = v + 1
+        while i < len(a) and a[i] == v:
+            mu_tail += v
+            i += 1
+        while j < len(b) and b[j] == v:
+            lam_tail += v
+            j += 1
+        failed = mu_tail < lam_tail
+    if failed:
+        failing_x = 1
+    return Supermajorization(failing_x is None, failing_x)
 
 
 def is_divisible_chain(lam: Partition) -> bool:
@@ -122,28 +135,26 @@ def first_fit(lam: Partition, mu: Partition,
     return _make_witness(lam, mu, assignment)
 
 
-def _tail_dominates(caps: Sequence[int], items: Sequence[int]) -> bool:
-    """Supermajorization of an item multiset by a capacity multiset.
-
-    Necessary for any embedding of the items into bins with those remaining
-    capacities; used as a search prune.
-    """
-    values = sorted(set(items) | {c for c in caps if c > 0})
-    for x in values:
-        if sum(c for c in caps if c >= x) < sum(e for e in items if e >= x):
-            return False
-    return True
-
-
 def embeds(lam: Partition, mu: Partition,
            node_budget: int = DEFAULT_NODE_BUDGET) -> EmbeddingWitness | None:
     """Complete branch-and-bound search for an embedding of lam into mu.
 
-    Items are placed largest first.  Pruning: total and max-entry bounds,
-    supermajorization of the remaining suffix against remaining capacities,
-    identical items only move rightward across bins, and bins with equal
-    remaining capacity are tried once per node.  Deterministic: the witness
-    returned is the first under the induced assignment order.
+    Items are placed largest first.  Pruning: total, max-entry and
+    supermajorization bounds before the search; at each node the remaining
+    items must be supermajorized by the remaining capacities, identical items
+    only move rightward across bins, and bins with equal remaining capacity
+    are tried once per node.  Deterministic: the witness returned is the first
+    under the induced assignment order.
+
+    The supermajorization prune is checked only at the values of the
+    remaining items, which is exact: between two item values the item tail
+    sum is constant while the capacity tail sum can only grow as the
+    threshold falls, and above the largest item the item tail is 0.  The
+    check at the smallest value also bounds the total, and the one at the
+    largest value asks for a bin that holds the next item.  Prefix sums and
+    runs of equal items are built once per call, so a node costs one merge of
+    the sorted capacities against the remaining runs: O(distinct item values
+    + bins).
 
     Raises BudgetExceeded when ``node_budget`` placements were tried without
     resolving the question.
@@ -155,8 +166,36 @@ def embeds(lam: Partition, mu: Partition,
     items = lam.entries
     caps = list(mu.entries)
     n = len(items)
+    # prefix[k] is the sum of items[:k]; runs[r] is the r-th run of equal
+    # items as (value, prefix sum at its end); run_at[k] is the run of item k.
+    prefix = [0]
+    runs: list[tuple[int, int]] = []
+    run_at = []
+    for item in items:
+        prefix.append(prefix[-1] + item)
+        if runs and runs[-1][0] == item:
+            runs[-1] = (item, prefix[-1])
+        else:
+            runs.append((item, prefix[-1]))
+        run_at.append(len(runs) - 1)
     assignment = [0] * n
     nodes = 0
+
+    def fits(k: int) -> bool:
+        """Whether the capacities supermajorize the items from k on."""
+        done = prefix[k]
+        ordered = sorted(caps, reverse=True)
+        ordered.append(0)  # sentinel: below every item
+        c = room = 0
+        cap = ordered[0]
+        for value, end in islice(runs, run_at[k], None):
+            while cap >= value:
+                room += cap
+                c += 1
+                cap = ordered[c]
+            if room < end - done:
+                return False
+        return True
 
     def place(idx: int) -> bool:
         nonlocal nodes
@@ -174,13 +213,7 @@ def embeds(lam: Partition, mu: Partition,
             if nodes > node_budget:
                 raise BudgetExceeded(nodes)
             caps[j] -= item
-            suffix = items[idx + 1:]
-            ok = not suffix or (
-                sum(suffix) <= sum(caps)
-                and suffix[0] <= max(caps)
-                and _tail_dominates(caps, suffix)
-            )
-            if ok:
+            if idx + 1 == n or fits(idx + 1):
                 assignment[idx] = j
                 if place(idx + 1):
                     caps[j] += item

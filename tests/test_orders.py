@@ -21,6 +21,7 @@ from partembed.orders import (
     supermajorizes,
 )
 from partembed import stablep
+from partembed.oracle import brute_supermajorize
 from partembed.stablep import relations
 from helpers import (
     LAM1,
@@ -72,6 +73,19 @@ class TestSupermajorizes:
 
     def test_lam2_mu3_fails(self):
         assert not supermajorizes(MU3, LAM2).holds
+
+    def test_failing_x_matches_definition(self):
+        # Few distinct small values, so both sides repeat values and share them.
+        rng = random.Random(34)
+        for _ in range(3000):
+            mu = from_entries([rng.randint(1, 9) for _ in range(rng.randint(1, 8))])
+            lam = from_entries([rng.randint(1, 9) for _ in range(rng.randint(1, 8))])
+            top = max(mu.max_entry, lam.max_entry)
+            failing = [x for x in range(1, top + 2)
+                       if sum(e for e in mu if e >= x) < sum(e for e in lam if e >= x)]
+            res = supermajorizes(mu, lam)
+            assert res.failing_x == (failing[0] if failing else None)
+            assert res.holds == (res.failing_x is None) == brute_supermajorize(mu, lam)
 
 
 class TestDivisibleChain:
@@ -145,6 +159,64 @@ class TestEmbeds:
         lam, mu = from_entries([2, 2]), from_entries([2, 2])
         with pytest.raises(BudgetExceeded):
             embeds(lam, mu, node_budget=1)
+
+
+# Zero-slack pairs of 20 items in 6 bins (the first seed-1 queries of the
+# benchmark's binpack-hard stream), each with the node count the search needs
+# to decide it and the witness it returns.  Pins the search tree: a change to
+# the prune's cost must not change which nodes are visited, or in what order.
+SEARCH_TREE_PAIRS = [
+    # bins with zero slack
+    ([58, 56, 51, 51, 50, 48, 48, 47, 44, 44, 37, 36, 34, 33, 28, 27, 26, 24, 21, 20],
+     [193, 161, 123, 117, 98, 91], 29,
+     (0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 5, 1, 4, 5, 0, 2, 3, 1, 5, 4)),
+    ([57, 55, 54, 48, 47, 46, 46, 44, 38, 36, 35, 35, 32, 30, 30, 30, 27, 27, 26, 22],
+     [226, 167, 133, 120, 61, 58], 1349,
+     (0, 0, 0, 1, 2, 1, 3, 3, 1, 5, 1, 4, 2, 0, 0, 3, 2, 2, 4, 5)),
+    ([59, 58, 55, 54, 54, 47, 40, 39, 38, 36, 35, 33, 33, 31, 30, 29, 28, 24, 23, 22],
+     [256, 165, 137, 102, 77, 31], 729,
+     (0, 0, 0, 0, 1, 1, 1, 4, 4, 2, 2, 2, 2, 5, 0, 3, 3, 1, 3, 3)),
+    ([60, 59, 54, 53, 48, 48, 47, 45, 44, 40, 37, 36, 35, 30, 28, 26, 25, 25, 25, 22],
+     [172, 162, 149, 142, 108, 54], 3449,
+     (0, 0, 2, 0, 1, 1, 3, 2, 1, 3, 4, 4, 4, 3, 5, 5, 2, 2, 3, 1)),
+    # the same with mass moved between two bins
+    ([58, 54, 54, 52, 51, 43, 41, 41, 41, 37, 36, 35, 33, 30, 30, 28, 27, 25, 24, 22],
+     [250, 190, 183, 66, 43, 30], 3929,
+     (0, 0, 0, 1, 0, 4, 1, 2, 2, 1, 3, 1, 0, 3, 5, 2, 2, 1, 2, 2)),
+    ([57, 56, 56, 54, 51, 48, 46, 44, 42, 39, 38, 36, 33, 33, 30, 27, 27, 26, 21, 20],
+     [183, 182, 147, 122, 99, 51], 4799,
+     (0, 0, 1, 1, 2, 3, 4, 0, 2, 1, 3, 3, 1, 4, 5, 2, 2, 0, 5, 4)),
+    ([60, 58, 57, 53, 52, 52, 48, 47, 45, 42, 39, 37, 33, 30, 30, 26, 25, 24, 24, 21],
+     [186, 172, 144, 143, 121, 37], 4435,
+     (0, 0, 1, 2, 1, 2, 3, 0, 3, 4, 2, 5, 1, 1, 4, 3, 4, 3, 4, 0)),
+    ([60, 59, 59, 54, 54, 53, 51, 51, 46, 44, 42, 41, 38, 37, 36, 33, 32, 30, 26, 20],
+     [264, 232, 154, 101, 79, 36], 68,
+     (0, 0, 0, 0, 1, 1, 1, 2, 2, 1, 3, 4, 4, 2, 5, 3, 0, 1, 3, 2)),
+]
+
+
+class TestSearchTree:
+    @pytest.mark.parametrize("items,bins,nodes,assignment", SEARCH_TREE_PAIRS,
+                             ids=[f"{pair[2]}-nodes" for pair in SEARCH_TREE_PAIRS])
+    def test_nodes_to_decide_and_witness(self, items, bins, nodes, assignment):
+        lam, mu = from_entries(items), from_entries(bins)
+        lo, hi = 0, 5000
+        embeds(lam, mu, hi)
+        while lo < hi:  # the smallest budget that decides the pair
+            mid = (lo + hi) // 2
+            try:
+                embeds(lam, mu, mid)
+                hi = mid
+            except BudgetExceeded as exc:
+                assert exc.nodes == mid + 1
+                lo = mid + 1
+        assert lo == nodes
+        for budget in (0, nodes - 1):
+            with pytest.raises(BudgetExceeded) as exc:
+                embeds(lam, mu, budget)
+            assert exc.value.nodes == budget + 1
+        w = embeds(lam, mu, nodes)
+        assert w is not None and w.assignment == assignment and w.validate(lam, mu)
 
 
 class TestWitnessValidation:

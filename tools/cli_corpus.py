@@ -12,9 +12,10 @@ files mean the two programs print the same bytes and exit codes.
 The query list is fixed: the first 300 seed-1 queries of ``general-mix`` and
 ``powerq-mix`` re-asked as every relation with and without ``--json`` (deep
 ``powerq-mix`` pairs, which ask ``check bulk``, only as embed, supermajorize
-and bulk), the first 100 ``binpack-hard`` queries as they are, both forms of
-``repro-example24``, the pairs pinned by ``tests/golden`` under every
-relation, the first 100 ``powerq-mix`` catalyst-family pairs with one box
+and bulk), the first 400 ``binpack-hard`` queries as they are (node budget
+2000) and again with ``--budget 500``, so that which searches run out of
+budget is pinned at two budgets, both forms of ``repro-example24``, the
+pairs pinned by ``tests/golden`` under every relation, the first 100 ``powerq-mix`` catalyst-family pairs with one box
 added at every level up to mu's top on both sides (so normalization cancels
 something) as stable and all, and a few queries with a non-default ``--tol``
 or an invalid option.
@@ -84,7 +85,9 @@ def queries() -> list[list[str]]:
         out += ask(query, RELATIONS)
     for query in islice(workloads.powerq_mix(1), 300):
         out += ask(query, RELATIONS[:3] if query.relation == "bulk" else RELATIONS)
-    out += [query.argv() for query in islice(workloads.binpack_hard(1), 100)]
+    binpack = list(islice(workloads.binpack_hard(1), 400))
+    out += [query.argv() for query in binpack]
+    out += [replace(query, extra_args=("--budget", "500")).argv() for query in binpack]
     out += [["repro-example24"], ["repro-example24", "--json"]]
     for lhs, rhs in PAIRS:
         for relation in RELATIONS:

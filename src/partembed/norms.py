@@ -24,9 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
-
-import mpmath
+from typing import TYPE_CHECKING, Iterable
 
 from .core import (
     BaseMismatch,
@@ -36,6 +34,12 @@ from .core import (
     integer_root,
     to_base_counts,
 )
+
+if TYPE_CHECKING:
+    import mpmath
+
+# mpmath is imported inside the numeric functions only, so the embedding and
+# exact paths never load it.
 
 INF = math.inf
 
@@ -58,6 +62,8 @@ def p_norm(a: Partition, s):
     is returned when it exists; otherwise a high-precision real (relative
     error well below 2**-60).  s = math.inf returns the max entry.
     """
+    import mpmath
+
     if s == INF:
         return a.max_entry
     if isinstance(s, bool):
@@ -108,6 +114,8 @@ class NormProfile:
 
     def f_mpf(self, s) -> mpmath.mpf:
         """High-precision f(s) for real s (uses exp(s*ln v) per term)."""
+        import mpmath
+
         with mpmath.workprec(_PRECISION_BITS):
             return mpmath.fsum(n * mpmath.power(v, s) for v, n in self.coefficients)
 
@@ -164,6 +172,8 @@ def dominates_all_s(lam: Partition, mu: Partition, tol=None, grid: int = 64) -> 
     are refined.  Near-zero minima are reported as interior equalities with
     ``exact=False``; they are hints, not certificates.
     """
+    import mpmath
+
     profile = norm_profile(lam, mu)
     tight_inf = lam.max_entry == mu.max_entry
     if not profile.coefficients:
@@ -242,6 +252,8 @@ def dominates_all_s(lam: Partition, mu: Partition, tol=None, grid: int = 64) -> 
 
 def _refine_minimum(profile: NormProfile, lo, hi, steps: int = 140):
     """Golden-section minimization of f on [lo, hi]."""
+    import mpmath
+
     gr = (mpmath.sqrt(5) - 1) / 2
     a, b = mpmath.mpf(lo), mpmath.mpf(hi)
     c = b - gr * (b - a)

@@ -26,6 +26,9 @@ from .core import (
 )
 
 DEFAULT_NODE_BUDGET = 10**7
+# Most bits the wasted-space prune of ``embeds`` may spend on its subset-sum
+# bitsets (about 512 KiB); larger inputs search without it.
+WASTE_BITS = 2**22
 
 
 class BudgetExceeded(PartitionError):
@@ -156,6 +159,20 @@ def embeds(lam: Partition, mu: Partition,
     the sorted capacities against the remaining runs: O(distinct item values
     + bins).
 
+    Wasted-space prune (the bin-completion bound of Korf, AAAI 2002): let
+    slack = total(mu) - total(lam).  Placing an item lowers the residual
+    capacity and the remaining items by the same amount, so the slack is the
+    same at every node.  A complete packing wastes exactly the slack in total,
+    so under a node every bin of residual capacity c > slack must end up
+    holding a subset of the remaining items whose sum lies in [c - slack, c];
+    a node where some bin has no such subset has no embedding under it and is
+    pruned.  Only empty subtrees go, so the first witness is unchanged.  The
+    subset sums of each suffix of items are built once per call as integer
+    bitsets of ``mu.max_entry + 1`` bits; each node tests a bin with one shift
+    and one mask.  The prune is skipped when slack >= mu.max_entry (no bin
+    needs it) and when the bitsets would exceed ``WASTE_BITS`` bits in all,
+    which bounds its memory and time for huge entries or many items.
+
     Raises BudgetExceeded when ``node_budget`` placements were tried without
     resolving the question.
     """
@@ -178,11 +195,23 @@ def embeds(lam: Partition, mu: Partition,
         else:
             runs.append((item, prefix[-1]))
         run_at.append(len(runs) - 1)
+    # reach[k] has bit s set iff some subset of items[k:] sums to s <= the
+    # largest bin; empty when the wasted-space prune is off.
+    slack = mu.total - lam.total
+    reach: list[int] = []
+    window = 0
+    if slack < mu.max_entry and (n + 1) * (mu.max_entry + 1) <= WASTE_BITS:
+        mask = (1 << (mu.max_entry + 1)) - 1
+        reach = [1] * (n + 1)
+        for k in range(n - 1, -1, -1):
+            reach[k] = (reach[k + 1] | reach[k + 1] << items[k]) & mask
+        window = (1 << (slack + 1)) - 1
     assignment = [0] * n
     nodes = 0
 
     def fits(k: int) -> bool:
-        """Whether the capacities supermajorize the items from k on."""
+        """Whether the capacities supermajorize the items from k on, and every
+        bin can be filled to within the slack by a subset of them."""
         done = prefix[k]
         ordered = sorted(caps, reverse=True)
         ordered.append(0)  # sentinel: below every item
@@ -195,6 +224,13 @@ def embeds(lam: Partition, mu: Partition,
                 cap = ordered[c]
             if room < end - done:
                 return False
+        if reach:
+            sums = reach[k]
+            for cap in ordered:
+                if cap <= slack:
+                    break
+                if not (sums >> (cap - slack)) & window:
+                    return False
         return True
 
     def place(idx: int) -> bool:

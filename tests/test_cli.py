@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -266,3 +269,23 @@ class TestJsonRoundTrips:
         doc = json.loads(json.dumps(cli.to_doc(MU3)))
         assert cli.from_doc(Partition, doc) == MU3
         assert cli.parse_partition_doc(doc)[0] == MU3
+
+
+LAZY_MPMATH_SCRIPT = """
+import contextlib, io, sys
+import partembed, partembed.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    partembed.cli.main(["check", "embed", "--json", "--lhs", "[3,2,2]", "--rhs", "[4,3]"])
+print("mpmath" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    partembed.cli.main(["check", "bulk", "--json", "--lhs", "[3,2,2]", "--rhs", "[5,3]"])
+print("mpmath" in sys.modules)
+"""
+
+
+def test_mpmath_loaded_only_on_the_numeric_path():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", LAZY_MPMATH_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False", "True"]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -20,7 +21,7 @@ from partembed.orders import (
     is_divisible_chain,
     supermajorizes,
 )
-from partembed import stablep
+from partembed import orders, stablep
 from partembed.oracle import brute_supermajorize
 from partembed.stablep import relations
 from helpers import (
@@ -163,43 +164,42 @@ class TestEmbeds:
 
 # Zero-slack pairs of 20 items in 6 bins (the first seed-1 queries of the
 # benchmark's binpack-hard stream), each with the node count the search needs
-# to decide it and the witness it returns.  Pins the search tree: a change to
-# the prune's cost must not change which nodes are visited, or in what order.
+# to decide it without the wasted-space prune, the count with it, and the
+# witness it returns either way.  Pins the search tree: a change to a prune's
+# cost must not change which nodes are visited, or in what order.
 SEARCH_TREE_PAIRS = [
     # bins with zero slack
     ([58, 56, 51, 51, 50, 48, 48, 47, 44, 44, 37, 36, 34, 33, 28, 27, 26, 24, 21, 20],
-     [193, 161, 123, 117, 98, 91], 29,
+     [193, 161, 123, 117, 98, 91], 29, 25,
      (0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 5, 1, 4, 5, 0, 2, 3, 1, 5, 4)),
     ([57, 55, 54, 48, 47, 46, 46, 44, 38, 36, 35, 35, 32, 30, 30, 30, 27, 27, 26, 22],
-     [226, 167, 133, 120, 61, 58], 1349,
+     [226, 167, 133, 120, 61, 58], 1349, 148,
      (0, 0, 0, 1, 2, 1, 3, 3, 1, 5, 1, 4, 2, 0, 0, 3, 2, 2, 4, 5)),
     ([59, 58, 55, 54, 54, 47, 40, 39, 38, 36, 35, 33, 33, 31, 30, 29, 28, 24, 23, 22],
-     [256, 165, 137, 102, 77, 31], 729,
+     [256, 165, 137, 102, 77, 31], 729, 63,
      (0, 0, 0, 0, 1, 1, 1, 4, 4, 2, 2, 2, 2, 5, 0, 3, 3, 1, 3, 3)),
     ([60, 59, 54, 53, 48, 48, 47, 45, 44, 40, 37, 36, 35, 30, 28, 26, 25, 25, 25, 22],
-     [172, 162, 149, 142, 108, 54], 3449,
+     [172, 162, 149, 142, 108, 54], 3449, 1894,
      (0, 0, 2, 0, 1, 1, 3, 2, 1, 3, 4, 4, 4, 3, 5, 5, 2, 2, 3, 1)),
     # the same with mass moved between two bins
     ([58, 54, 54, 52, 51, 43, 41, 41, 41, 37, 36, 35, 33, 30, 30, 28, 27, 25, 24, 22],
-     [250, 190, 183, 66, 43, 30], 3929,
+     [250, 190, 183, 66, 43, 30], 3929, 30,
      (0, 0, 0, 1, 0, 4, 1, 2, 2, 1, 3, 1, 0, 3, 5, 2, 2, 1, 2, 2)),
     ([57, 56, 56, 54, 51, 48, 46, 44, 42, 39, 38, 36, 33, 33, 30, 27, 27, 26, 21, 20],
-     [183, 182, 147, 122, 99, 51], 4799,
+     [183, 182, 147, 122, 99, 51], 4799, 409,
      (0, 0, 1, 1, 2, 3, 4, 0, 2, 1, 3, 3, 1, 4, 5, 2, 2, 0, 5, 4)),
     ([60, 58, 57, 53, 52, 52, 48, 47, 45, 42, 39, 37, 33, 30, 30, 26, 25, 24, 24, 21],
-     [186, 172, 144, 143, 121, 37], 4435,
+     [186, 172, 144, 143, 121, 37], 4435, 464,
      (0, 0, 1, 2, 1, 2, 3, 0, 3, 4, 2, 5, 1, 1, 4, 3, 4, 3, 4, 0)),
     ([60, 59, 59, 54, 54, 53, 51, 51, 46, 44, 42, 41, 38, 37, 36, 33, 32, 30, 26, 20],
-     [264, 232, 154, 101, 79, 36], 68,
+     [264, 232, 154, 101, 79, 36], 68, 28,
      (0, 0, 0, 0, 1, 1, 1, 2, 2, 1, 3, 4, 4, 2, 5, 3, 0, 1, 3, 2)),
 ]
 
 
 class TestSearchTree:
-    @pytest.mark.parametrize("items,bins,nodes,assignment", SEARCH_TREE_PAIRS,
-                             ids=[f"{pair[2]}-nodes" for pair in SEARCH_TREE_PAIRS])
-    def test_nodes_to_decide_and_witness(self, items, bins, nodes, assignment):
-        lam, mu = from_entries(items), from_entries(bins)
+    @staticmethod
+    def check_nodes_to_decide(lam, mu, nodes, assignment):
         lo, hi = 0, 5000
         embeds(lam, mu, hi)
         while lo < hi:  # the smallest budget that decides the pair
@@ -217,6 +217,112 @@ class TestSearchTree:
             assert exc.value.nodes == budget + 1
         w = embeds(lam, mu, nodes)
         assert w is not None and w.assignment == assignment and w.validate(lam, mu)
+
+    # The ids name each pair by its node count without the wasted-space prune.
+    @pytest.mark.parametrize("items,bins,unpruned,nodes,assignment", SEARCH_TREE_PAIRS,
+                             ids=[f"{pair[2]}-nodes" for pair in SEARCH_TREE_PAIRS])
+    def test_nodes_to_decide_and_witness(self, items, bins, unpruned, nodes, assignment,
+                                         monkeypatch):
+        lam, mu = from_entries(items), from_entries(bins)
+        self.check_nodes_to_decide(lam, mu, nodes, assignment)
+        monkeypatch.setattr(orders, "WASTE_BITS", 0)  # too small: prune off
+        self.check_nodes_to_decide(lam, mu, unpruned, assignment)
+
+
+def reference_first_embedding(items, bins):
+    """Prune-free DFS in the search order of ``embeds``: the first assignment.
+
+    Items largest first, bins in ascending index order, an item identical to
+    the previous one never moves left of it, and one bin per residual
+    capacity value at each node.
+    """
+    items = sorted(items, reverse=True)
+    caps = sorted(bins, reverse=True)
+    assignment = [0] * len(items)
+
+    def place(idx):
+        if idx == len(items):
+            return True
+        item = items[idx]
+        start = assignment[idx - 1] if idx > 0 and items[idx - 1] == item else 0
+        tried = set()
+        for j in range(start, len(caps)):
+            if caps[j] < item or caps[j] in tried:
+                continue
+            tried.add(caps[j])
+            caps[j] -= item
+            assignment[idx] = j
+            found = place(idx + 1)
+            caps[j] += item
+            if found:
+                return True
+        return False
+
+    return tuple(assignment) if place(0) else None
+
+
+def grouped_pair(rng, kind):
+    """8-12 items of 10-40 grouped into 3-4 bins: kind 0 with zero slack,
+    kind 1 with mass moved between two bins, kind 2 with 0-3 units of slack."""
+    items = [rng.randint(10, 40) for _ in range(rng.randint(8, 12))]
+    n_bins = rng.randint(3, 4)
+    groups = [[] for _ in range(n_bins)]
+    order = list(range(len(items)))
+    rng.shuffle(order)
+    for k, idx in enumerate(order):
+        groups[k if k < n_bins else rng.randrange(n_bins)].append(items[idx])
+    bins = [sum(g) for g in groups]
+    if kind == 1:
+        a, b = rng.sample(range(n_bins), 2)
+        delta = rng.randint(1, 5)  # every bin holds >= 10, so stays positive
+        bins[a] += delta
+        bins[b] -= delta
+    elif kind == 2:
+        for _ in range(rng.randint(0, 3)):
+            bins[rng.randrange(n_bins)] += 1
+    return items, bins
+
+
+class TestWastedSpacePrune:
+    def test_same_first_witness_as_prune_free_search(self):
+        rng = random.Random(37)
+        failing = 0
+        for i in range(300):
+            items, bins = grouped_pair(rng, i % 3)
+            expected = reference_first_embedding(items, bins)
+            w = embeds(from_entries(items), from_entries(bins))
+            assert (None if w is None else w.assignment) == expected, (items, bins)
+            failing += expected is None
+        assert failing >= 30  # the non-embeddings are exercised too
+
+    def test_proves_binpack_hard_non_embedding_within_budget(self, monkeypatch):
+        # Seed-1 binpack-hard query 135: the search without the prune does not
+        # decide it in 2000 nodes; with it, 5 nodes prove it does not embed.
+        lam = from_entries([58, 57, 56, 56, 55, 54, 53, 51, 50, 44,
+                            44, 40, 39, 35, 29, 29, 26, 26, 22, 21])
+        mu = from_entries([201, 191, 144, 132, 131, 46])
+        assert embeds(lam, mu, 5) is None
+        with pytest.raises(BudgetExceeded):
+            embeds(lam, mu, 4)
+        monkeypatch.setattr(orders, "WASTE_BITS", 0)
+        with pytest.raises(BudgetExceeded):
+            embeds(lam, mu, 2000)
+
+    def test_huge_entries_skip_the_bitsets(self):
+        big = 10**9
+        cases = [([big, 6 * 10**8, 4 * 10**8, 3], [big + 5, big + 1]),
+                 ([big, big, 2], [big + 1, big + 1])]
+        tracemalloc.start()
+        try:
+            results = [embeds(from_entries(items), from_entries(bins)) for items, bins in cases]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # one bitset of 10**9 bits alone is 125 MB
+        for (items, bins), w in zip(cases, results):
+            expected = reference_first_embedding(items, bins)
+            assert (None if w is None else w.assignment) == expected
+        assert results[0] is not None and results[1] is None
 
 
 class TestWitnessValidation:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
 from .core import (
@@ -112,12 +113,44 @@ class NormProfile:
             raise InvalidExponent(f"f_exact needs an integer s >= 1, got {s!r}")
         return sum(n * v**s for v, n in self.coefficients)
 
-    def f_mpf(self, s) -> mpmath.mpf:
-        """High-precision f(s) for real s (uses exp(s*ln v) per term)."""
+    @cached_property
+    def _log_terms(self) -> tuple:
+        """(v, ln v, n) per term, v and ln v as raw mpf values; ln v is taken
+        at the precision and rounding ``mpmath.power`` uses for it."""
         import mpmath
 
-        with mpmath.workprec(_PRECISION_BITS):
-            return mpmath.fsum(n * mpmath.power(v, s) for v, n in self.coefficients)
+        lib = mpmath.libmp
+        return tuple((lib.from_int(v), lib.mpf_log(lib.from_int(v), _PRECISION_BITS + 10,
+                                                   lib.round_nearest), n)
+                     for v, n in self.coefficients)
+
+    def f_mpf(self, s) -> mpmath.mpf:
+        """High-precision f(s) for real s.
+
+        The same bits as ``fsum(n * power(v, s) ...)`` at 120 bits, but each
+        ln v is computed once per profile, not once per sample."""
+        import mpmath
+
+        lib = mpmath.libmp
+        prec, rnd = _PRECISION_BITS, lib.round_nearest
+        if isinstance(s, mpmath.mpf):
+            t = s._mpf_
+        elif isinstance(s, float):
+            t = lib.from_float(s)
+        elif isinstance(s, int):
+            t = lib.from_int(s)
+        else:
+            with mpmath.workprec(prec):
+                t = mpmath.mpf(s)._mpf_
+        # mpf_pow's own branches: integer and half-integer exponents take
+        # exact powers and square roots, every other one exp(t * ln v).
+        if t[2] >= -1:
+            terms = [lib.mpf_mul_int(lib.mpf_pow(v, t, prec, rnd), n, prec, rnd)
+                     for v, _, n in self._log_terms]
+        else:
+            terms = [lib.mpf_mul_int(lib.mpf_exp(lib.mpf_mul(t, ln_v), prec, rnd), n, prec, rnd)
+                     for _, ln_v, n in self._log_terms]
+        return mpmath.mp.make_mpf(lib.mpf_sum(terms, prec, rnd))
 
 
 def norm_profile(lam: Partition, mu: Partition) -> NormProfile:
@@ -222,7 +255,8 @@ def dominates_all_s(lam: Partition, mu: Partition, tol=None, grid: int = 64) -> 
                     s = 1 + (s - 1) / 2
                 return BulkVerdict(holds=False, failure_exponent=float(s),
                                    tight_at_one=True, tight_at_infinity=tight_inf)
-        xs = [mpmath.mpf(1) + (mpmath.mpf(s_max) - 1) * i / (grid - 1) for i in range(grid)]
+        one, span = mpmath.mpf(1), mpmath.mpf(s_max) - 1
+        xs = [one + span * i / (grid - 1) for i in range(grid)]
         fs = [profile.f_mpf(x) for x in xs]
 
         for x, y in zip(xs, fs):
@@ -259,8 +293,9 @@ def _refine_minimum(profile: NormProfile, lo, hi, steps: int = 140):
     c = b - gr * (b - a)
     d = a + gr * (b - a)
     fc, fd = profile.f_mpf(c), profile.f_mpf(d)
+    width = mpmath.mpf("1e-9")
     for _ in range(steps):
-        if b - a < mpmath.mpf("1e-9"):
+        if b - a < width:
             break
         if fc < fd:
             b, d, fd = d, c, fc

@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .core import Partition, PartitionError, common_power_base, power, to_base_counts
-from .orders import DEFAULT_NODE_BUDGET, embeds
 from .stablep import _nu_key
 
 ASSIGNMENT_GUARD = 10**6
@@ -51,14 +50,15 @@ def _candidate_count(max_len: int, max_entry: int) -> int:
     return sum(math.comb(max_entry + l - 1, l) for l in range(1, max_len + 1))
 
 
-def brute_stable_search(lam: Partition, mu: Partition, max_len: int, max_entry: int,
-                        node_budget: int = DEFAULT_NODE_BUDGET) -> Partition | None:
+def brute_stable_search(lam: Partition, mu: Partition, max_len: int,
+                        max_entry: int) -> Partition | None:
     """Bounded existence search for a catalyst nu with lam x nu embedding in mu x nu.
 
     Enumerates every nonincreasing candidate within the bounds and returns the
     best valid one: candidates comparable under the catalyst order (power of
     the pair's common base) come first, in that order; remaining ties break on
-    total then entries.
+    total then entries.  Each candidate's products are packed by ``_packs``,
+    not by the embedding search this oracle checks.
     """
     space = _candidate_count(max_len, max_entry)
     if space > CANDIDATE_GUARD:
@@ -73,14 +73,42 @@ def brute_stable_search(lam: Partition, mu: Partition, max_len: int, max_entry: 
             nu = Partition(entries)
             prod_l = product(lam, nu)
             prod_m = product(mu, nu)
-            if prod_l.total > prod_m.total:
-                continue
-            if embeds(prod_l, prod_m, node_budget) is None:
+            if prod_l.total > prod_m.total or not _packs(prod_l.entries, prod_m.entries):
                 continue
             key = _candidate_key(nu, base)
             if best_key is None or key < best_key:
                 best, best_key = nu, key
     return best
+
+
+def _packs(items: tuple[int, ...], bins: tuple[int, ...]) -> bool:
+    """Exhaustive packing of nonincreasing ``items`` into ``bins``.
+
+    The largest item left goes into each distinct residual capacity in turn;
+    bins of equal residual capacity are interchangeable, so one of them is
+    tried.  Residual capacities are kept sorted, and the failed (item index,
+    capacities) states are remembered.
+    """
+    failed: set[tuple[int, tuple[int, ...]]] = set()
+
+    def place(i: int, caps: tuple[int, ...]) -> bool:
+        if i == len(items):
+            return True
+        if (i, caps) in failed:
+            return False
+        item = items[i]
+        for j, cap in enumerate(caps):
+            if cap < item:
+                break
+            if j and caps[j - 1] == cap:
+                continue
+            rest = caps[:j] + caps[j + 1:]
+            if place(i + 1, tuple(sorted(rest + (cap - item,), reverse=True))):
+                return True
+        failed.add((i, caps))
+        return False
+
+    return place(0, tuple(sorted(bins, reverse=True)))
 
 
 def _candidate_key(nu: Partition, base: int | None):

@@ -22,7 +22,8 @@ failed norm dominance, an exactly certified interior norm equality point for
 a pair that is not identical, a top-box-index gap after normalization, and a
 valuation gap under tight packing (equal totals force every product bin to
 be filled exactly, which is impossible when some prime divides every lam
-entry more often than every mu entry).
+entry more often than every mu entry), checked on the pair as given and, for
+a power-of-q pair, on the normalized pair.
 
 This module owns the per-pair pipeline: ``relations`` and ``stable_embeds``
 decide a pair's common power base, its direct embedding and its bulk verdict
@@ -41,6 +42,7 @@ from .core import (
     ContractViolation,
     EmptyPartition,
     Partition,
+    PartitionError,
     PowerPartition,
     base_digits,
     common_power_base,
@@ -129,23 +131,33 @@ class StableRefutation:
                 return False
             return _eval_poly(S, xa) * _eval_poly(S, xb) < 0
         if self.rule == TOP_INDEX:
-            if self.base is None:
-                return False
-            try:
-                lt, mt = normalize_pair(
-                    to_base_counts(lam, self.base), to_base_counts(mu, self.base))
-            except Exception:
-                return False
-            if lt.is_empty or mt.is_empty:
-                return False
-            return mt.top_index < lt.top_index
+            normalized = self._normalized(lam, mu)
+            return normalized is not None and normalized[1].top_index < normalized[0].top_index
         if self.rule == TIGHT_VALUATION:
-            if self.prime is None or lam.total != mu.total:
+            if self.prime is None or self.prime < 2 or lam.total != mu.total:
                 return False
-            v_l = _valuation(math.gcd(*lam.entries), self.prime)
-            v_m = _valuation(math.gcd(*mu.entries), self.prime)
+            if self.base is None:
+                g_lam, g_mu = math.gcd(*lam.entries), math.gcd(*mu.entries)
+            else:
+                normalized = self._normalized(lam, mu)
+                if normalized is None:
+                    return False
+                g_lam, g_mu = map(_lowest_box, normalized)
+            v_l = _valuation(g_lam, self.prime)
+            v_m = _valuation(g_mu, self.prime)
             return v_l == self.lam_valuation and v_m == self.mu_valuation and v_l > v_m
         return False
+
+    def _normalized(self, lam: Partition, mu: Partition):
+        """The pair normalized in ``base``, or None when there is no base, a
+        side is not a power-of-base partition or a side cancels away."""
+        if self.base is None:
+            return None
+        try:
+            lt, mt = normalize_pair(to_base_counts(lam, self.base), to_base_counts(mu, self.base))
+        except PartitionError:
+            return None
+        return None if lt.is_empty or mt.is_empty else (lt, mt)
 
 
 @dataclass(frozen=True)
@@ -212,7 +224,9 @@ def prefilter_stable(lam: Partition, mu: Partition, *, tol=None,
     box may not outrank mu's; (d) under tight packing (equal totals) a prime
     dividing every lam entry strictly more often than every mu entry is fatal,
     because every product bin would have to be filled exactly by pieces that
-    carry more of that prime than the bin does.  ``tol`` and ``grid`` steer
+    carry more of that prime than the bin does; for a power-of-q pair where
+    the given pair shows no gap, (d) is applied to the normalized pair and
+    its certificate records ``base``.  ``tol`` and ``grid`` steer
     the numeric norm path of rule (a) for pairs with no common power base.
     """
     base = common_power_base(lam, mu)
@@ -229,21 +243,40 @@ def _refute(lam: Partition, mu: Partition, base: int | None,
         for eq in bulk.interior_equalities:
             if eq.exact:
                 return StableRefutation(NORM_EQUALITY, bulk=bulk, equality=eq, base=base)
+    normalized = None
     if base is not None:
         lt, mt = normalize_pair(to_base_counts(lam, base), to_base_counts(mu, base))
-        if not lt.is_empty and not mt.is_empty and mt.top_index < lt.top_index:
-            return StableRefutation(TOP_INDEX, base=base,
-                                    top_lam=lt.top_index, top_mu=mt.top_index)
+        if not lt.is_empty and not mt.is_empty:
+            if mt.top_index < lt.top_index:
+                return StableRefutation(TOP_INDEX, base=base,
+                                        top_lam=lt.top_index, top_mu=mt.top_index)
+            normalized = lt, mt
     if lam.total == mu.total:
-        g_lam = math.gcd(*lam.entries)
-        g_mu = math.gcd(*mu.entries)
-        for r in _prime_factors(g_lam):
-            v_l = _valuation(g_lam, r)
-            v_m = _valuation(g_mu, r)
-            if v_l > v_m:
-                return StableRefutation(TIGHT_VALUATION, prime=r,
-                                        lam_valuation=v_l, mu_valuation=v_m)
+        ref = _valuation_gap(math.gcd(*lam.entries), math.gcd(*mu.entries))
+        if ref is None and normalized is not None:
+            # Common boxes can hide the gap (a shared unit box makes both
+            # gcds 1); the normalized pair is as stable as the given one.
+            ref = _valuation_gap(*map(_lowest_box, normalized), base=base)
+        return ref
     return None
+
+
+def _valuation_gap(g_lam: int, g_mu: int, base: int | None = None) -> StableRefutation | None:
+    """The tight-valuation rule on the entry gcds of a pair of equal totals;
+    ``base`` is set when the gcds are those of the normalized pair."""
+    for r in _prime_factors(g_lam):
+        v_l = _valuation(g_lam, r)
+        v_m = _valuation(g_mu, r)
+        if v_l > v_m:
+            return StableRefutation(TIGHT_VALUATION, base=base, prime=r,
+                                    lam_valuation=v_l, mu_valuation=v_m)
+    return None
+
+
+def _lowest_box(pp: PowerPartition) -> int:
+    """The smallest box of a nonempty power partition, which is also the gcd
+    of its entries."""
+    return pp.base ** next(i for i, c in enumerate(pp.counts) if c)
 
 
 def construct_nu(lam: PowerPartition, mu: PowerPartition,

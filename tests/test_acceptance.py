@@ -4,13 +4,14 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete.
 """
 
+import itertools
 import math
 import random
 import time
 from fractions import Fraction
 
 from partembed import cli
-from partembed.core import from_base_counts, product, to_base_counts
+from partembed.core import PowerPartition, from_base_counts, product, to_base_counts
 from partembed.norms import (
     dominates_all_s,
     exact_dominates_powerq,
@@ -232,22 +233,46 @@ def test_criterion_8_catalyst_minimality():
            ok, f"{elapsed:.1f} s")
 
 
+def _normalized_status(u, v):
+    lt, mt = normalize_pair(u, v)
+    if lt.is_empty:
+        return HOLDS
+    if mt.is_empty:
+        return FAILS
+    return stable_embeds(from_base_counts(lt), from_base_counts(mt), max_steps=300).status
+
+
+def _catalyst_family():
+    """Normalized pairs that need a catalyst: a boxes of size q against one box
+    gap levels higher, which cannot hold them all, plus unit boxes for the
+    rest of lam's total and slack more.  Slack 0 packs tightly, and the
+    valuation rule refutes it."""
+    for q, gap, excess, slack in itertools.product((2, 3), (1, 2), (1, 2), (0, 1)):
+        a = q**gap + excess
+        units = a * q - q ** (1 + gap) + slack
+        yield PowerPartition(q, (0, a)), PowerPartition(q, (units,) + (0,) * gap + (1,))
+
+
 def test_criterion_9_normalization_equivalence():
     rng = random.Random(1009)
+    pairs = []
     for _ in range(200):
         base = rng.choice([2, 3])
-        u = random_powerq(rng, base=base, levels=4, max_count=5)
-        v = random_powerq(rng, base=base, levels=4, max_count=5)
-        lam, mu = from_base_counts(u), from_base_counts(v)
-        original = stable_embeds(lam, mu, max_steps=300).status
-        lt, mt = normalize_pair(u, v)
-        if lt.is_empty:
-            normalized = HOLDS
-        elif mt.is_empty:
-            normalized = FAILS
-        else:
-            normalized = stable_embeds(from_base_counts(lt), from_base_counts(mt),
-                                       max_steps=300).status
-        assert original == normalized, (u, v)
+        pairs.append((random_powerq(rng, base=base, levels=4, max_count=5),
+                      random_powerq(rng, base=base, levels=4, max_count=5)))
+    pairs += _catalyst_family()
+    # Padding draws come from their own stream, so the random pairs stay the same.
+    pad_rng = random.Random(2009)
+    for u, v in pairs:
+        normalized = _normalized_status(u, v)
+        assert stable_embeds(from_base_counts(u), from_base_counts(v),
+                             max_steps=300).status == normalized, (u, v)
+        # 1-2 common boxes at every level up to the taller side's top, which
+        # normalization cancels again; a shared unit box makes both gcds 1.
+        pad = [pad_rng.randint(1, 2) for _ in range(max(len(u.counts), len(v.counts)))]
+        lam, mu = (from_base_counts(PowerPartition(pp.base, tuple(
+            c + d for c, d in itertools.zip_longest(pp.counts, pad, fillvalue=0))))
+            for pp in (u, v))
+        assert stable_embeds(lam, mu, max_steps=300).status == normalized, (u, v, pad)
     report(9, "stable verdicts are identical before and after pair normalization "
-              "(200 pairs)", True)
+              f"({len(pairs)} pairs, each also padded with common boxes)", True)

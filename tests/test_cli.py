@@ -7,7 +7,13 @@ from pathlib import Path
 import pytest
 
 from partembed import cli
-from partembed.core import Partition, from_entries, to_base_counts
+from partembed.core import (
+    Partition,
+    PowerPartition,
+    from_base_counts,
+    from_entries,
+    to_base_counts,
+)
 from partembed.norms import BulkVerdict, dominates_all_s, exact_dominates_powerq
 from partembed.stablep import RelationReport, StableVerdict, relations, stable_embeds
 from helpers import LAM1, LAM2, LAM3, MU1, MU2, MU3, MU4
@@ -49,6 +55,18 @@ class TestCheckCommand:
                            "--lhs", "[4,4,4]", "--rhs", "[7,6]")
         assert code == 2
         assert "UNKNOWN" in out
+
+    def test_stable_refuted_on_the_normalized_pair(self, capsys):
+        # The shared unit box hides the valuation gap of the normalized pair
+        # [2,2,2,2]/[1,1,1,1,4]; the certificate names the base it normalized in.
+        lhs, rhs = '{"base":2,"counts":[1,5,1]}', '{"base":2,"counts":[5,1,2]}'
+        code, out, _ = run(capsys, "check", "stable", "--lhs", lhs, "--rhs", rhs, "--json")
+        assert code == 1
+        verdict = cli.from_doc(StableVerdict, json.loads(out)["report"])
+        assert verdict.status == "FAILS" and verdict.reason.base == 2
+        lam = from_base_counts(PowerPartition(2, (1, 5, 1)))
+        mu = from_base_counts(PowerPartition(2, (5, 1, 2)))
+        assert verdict.reason.verify(lam, mu)
 
     def test_check_all_human(self, capsys):
         code, out, _ = run(capsys, "check", "all",
@@ -223,6 +241,10 @@ GOLDEN_QUERIES = {
     "all-33-411": ("all", "[3,3]", "[4,1,1]"),
     "embed-332-62": ("embed", "[3,3,2]", "[6,2]"),
     "bulk-332-62": ("bulk", "[3,3,2]", "[6,2]"),
+    # LAM2/MU3 scaled by 3: no common power base, so the numeric path answers
+    # and the printed hint pins the bits of its samples.
+    "bulk-24x4_12x4-48_6x16_3x16": ("bulk", "[24,24,24,24,12,12,12,12]",
+                                    json.dumps([48] + [6] * 16 + [3] * 16)),
 }
 
 

@@ -7,6 +7,7 @@ import pytest
 from partembed.core import BaseMismatch, PowerPartition, from_base_counts, from_entries, power, to_base_counts
 from partembed.norms import (
     INF,
+    NormProfile,
     dominates_all_s,
     exact_dominates_powerq,
     norm_profile,
@@ -93,6 +94,51 @@ class TestNormProfile:
                 diff = float(p_norm(mu, s)) - float(p_norm(lam, s))
                 if abs(f) > 1e-9:
                     assert (f > 0) == (diff > 0)
+
+
+class TestFMpfBits:
+    # f_mpf keeps each ln v from one sample to the next; it must still return
+    # the very bits of the plain mpmath sum, or numeric verdicts and hints move.
+    @staticmethod
+    def reference(prof, s):
+        import mpmath
+
+        with mpmath.workprec(120):
+            return mpmath.fsum(n * mpmath.power(v, s) for v, n in prof.coefficients)
+
+    def test_bits_match_plain_mpmath(self):
+        import mpmath
+
+        rng = random.Random(31)
+        for _ in range(250):
+            values = rng.sample(range(1, 65), rng.randint(1, 8))
+            if rng.random() < 0.3 and 1 not in values:
+                values.append(1)
+            prof = NormProfile(tuple(sorted(
+                ((v, rng.choice((-1, 1)) * rng.randint(1, 5)) for v in values), reverse=True)))
+            with mpmath.workprec(120):
+                a = mpmath.mpf(rng.uniform(1, 3))
+                b = a + mpmath.mpf(rng.uniform(0.01, 0.5))
+                golden = (mpmath.sqrt(5) - 1) / 2
+                span = mpmath.mpf(rng.uniform(1.5, 12)) - 1
+                samples = [
+                    rng.uniform(1, 20),
+                    rng.randint(1, 30),
+                    mpmath.mpf(rng.randint(1, 30)),
+                    mpmath.mpf(rng.randint(1, 30)) + mpmath.mpf(1) / 2,
+                    mpmath.mpf(1) + span * rng.randint(1, 62) / 63,
+                    b - golden * (b - a),
+                    a + golden * (b - a),
+                ]
+            for s in samples:
+                assert prof.f_mpf(s)._mpf_ == self.reference(prof, s)._mpf_, (prof, s)
+
+    def test_cached_logs_do_not_change_the_profile(self):
+        prof = norm_profile(LAM2, MU3)
+        before = (repr(prof), hash(prof))
+        prof.f_mpf(1.5)
+        assert (repr(prof), hash(prof)) == before
+        assert prof == norm_profile(LAM2, MU3)
 
 
 class TestDominatesAllS:

@@ -5,6 +5,7 @@ import pytest
 from partembed.core import from_entries
 from partembed.oracle import (
     TooLarge,
+    _packs,
     brute_embed,
     brute_stable_search,
     brute_supermajorize,
@@ -66,6 +67,15 @@ class TestBruteStableSearch:
     def test_guard(self):
         with pytest.raises(TooLarge):
             brute_stable_search(LAM1, MU1, 8, 64)
+
+    def test_packing_agrees_with_brute_embed(self):
+        # The search packs each candidate's products with its own exhaustive
+        # packing; check that against the assignment enumeration.
+        rng = random.Random(54)
+        for _ in range(300):
+            lam = random_partition(rng, 6, 12)
+            mu = random_partition(rng, 4, 24)
+            assert _packs(lam.entries, mu.entries) == brute_embed(lam, mu), (lam, mu)
 
 
 class TestBulkSample:

@@ -1,6 +1,7 @@
 import random
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -73,6 +74,25 @@ class TestPrefilter:
         assert ref.prime == 2
         assert ref.lam_valuation == 1 and ref.mu_valuation == 0
         assert ref.verify(LAM3, MU4)
+
+    def test_tight_valuation_on_the_normalized_pair(self):
+        lam = from_base_counts(PowerPartition(2, (1, 5, 1)))
+        mu = from_base_counts(PowerPartition(2, (5, 1, 2)))
+        ref = prefilter_stable(lam, mu)
+        assert ref is not None and ref.rule == TIGHT_VALUATION and ref.base == 2
+        assert (ref.prime, ref.lam_valuation, ref.mu_valuation) == (2, 1, 0)
+        assert ref.verify(lam, mu)
+        # Read on the given pair, whose gcds are both 1, the same numbers fail.
+        assert not replace(ref, base=None).verify(lam, mu)
+        assert not ref.verify(mu, lam)
+
+    def test_tight_valuation_on_the_given_pair_records_no_base(self):
+        assert prefilter_stable(LAM3, MU4).base is None
+
+    def test_valuation_certificate_needs_a_prime(self):
+        ref = prefilter_stable(LAM3, MU4)
+        assert not replace(ref, prime=1).verify(LAM3, MU4)
+        assert not replace(ref, prime=0).verify(LAM3, MU4)
 
     def test_embeddable_pair_passes(self):
         assert prefilter_stable(from_entries([2, 2]), from_entries([4])) is None

@@ -18,7 +18,7 @@ budget is pinned at two budgets, both forms of ``repro-example24``, the
 pairs pinned by ``tests/golden`` under every relation, the first 100 ``powerq-mix`` catalyst-family pairs with one box
 added at every level up to mu's top on both sides (so normalization cancels
 something) as stable and all, and a few queries with a non-default ``--tol``
-or an invalid option.
+or ``--grid`` or an invalid option.
 The workload streams come from this checkout's ``bench/workloads.py``, which
 is only read.
 """
@@ -37,6 +37,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 RELATIONS = ("embed", "supermajorize", "bulk", "stable", "all")
+# LAM2/MU3 of the tests scaled by 3: no common power base, so the numeric bulk
+# path decides it and reports one touch hint.
+SCALED_TOUCH = ("[24,24,24,24,12,12,12,12]", json.dumps([48] + [6] * 16 + [3] * 16))
 PAIRS = (
     ("[2,2,2,2]", "[4,1,1,1,1,1,1,1,1]"),
     ("[8,8,8,8,4,4,4,4]", json.dumps([16] + [2] * 16 + [1] * 16)),
@@ -44,8 +47,10 @@ PAIRS = (
     ("[4]", "[2,2]"),
     ("[3,3]", "[4,1,1]"),
     ("[3,3,2]", "[6,2]"),
+    SCALED_TOUCH,
 )
-# Answers that depend on how --tol is applied and on the option range checks.
+# Answers that depend on how --tol and --grid are applied and on the option
+# range checks.
 EDGE_QUERIES = (
     ["check", "bulk", "--lhs", "[3,3]", "--rhs", "[4,1,1]", "--tol", "1e6"],
     ["check", "all", "--lhs", "[3,3]", "--rhs", "[4,1,1]", "--tol", "1e6", "--json"],
@@ -62,6 +67,10 @@ EDGE_QUERIES = (
     ["check", "stable", "--lhs", "[5,4,3,3,2]", "--rhs", "[9,8]", "--max-steps", "-3"],
     ["check", "embed", "--lhs", "[4]", "--rhs", "[2,2]", "--base", "1"],
     ["check", "bulk", "--lhs", "[3,3]", "--rhs", "[4,1,1]", "--grid", "-5"],
+    ["check", "bulk", "--lhs", SCALED_TOUCH[0], "--rhs", SCALED_TOUCH[1], "--grid", "7",
+     "--json"],
+    ["check", "bulk", "--lhs", SCALED_TOUCH[0], "--rhs", SCALED_TOUCH[1], "--grid", "200",
+     "--json"],
     ["conjecture-scan", "corpus.ndjson", "--max-steps", "-1"],
 )
 

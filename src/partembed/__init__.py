@@ -25,7 +25,6 @@ from .core import (
     PartitionError,
     PowerPartition,
     add,
-    base_digits,
     common_power_base,
     from_base_counts,
     from_entries,
@@ -69,7 +68,6 @@ from .stablep import (
     normalize_pair,
     nu_order_compare,
     prefilter_stable,
-    refine_witness,
     relations,
     stable_embeds,
 )

@@ -231,7 +231,7 @@ def cmd_check(args) -> int:
 
     if args.relation == "bulk":
         base = common_power_base(lam, mu)
-        verdict = bulk_verdict(lam, mu, base, args.tol, args.grid)
+        verdict = bulk_verdict(lam, mu, base)
         if args.json:
             print(json.dumps({"relation": "bulk", "verdict": "HOLDS" if verdict.holds else "FAILS",
                               "base": base, "report": to_doc(verdict)}, indent=2))
@@ -247,8 +247,7 @@ def cmd_check(args) -> int:
         return EX_OK if verdict.holds else EX_FAILS
 
     if args.relation == "stable":
-        verdict = stable_embeds(lam, mu, node_budget=args.budget,
-                                max_steps=args.max_steps, tol=args.tol, grid=args.grid)
+        verdict = stable_embeds(lam, mu, node_budget=args.budget, max_steps=args.max_steps)
         if args.json:
             print(json.dumps({"relation": "stable", "verdict": verdict.status,
                               "report": to_doc(verdict)}, indent=2))
@@ -263,8 +262,7 @@ def cmd_check(args) -> int:
         return {HOLDS: EX_OK, FAILS: EX_FAILS, UNKNOWN: EX_UNKNOWN}[verdict.status]
 
     # all four relations
-    report = relations(lam, mu, node_budget=args.budget, max_steps=args.max_steps,
-                       tol=args.tol, grid=args.grid)
+    report = relations(lam, mu, node_budget=args.budget, max_steps=args.max_steps)
     if args.json:
         print(json.dumps(to_doc(report), indent=2))
     else:
@@ -474,10 +472,6 @@ def build_parser() -> _Parser:
                        help="iteration budget for the catalyst construction")
     check.add_argument("--base", type=_at_least(int, 2), default=None,
                        help="require both partitions to be powers of this base")
-    check.add_argument("--tol", type=_at_least(float, 0), default=None,
-                       help="equality band of the numeric norm path (finite, >= 0)")
-    check.add_argument("--grid", type=_at_least(int, 2), default=64,
-                       help="sample count for the numeric norm path")
     check.add_argument("--json", action="store_true", help="machine-readable output")
     check.set_defaults(func=cmd_check)
 

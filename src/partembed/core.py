@@ -251,17 +251,6 @@ def from_base_counts(pp: PowerPartition) -> Partition:
     return Partition(tuple(entries))
 
 
-def base_digits(n: int, q: int) -> tuple[int, ...]:
-    """Little-endian base-q digits of n >= 0 (empty tuple for 0)."""
-    if n < 0:
-        raise ValueError("base_digits needs n >= 0")
-    digits: list[int] = []
-    while n:
-        n, d = divmod(n, q)
-        digits.append(d)
-    return tuple(digits)
-
-
 def common_power_base(a: Partition, b: Partition) -> int | None:
     """Smallest base q >= 2 such that every entry of both partitions is a power of q.
 

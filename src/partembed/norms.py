@@ -190,18 +190,24 @@ class BulkVerdict:
     tight_at_infinity: bool = False
 
 
+# Samples of f on the capped search interval; local minima among them are refined.
+_GRID = 64
+
+
 def _default_tol(profile: NormProfile) -> Fraction:
+    """The numeric path's band: f below -tol fails, and a minimum with
+    |f| <= tol is reported as an equality hint."""
     top = profile.values[0] if profile.coefficients else 1
     scale = abs(profile.f1()) + sum(abs(n) for _, n in profile.coefficients) * top
     return Fraction(1, 10**12) * max(1, scale)
 
 
-def dominates_all_s(lam: Partition, mu: Partition, tol=None, grid: int = 64) -> BulkVerdict:
+def dominates_all_s(lam: Partition, mu: Partition) -> BulkVerdict:
     """Decide f(s) >= 0 on [1, oo) numerically.
 
     s = 1 and the top-coefficient sign (the s -> oo behaviour) are checked
     exactly; the search interval is then capped at the point beyond which the
-    top term provably dominates, sampled on ``grid`` points, and local minima
+    top term provably dominates, sampled on ``_GRID`` points, and local minima
     are refined.  Near-zero minima are reported as interior equalities with
     ``exact=False``; they are hints, not certificates.
     """
@@ -237,30 +243,25 @@ def dominates_all_s(lam: Partition, mu: Partition, tol=None, grid: int = 64) -> 
     else:
         s_max = 1.0 + math.log(max(2, coeff_mass)) / (math.log(top_v) - math.log(v2))
 
-    grid = max(2, grid)
-    # tol sets the band |f| <= tol of minima reported as equality hints.  A
-    # value below -min(tol, default) is a failure, so no tol hides a real dip.
-    default_tol = _default_tol(profile)
-    tol_f = Fraction(tol) if tol is not None else default_tol
+    tol = _default_tol(profile)
     with mpmath.workprec(_PRECISION_BITS):
-        tol_m = mpmath.mpf(tol_f.numerator) / tol_f.denominator
-        fail_m = min(tol_m, mpmath.mpf(default_tol.numerator) / default_tol.denominator)
+        tol_m = mpmath.mpf(tol.numerator) / tol.denominator
         if tight_one:
             # f(1) = 0 with f decreasing at 1 dips negative before the first
             # grid sample; the derivative settles it without sampling.
             d1 = mpmath.fsum(n * v * mpmath.log(v) for v, n in profile.coefficients)
-            if d1 < -fail_m:
+            if d1 < -tol_m:
                 s = mpmath.mpf(1) + mpmath.mpf("1e-3")
                 while profile.f_mpf(s) >= 0:
                     s = 1 + (s - 1) / 2
                 return BulkVerdict(holds=False, failure_exponent=float(s),
                                    tight_at_one=True, tight_at_infinity=tight_inf)
         one, span = mpmath.mpf(1), mpmath.mpf(s_max) - 1
-        xs = [one + span * i / (grid - 1) for i in range(grid)]
+        xs = [one + span * i / (_GRID - 1) for i in range(_GRID)]
         fs = [profile.f_mpf(x) for x in xs]
 
         for x, y in zip(xs, fs):
-            if y < -fail_m:
+            if y < -tol_m:
                 return BulkVerdict(holds=False, failure_exponent=float(x),
                                    tight_at_one=tight_one, tight_at_infinity=tight_inf)
 
@@ -273,7 +274,7 @@ def dominates_all_s(lam: Partition, mu: Partition, tol=None, grid: int = 64) -> 
             lo = xs[max(0, i - 1)]
             hi = xs[min(len(xs) - 1, i + 1)]
             s_min, f_min = _refine_minimum(profile, lo, hi)
-            if f_min < -fail_m:
+            if f_min < -tol_m:
                 return BulkVerdict(holds=False, failure_exponent=float(s_min),
                                    tight_at_one=tight_one, tight_at_infinity=tight_inf)
             if abs(f_min) <= tol_m and s_min > 1 + 1e-9:
@@ -359,18 +360,8 @@ def _poly_divmod(num: list, den: list):
 
 def _primitive(p: list) -> list:
     """Scale to a primitive integer polynomial with positive leading coefficient."""
-    if not p:
-        return []
-    fracs = [Fraction(c) for c in p]
-    # Unpack lists, not generators: CPython builds the argument tuple of a
-    # generator in a 10-slot tuple and resizes it, so every call moves a tuple
-    # into the free list of another size; over a few thousand calls those
-    # free lists hold about 4 MB until a full garbage collection.
-    denom = math.lcm(*[c.denominator for c in fracs])
-    ints = [int(c * denom) for c in fracs]
-    g = math.gcd(*[abs(c) for c in ints])
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
+    ints = _primitive_keep_sign(p)
+    if ints and ints[-1] < 0:
         ints = [-c for c in ints]
     return ints
 
@@ -380,7 +371,10 @@ def _primitive_keep_sign(p: list) -> list:
     if not p:
         return []
     fracs = [Fraction(c) for c in p]
-    # Unpack lists, not generators, as in _primitive.
+    # Unpack lists, not generators: CPython builds the argument tuple of a
+    # generator in a 10-slot tuple and resizes it, so every call moves a tuple
+    # into the free list of another size; over a few thousand calls those
+    # free lists hold about 4 MB until a full garbage collection.
     denom = math.lcm(*[c.denominator for c in fracs])
     ints = [int(c * denom) for c in fracs]
     g = math.gcd(*[abs(c) for c in ints])
@@ -446,7 +440,8 @@ class _RationalRoot(Exception):
 
 
 def _isolate_roots(S: list[int], lo: Fraction, hi: Fraction):
-    """Isolate the real roots of the square-free S inside the open (lo, hi).
+    """Isolate the real roots of the square-free S inside the open (lo, hi);
+    ``hi`` must lie strictly above every root of S.
 
     Returns (exact_roots, intervals, S_final): exact rational roots found en
     route, disjoint open intervals (a, b) with S_final(a)*S_final(b) < 0 and
@@ -458,8 +453,6 @@ def _isolate_roots(S: list[int], lo: Fraction, hi: Fraction):
     exact: list[Fraction] = []
     while len(S) > 1 and _eval_poly(S, lo) == 0:
         S = _deflate(S, lo)
-    while len(S) > 1 and _eval_poly(S, hi) == 0:
-        S = _deflate(S, hi)
     while True:
         if len(S) <= 1:
             return exact, [], S
@@ -649,10 +642,9 @@ def _positive_root_bound(P: list[int], lo: Fraction) -> Fraction:
     return max(Fraction(bound), lo + 1)
 
 
-def bulk_verdict(lam: Partition, mu: Partition, base: int | None,
-                 tol=None, grid: int = 64) -> BulkVerdict:
+def bulk_verdict(lam: Partition, mu: Partition, base: int | None) -> BulkVerdict:
     """Bulk dominance of a pair: exact when ``base`` is a common power base of
-    both partitions, numeric (with ``tol`` and ``grid``) when it is None."""
+    both partitions, numeric when it is None."""
     if base is not None:
         return exact_dominates_powerq(to_base_counts(lam, base), to_base_counts(mu, base))
-    return dominates_all_s(lam, mu, tol=tol, grid=grid)
+    return dominates_all_s(lam, mu)

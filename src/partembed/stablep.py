@@ -44,7 +44,6 @@ from .core import (
     Partition,
     PartitionError,
     PowerPartition,
-    base_digits,
     common_power_base,
     from_base_counts,
     from_entries,
@@ -59,7 +58,6 @@ from .orders import (
     decide_embed,
     embed_powerq,
     supermajorizes,
-    _make_witness,
 )
 
 HOLDS = "HOLDS"
@@ -215,8 +213,7 @@ def normalize_pair(lam: PowerPartition, mu: PowerPartition) -> tuple[PowerPartit
     return PowerPartition(lam.base, tuple(a)), PowerPartition(lam.base, tuple(b))
 
 
-def prefilter_stable(lam: Partition, mu: Partition, *, tol=None,
-                     grid: int = 64) -> StableRefutation | None:
+def prefilter_stable(lam: Partition, mu: Partition) -> StableRefutation | None:
     """Refutation rules, applied in order; None when no rule fires.
 
     (a) stability needs full norm dominance; (b) an exactly certified interior
@@ -226,11 +223,10 @@ def prefilter_stable(lam: Partition, mu: Partition, *, tol=None,
     because every product bin would have to be filled exactly by pieces that
     carry more of that prime than the bin does; for a power-of-q pair where
     the given pair shows no gap, (d) is applied to the normalized pair and
-    its certificate records ``base``.  ``tol`` and ``grid`` steer
-    the numeric norm path of rule (a) for pairs with no common power base.
+    its certificate records ``base``.
     """
     base = common_power_base(lam, mu)
-    return _refute(lam, mu, base, bulk_verdict(lam, mu, base, tol, grid))
+    return _refute(lam, mu, base, bulk_verdict(lam, mu, base))
 
 
 def _refute(lam: Partition, mu: Partition, base: int | None,
@@ -382,84 +378,6 @@ def construct_nu(lam: PowerPartition, mu: PowerPartition,
     return StableVerdict(HOLDS, StableWitness(nu, w, tuple(log)), None, spent)
 
 
-def refine_witness(lam: Partition, mu: Partition, nu: Partition,
-                   w: EmbeddingWitness, q: int) -> tuple[PowerPartition, EmbeddingWitness]:
-    """Split every nu entry into base-q digits and rebuild the witness.
-
-    Works for any catalyst nu of a power-of-q pair: each product entry
-    refines into its own digit expansion (a power of q times a digit split),
-    and per original bin the refined items still sum below the refined
-    capacity, so the greedy power-of-q embedding re-embeds them piecewise.
-    """
-    try:
-        to_base_counts(lam, q)
-        to_base_counts(mu, q)
-    except Exception as exc:
-        raise ContractViolation(f"lam and mu must be power-of-{q} partitions") from exc
-    prod_l = product(lam, nu)
-    prod_m = product(mu, nu)
-    if not w.validate(prod_l, prod_m):
-        raise ContractViolation("input witness does not validate")
-
-    def pieces_of(value: int) -> list[int]:
-        out = []
-        digits = base_digits(value, q)
-        for e in range(len(digits) - 1, -1, -1):
-            out.extend([q**e] * digits[e])
-        return out
-
-    nu_t_entries: list[int] = []
-    for c in nu.entries:
-        nu_t_entries.extend(pieces_of(c))
-    nu_t = from_entries(nu_t_entries)
-    nu_t_pp = to_base_counts(nu_t, q)
-
-    by_bin: dict[int, list[int]] = {}
-    for i, j in enumerate(w.assignment):
-        by_bin.setdefault(j, []).append(i)
-
-    target: dict[tuple[int, int], tuple[int, int]] = {}
-    for j, item_idxs in by_bin.items():
-        x_tagged: list[tuple[int, tuple[int, int]]] = []
-        for i in item_idxs:
-            for r, piece in enumerate(pieces_of(prod_l[i])):
-                x_tagged.append((piece, (i, r)))
-        x_tagged.sort(key=lambda t: -t[0])
-        y_tagged = [(piece, (j, r)) for r, piece in enumerate(pieces_of(prod_m[j]))]
-        x_part = from_entries([p for p, _ in x_tagged])
-        y_part = from_entries([p for p, _ in y_tagged])
-        local = embed_powerq(to_base_counts(x_part, q), to_base_counts(y_part, q))
-        if local is None:
-            raise RuntimeError("internal error: refined bin contents failed to embed")
-        for li, lj in enumerate(local.assignment):
-            target[x_tagged[li][1]] = y_tagged[lj][1]
-
-    item_tags: list[tuple[int, int, int]] = []
-    for i in range(len(prod_l)):
-        for r, piece in enumerate(pieces_of(prod_l[i])):
-            item_tags.append((piece, i, r))
-    bin_tags: list[tuple[int, int, int]] = []
-    for j in range(len(prod_m)):
-        for r, piece in enumerate(pieces_of(prod_m[j])):
-            bin_tags.append((piece, j, r))
-    item_tags.sort(key=lambda t: (-t[0], t[1], t[2]))
-    bin_tags.sort(key=lambda t: (-t[0], t[1], t[2]))
-
-    prod_l_t = product(lam, nu_t)
-    prod_m_t = product(mu, nu_t)
-    if [t[0] for t in item_tags] != list(prod_l_t.entries):
-        raise RuntimeError("internal error: refined item multiset mismatch")
-    if [t[0] for t in bin_tags] != list(prod_m_t.entries):
-        raise RuntimeError("internal error: refined bin multiset mismatch")
-
-    bin_pos = {(j, r): pos for pos, (_, j, r) in enumerate(bin_tags)}
-    assignment = [bin_pos[target[(i, r)]] for _, i, r in item_tags]
-    witness = _make_witness(prod_l_t, prod_m_t, assignment)
-    if not witness.validate(prod_l_t, prod_m_t):
-        raise RuntimeError("internal error: refined witness failed validation")
-    return nu_t_pp, witness
-
-
 def nu_order_compare(u: PowerPartition, v: PowerPartition) -> int:
     """Catalyst quality order: span length first, then count ratios.
 
@@ -489,8 +407,7 @@ def _nu_key(pp: PowerPartition):
 
 def stable_embeds(lam: Partition, mu: Partition, *,
                   node_budget: int = DEFAULT_NODE_BUDGET,
-                  max_steps: int | None = None,
-                  tol=None, grid: int = 64) -> StableVerdict:
+                  max_steps: int | None = None) -> StableVerdict:
     """Tri-state stable-embeddability decision.
 
     Fast path: a direct embedding gives HOLDS with the trivial catalyst [1].
@@ -502,8 +419,7 @@ def stable_embeds(lam: Partition, mu: Partition, *,
     witness, embed_unknown = decide_embed(lam, mu, base, node_budget)
     if witness is not None:
         return _embeds_directly(witness)
-    return _stable_given(lam, mu, base, bulk_verdict(lam, mu, base, tol, grid),
-                         embed_unknown, max_steps)
+    return _stable_given(lam, mu, base, bulk_verdict(lam, mu, base), embed_unknown, max_steps)
 
 
 def _embeds_directly(witness: EmbeddingWitness) -> StableVerdict:
@@ -546,8 +462,7 @@ class RelationReport:
 
 def relations(lam: Partition, mu: Partition, *,
               node_budget: int = DEFAULT_NODE_BUDGET,
-              max_steps: int | None = None,
-              tol=None, grid: int = 64) -> RelationReport:
+              max_steps: int | None = None) -> RelationReport:
     """Compute all four relations and enforce the implication diagram.
 
     The common power base, the direct embedding and the bulk verdict are
@@ -560,7 +475,7 @@ def relations(lam: Partition, mu: Partition, *,
     witness, emb_unknown = decide_embed(lam, mu, base, node_budget)
     emb = None if emb_unknown else witness is not None
     sup = supermajorizes(mu, lam)
-    bulk = bulk_verdict(lam, mu, base, tol, grid)
+    bulk = bulk_verdict(lam, mu, base)
     if witness is not None:
         stable = _embeds_directly(witness)
     else:

@@ -102,10 +102,9 @@ class TestCheckCommand:
         assert code == 65 and out == ""
         assert str(cli.MAX_COUNT_BOXES) in err
 
-    @pytest.mark.parametrize("tol", [(), ("--tol", "1e6")])
+    @pytest.mark.parametrize("tol", [()])
     def test_stable_and_bulk_share_one_bulk_verdict(self, capsys, tol):
-        # f(s) = 4**s + 2 - 2 * 3**s dips below 0 by far less than 1e6, and a
-        # tolerance does not hide the dip.
+        # f(s) = 4**s + 2 - 2 * 3**s dips below 0 just above s = 1.
         pair = ("--lhs", "[3,3]", "--rhs", "[4,1,1]", *tol, "--json")
         _, out, _ = run(capsys, "check", "all", *pair)
         report = json.loads(out)
@@ -115,10 +114,17 @@ class TestCheckCommand:
         _, out, _ = run(capsys, "check", "stable", *pair)
         assert json.loads(out)["report"] == report["stable"]
 
-    def test_large_tol_still_holds_where_dominance_holds(self, capsys):
-        code, out, _ = run(capsys, "check", "bulk", "--lhs", "[4,4,1]",
-                           "--rhs", "[5,3,1]", "--tol", "1e6")
-        assert code == 0 and "HOLDS" in out
+    def test_numeric_failure_between_coarse_samples(self, capsys):
+        # f dips below 0 only near s = 3.83, between the samples of a coarse
+        # grid; the sample count and the band are fixed, not options.
+        pair = ["check", "bulk", "--lhs", "[30,25]", "--rhs", "[31,22,13,9,1]"]
+        code, out, _ = run(capsys, *pair)
+        assert code == 1 and "FAILS" in out and "s=3.82" in out
+        for extra in (["--grid", "32"], ["--tol", "1e6"]):
+            with pytest.raises(SystemExit) as e:
+                cli.main(pair + extra)
+            assert e.value.code == 64
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_bad_tol_exit_64(self, capsys, tol):

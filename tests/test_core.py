@@ -12,7 +12,6 @@ from partembed.core import (
     Partition,
     PowerPartition,
     add,
-    base_digits,
     common_power_base,
     from_base_counts,
     from_entries,
@@ -205,11 +204,6 @@ class TestCommonBase:
 
 
 class TestSmallHelpers:
-    def test_base_digits(self):
-        assert base_digits(3, 2) == (1, 1)
-        assert base_digits(0, 2) == ()
-        assert base_digits(10, 3) == (1, 0, 1)
-
     def test_integer_root(self):
         assert integer_root(64, 3) == 4
         assert integer_root(63, 3) == 3

@@ -1,0 +1,83 @@
+"""Property sweep: every decided verdict on small pairs carries its proof.
+
+Hypothesis runs derandomized and without an example database, so the same
+examples run every time.  General pairs go through ``relations``; count-form
+power-of-2/3 pairs go through the embedding, bulk and refutation decisions
+(the catalyst construction is left out: its catalysts can outgrow memory).
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from partembed.core import PowerPartition, from_base_counts, from_entries, product
+from partembed.norms import bulk_verdict
+from partembed.oracle import brute_embed, brute_supermajorize
+from partembed.orders import decide_embed, supermajorizes
+from partembed.stablep import (
+    BULK_FAILS,
+    FAILS,
+    HOLDS,
+    StableRefutation,
+    prefilter_stable,
+    relations,
+)
+
+SWEEP = settings(derandomize=True, database=None, deadline=None, max_examples=120)
+
+partitions = st.lists(st.integers(1, 24), min_size=1, max_size=6).map(from_entries)
+
+
+@st.composite
+def powerq_pairs(draw):
+    base = draw(st.sampled_from([2, 3]))
+    counts = st.lists(st.integers(0, 6), min_size=1, max_size=5).filter(lambda c: c[-1])
+    lam, mu = (PowerPartition(base, tuple(draw(counts))) for _ in range(2))
+    return base, from_base_counts(lam), from_base_counts(mu)
+
+
+def tail_fails(mu, lam, x: int) -> bool:
+    return sum(e for e in mu.entries if e >= x) < sum(e for e in lam.entries if e >= x)
+
+
+@SWEEP
+@given(partitions, partitions)
+def test_general_pair_verdicts_are_certified(lam, mu):
+    report = relations(lam, mu, node_budget=10**4)
+    if report.embeds:
+        assert report.embed_witness.validate(lam, mu)
+    elif report.embeds is False:
+        assert not brute_embed(lam, mu)
+    if report.supermajorized:
+        assert brute_supermajorize(mu, lam)
+    else:
+        assert tail_fails(mu, lam, report.supermajorization_failing_x)
+    if not report.bulk.holds:
+        assert StableRefutation(BULK_FAILS, bulk=report.bulk, base=report.base).verify(lam, mu)
+    stable = report.stable
+    if stable.status == HOLDS:
+        nu = stable.witness.nu
+        assert stable.witness.embedding.validate(product(lam, nu), product(mu, nu))
+    elif stable.status == FAILS:
+        assert stable.reason.verify(lam, mu)
+
+
+@SWEEP
+@given(powerq_pairs())
+def test_powerq_pair_verdicts_are_certified(pair):
+    base, lam, mu = pair
+    witness, undecided = decide_embed(lam, mu, base)
+    assert not undecided
+    sup = supermajorizes(mu, lam)
+    if witness is not None:
+        assert witness.validate(lam, mu) and sup.holds
+    if not sup.holds:
+        assert tail_fails(mu, lam, sup.failing_x)
+    bulk = bulk_verdict(lam, mu, base)
+    if sup.holds:
+        assert bulk.holds
+    if not bulk.holds:
+        assert bulk.failure_x is not None
+        assert StableRefutation(BULK_FAILS, bulk=bulk, base=base).verify(lam, mu)
+    ref = prefilter_stable(lam, mu)
+    assert (ref is not None and ref.rule == BULK_FAILS) == (not bulk.holds)
+    if ref is not None:
+        assert ref.verify(lam, mu)

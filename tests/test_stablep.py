@@ -18,7 +18,6 @@ from partembed.core import (
     product,
     to_base_counts,
 )
-from partembed.orders import embeds
 from partembed.stablep import (
     BULK_FAILS,
     FAILS,
@@ -32,7 +31,6 @@ from partembed.stablep import (
     normalize_pair,
     nu_order_compare,
     prefilter_stable,
-    refine_witness,
     relations,
     stable_embeds,
 )
@@ -115,17 +113,6 @@ class TestPrefilter:
     def test_certificates_reject_wrong_pairs(self):
         ref = prefilter_stable(LAM3, MU4)
         assert not ref.verify(from_entries([2, 2]), from_entries([4]))
-
-    def test_tol_and_grid_reach_the_numeric_path(self, monkeypatch):
-        lam, mu = from_entries([3, 3]), from_entries([4, 1, 1])
-        assert prefilter_stable(lam, mu).rule == BULK_FAILS
-        # The dip of f below 0 is far inside a tolerance of 1e6, which widens
-        # the equality band but cannot hide a failure.
-        ref = prefilter_stable(lam, mu, tol=1e6)
-        assert ref is not None and ref.rule == BULK_FAILS
-        calls = count_calls(monkeypatch, partembed.norms.dominates_all_s)
-        prefilter_stable(lam, mu, tol=0.5, grid=7)
-        assert calls.kwargs == [{"tol": 0.5, "grid": 7}]
 
 
 class TestConstructNu:
@@ -229,55 +216,6 @@ class TestConstructNu:
         assert len(nu) == 3888
         assert to_base_counts(nu, 2).counts == (972, 729, 2187)
         assert verdict.witness.embedding.validate(product(lam, nu), product(mu, nu))
-
-
-class TestRefineWitness:
-    def test_digit_split(self):
-        lam, mu = from_entries([2]), from_entries([4])
-        nu = from_entries([3])
-        w = embeds(product(lam, nu), product(mu, nu))
-        nu_t, w_t = refine_witness(lam, mu, nu, w, 2)
-        assert from_base_counts(nu_t) == from_entries([2, 1])
-        assert w_t.validate(product(lam, from_entries([2, 1])), product(mu, from_entries([2, 1])))
-
-    def test_already_power_is_identity_on_nu(self):
-        lam, mu = from_entries([2, 2]), from_entries([4])
-        nu = from_entries([4, 2])
-        w = embeds(product(lam, nu), product(mu, nu))
-        nu_t, w_t = refine_witness(lam, mu, nu, w, 2)
-        assert from_base_counts(nu_t) == nu
-        assert w_t.validate(product(lam, nu), product(mu, nu))
-
-    def test_counterexample_witness_refines(self):
-        nu = from_entries([2, 1, 1])
-        verdict = stable_embeds(LAM1, MU1)
-        nu_t, w_t = refine_witness(LAM1, MU1, nu, verdict.witness.embedding, 2)
-        assert from_base_counts(nu_t) == nu
-        assert w_t.validate(product(LAM1, nu), product(MU1, nu))
-
-    def test_mixed_catalyst(self):
-        # a deliberately non-power catalyst with several entries
-        lam, mu = from_entries([4, 2, 2]), from_entries([8, 2])
-        nu = from_entries([6, 3])
-        w = embeds(product(lam, nu), product(mu, nu))
-        assert w is not None
-        nu_t, w_t = refine_witness(lam, mu, nu, w, 2)
-        expected = from_entries([4, 2, 2, 1])  # digits of 6 and 3
-        assert from_base_counts(nu_t) == expected
-        assert w_t.validate(product(lam, expected), product(mu, expected))
-
-    def test_invalid_witness_rejected(self):
-        lam, mu = from_entries([2]), from_entries([4])
-        nu = from_entries([3])
-        from partembed.orders import EmbeddingWitness
-        bad = EmbeddingWitness((0,), (0,))
-        with pytest.raises(ContractViolation):
-            refine_witness(lam, mu, nu, bad, 2)
-
-    def test_non_power_inputs_rejected(self):
-        with pytest.raises(ContractViolation):
-            refine_witness(from_entries([3]), from_entries([4]), from_entries([1]),
-                           embeds(from_entries([3]), from_entries([4])), 2)
 
 
 class TestNuOrder:

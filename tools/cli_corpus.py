@@ -17,8 +17,8 @@ and bulk), the first 400 ``binpack-hard`` queries as they are (node budget
 budget is pinned at two budgets, both forms of ``repro-example24``, the
 pairs pinned by ``tests/golden`` under every relation, the first 100 ``powerq-mix`` catalyst-family pairs with one box
 added at every level up to mu's top on both sides (so normalization cancels
-something) as stable and all, and a few queries with a non-default ``--tol``
-or ``--grid`` or an invalid option.
+something) as stable and all, and a few queries with an invalid option,
+among them the removed ``--tol`` and ``--grid``, which are usage errors.
 The workload streams come from this checkout's ``bench/workloads.py``, which
 is only read.
 """
@@ -48,9 +48,11 @@ PAIRS = (
     ("[3,3]", "[4,1,1]"),
     ("[3,3,2]", "[6,2]"),
     SCALED_TOUCH,
+    # f dips below 0 only near s = 3.83, between the samples of a coarse grid.
+    ("[30,25]", "[31,22,13,9,1]"),
 )
-# Answers that depend on how --tol and --grid are applied and on the option
-# range checks.
+# Option range checks; --tol and --grid are no longer options, so their
+# queries pin that both are usage errors.
 EDGE_QUERIES = (
     ["check", "bulk", "--lhs", "[3,3]", "--rhs", "[4,1,1]", "--tol", "1e6"],
     ["check", "all", "--lhs", "[3,3]", "--rhs", "[4,1,1]", "--tol", "1e6", "--json"],

@@ -192,6 +192,9 @@ class BulkVerdict:
 
 # Samples of f on the capped search interval; local minima among them are refined.
 _GRID = 64
+# Bits of the largest power v**s the s -> oo failure search takes exactly;
+# past it the search goes on at _PRECISION_BITS.
+_EXACT_POWER_BITS = 2**14
 
 
 def _default_tol(profile: NormProfile) -> Fraction:
@@ -209,10 +212,10 @@ def dominates_all_s(lam: Partition, mu: Partition) -> BulkVerdict:
     exactly; the search interval is then capped at the point beyond which the
     top term provably dominates, sampled on ``_GRID`` points, and local minima
     are refined.  Near-zero minima are reported as interior equalities with
-    ``exact=False``; they are hints, not certificates.
+    ``exact=False``; they are hints, not certificates.  A failure at s = 1,
+    or as s -> oo at an s where v**s stays under ``_EXACT_POWER_BITS`` bits,
+    is found in exact integer arithmetic, without loading mpmath.
     """
-    import mpmath
-
     profile = norm_profile(lam, mu)
     tight_inf = lam.max_entry == mu.max_entry
     if not profile.coefficients:
@@ -224,16 +227,24 @@ def dominates_all_s(lam: Partition, mu: Partition) -> BulkVerdict:
                            tight_at_one=False, tight_at_infinity=tight_inf)
     top_v, top_n = profile.coefficients[0]
     if top_n < 0:
-        # mu's largest entry is exceeded or outweighed: f(s) -> -oo.
-        s = 2.0
-        with mpmath.workprec(_PRECISION_BITS):
-            while profile.f_mpf(s) >= 0:
-                s *= 2
-        return BulkVerdict(holds=False, failure_exponent=s,
+        # mu's largest entry is exceeded or outweighed: f(s) -> -oo, so some
+        # power of 2 has f(s) < 0.  Exact while the powers stay small.
+        s = 2
+        while s * top_v.bit_length() <= _EXACT_POWER_BITS and profile.f_exact(s) >= 0:
+            s *= 2
+        if s * top_v.bit_length() > _EXACT_POWER_BITS:
+            import mpmath
+
+            with mpmath.workprec(_PRECISION_BITS):
+                while profile.f_mpf(s) >= 0:
+                    s *= 2
+        return BulkVerdict(holds=False, failure_exponent=float(s),
                            tight_at_one=tight_one, tight_at_infinity=tight_inf)
     if len(profile.coefficients) == 1:
         # Single positive term: f > 0 everywhere.
         return BulkVerdict(holds=True, tight_at_one=tight_one, tight_at_infinity=tight_inf)
+
+    import mpmath
 
     v2 = profile.coefficients[1][0]
     coeff_mass = sum(abs(n) for _, n in profile.coefficients)

@@ -11,8 +11,8 @@ digits.  ``decide_embed`` picks the greedy path or the search for a pair.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
 from typing import NamedTuple, Sequence
 
 from .core import (
@@ -149,15 +149,16 @@ def embeds(lam: Partition, mu: Partition,
     are tried once per node.  Deterministic: the witness returned is the first
     under the induced assignment order.
 
-    The supermajorization prune is checked only at the values of the
-    remaining items, which is exact: between two item values the item tail
-    sum is constant while the capacity tail sum can only grow as the
-    threshold falls, and above the largest item the item tail is 0.  The
-    check at the smallest value also bounds the total, and the one at the
-    largest value asks for a bin that holds the next item.  Prefix sums and
-    runs of equal items are built once per call, so a node costs one merge of
-    the sorted capacities against the remaining runs: O(distinct item values
-    + bins).
+    The supermajorization prune is checked just above each residual
+    capacity c, which is exact: between two capacity values the capacity tail
+    sum is constant while the item tail sum can only grow as the threshold
+    falls, so each such interval binds at its lowest threshold, and at or
+    below the smallest capacity the capacity tail is the whole room, which
+    never falls below the remaining items.  A capacity at or above the next
+    item has no remaining item above it and needs no check; the check above
+    the largest capacity asks for a bin that holds the next item.  Prefix sums
+    are built once per call, so a node costs one sort of the capacities and
+    one bisection per capacity below the next item: O(bins log items).
 
     Wasted-space prune (the bin-completion bound of Korf, AAAI 2002): let
     slack = total(mu) - total(lam).  Placing an item lowers the residual
@@ -166,12 +167,22 @@ def embeds(lam: Partition, mu: Partition,
     so under a node every bin of residual capacity c > slack must end up
     holding a subset of the remaining items whose sum lies in [c - slack, c];
     a node where some bin has no such subset has no embedding under it and is
-    pruned.  Only empty subtrees go, so the first witness is unchanged.  The
-    subset sums of each suffix of items are built once per call as integer
-    bitsets of ``mu.max_entry + 1`` bits; each node tests a bin with one shift
-    and one mask.  The prune is skipped when slack >= mu.max_entry (no bin
-    needs it) and when the bitsets would exceed ``WASTE_BITS`` bits in all,
-    which bounds its memory and time for huge entries or many items.
+    pruned.  The subset sums of each suffix of items are built once per call
+    as integer bitsets of ``mu.max_entry + 1`` bits; each node tests a bin
+    with one shift and one mask.
+
+    Fewest-items bound, in the same sweep: the remaining items are sorted
+    largest first, so t(c), the length of their shortest prefix that sums to
+    at least c - slack, is the fewest of them that can fill a bin of room c to
+    within the slack, and one bisection of the prefix sums finds it.  The
+    bins hold disjoint items, so a node where the t(c) of the bins with
+    c > slack add up to more than the items left has no embedding under it
+    and is pruned.
+
+    Both slack-based prunes cut only empty subtrees, so the first witness is
+    unchanged.  They are skipped when slack >= mu.max_entry (no bin needs
+    them) and when the bitsets would exceed ``WASTE_BITS`` bits in all, which
+    bounds their memory and time for huge entries or many items.
 
     Raises BudgetExceeded when ``node_budget`` placements were tried without
     resolving the question.
@@ -183,20 +194,14 @@ def embeds(lam: Partition, mu: Partition,
     items = lam.entries
     caps = list(mu.entries)
     n = len(items)
-    # prefix[k] is the sum of items[:k]; runs[r] is the r-th run of equal
-    # items as (value, prefix sum at its end); run_at[k] is the run of item k.
+    # prefix[k] is the sum of items[:k]; neg_items ascends, so bisecting it
+    # finds where the items above a value end.
     prefix = [0]
-    runs: list[tuple[int, int]] = []
-    run_at = []
     for item in items:
         prefix.append(prefix[-1] + item)
-        if runs and runs[-1][0] == item:
-            runs[-1] = (item, prefix[-1])
-        else:
-            runs.append((item, prefix[-1]))
-        run_at.append(len(runs) - 1)
+    neg_items = [-item for item in items]
     # reach[k] has bit s set iff some subset of items[k:] sums to s <= the
-    # largest bin; empty when the wasted-space prune is off.
+    # largest bin; empty when the slack-based checks are off.
     slack = mu.total - lam.total
     reach: list[int] = []
     window = 0
@@ -211,26 +216,28 @@ def embeds(lam: Partition, mu: Partition,
 
     def fits(k: int) -> bool:
         """Whether the capacities supermajorize the items from k on, and every
-        bin can be filled to within the slack by a subset of them."""
+        bin with room above the slack can be filled to within it by a subset
+        of them, by few enough items for all such bins at once."""
         done = prefix[k]
+        top = items[k]
         ordered = sorted(caps, reverse=True)
-        ordered.append(0)  # sentinel: below every item
-        c = room = 0
-        cap = ordered[0]
-        for value, end in islice(runs, run_at[k], None):
-            while cap >= value:
-                room += cap
-                c += 1
-                cap = ordered[c]
-            if room < end - done:
+        above = done  # done plus the room of the bins already swept
+        for cap in ordered:
+            # The bins above cap must hold every remaining item above cap.
+            if cap < top and above < prefix[bisect_left(neg_items, -cap, k)]:
                 return False
+            above += cap
         if reach:
             sums = reach[k]
+            floor = done - slack
+            spare = n - k
             for cap in ordered:
                 if cap <= slack:
                     break
                 if not (sums >> (cap - slack)) & window:
                     return False
+                spare -= bisect_left(prefix, floor + cap, k) - k
+            return spare >= 0
         return True
 
     def place(idx: int) -> bool:

@@ -317,3 +317,23 @@ def test_mpmath_loaded_only_on_the_numeric_path():
     out = subprocess.run([sys.executable, "-c", LAZY_MPMATH_SCRIPT], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.split() == ["False", "True"]
+
+
+# [5]/[4,1,1] fails at s = 2 and [5,5]/[4] at s = 1, both found exactly;
+# [3,2,2]/[5,3] holds, which takes the sampled path.
+EXACT_BULK_FAILS_SCRIPT = """
+import contextlib, io, sys
+import partembed.cli
+for lhs, rhs in (("[5]", "[4,1,1]"), ("[5,5]", "[4]"), ("[3,2,2]", "[5,3]")):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = partembed.cli.main(["check", "bulk", "--json", "--lhs", lhs, "--rhs", rhs])
+    print(rc, "mpmath" in sys.modules)
+"""
+
+
+def test_exact_bulk_failures_leave_mpmath_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", EXACT_BULK_FAILS_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["1 False", "1 False", "0 True"]

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -170,6 +171,22 @@ class TestDominatesAllS:
         # equal sums but lam's top entry bigger: fails for large s
         verdict = dominates_all_s(from_entries([4, 1]), from_entries([3, 2]))
         assert not verdict.holds
+
+    def test_far_failure_keeps_the_powers_small(self):
+        # f(s) = 2 (2**20 - 1)**s - (2**20)**s turns negative near
+        # s = 2**20 ln 2, so the doubling search ends at s = 2**20, where an
+        # exact power would have 21 * 2**20 bits.
+        import mpmath  # noqa: F401  (loaded before the measurement)
+
+        lam, mu = from_entries([2**20]), from_entries([2**20 - 1, 2**20 - 1])
+        tracemalloc.start()
+        try:
+            verdict = dominates_all_s(lam, mu)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not verdict.holds and verdict.failure_exponent == 2.0**20
+        assert peak < 2**18
 
     def test_dip_right_after_one(self):
         # equal sums, positive top coefficient, but f decreases at s=1: the

@@ -164,8 +164,8 @@ class TestEmbeds:
 
 # Zero-slack pairs of 20 items in 6 bins (the first seed-1 queries of the
 # benchmark's binpack-hard stream), each with the node count the search needs
-# to decide it without the wasted-space prune, the count with it, and the
-# witness it returns either way.  Pins the search tree: a change to a prune's
+# to decide it without the slack-based prunes (wasted space, fewest items),
+# the count with them, and the witness it returns either way.  Pins the search tree: a change to a prune's
 # cost must not change which nodes are visited, or in what order.
 SEARCH_TREE_PAIRS = [
     # bins with zero slack
@@ -173,20 +173,20 @@ SEARCH_TREE_PAIRS = [
      [193, 161, 123, 117, 98, 91], 29, 25,
      (0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 5, 1, 4, 5, 0, 2, 3, 1, 5, 4)),
     ([57, 55, 54, 48, 47, 46, 46, 44, 38, 36, 35, 35, 32, 30, 30, 30, 27, 27, 26, 22],
-     [226, 167, 133, 120, 61, 58], 1349, 148,
+     [226, 167, 133, 120, 61, 58], 1349, 102,
      (0, 0, 0, 1, 2, 1, 3, 3, 1, 5, 1, 4, 2, 0, 0, 3, 2, 2, 4, 5)),
     ([59, 58, 55, 54, 54, 47, 40, 39, 38, 36, 35, 33, 33, 31, 30, 29, 28, 24, 23, 22],
-     [256, 165, 137, 102, 77, 31], 729, 63,
+     [256, 165, 137, 102, 77, 31], 729, 61,
      (0, 0, 0, 0, 1, 1, 1, 4, 4, 2, 2, 2, 2, 5, 0, 3, 3, 1, 3, 3)),
     ([60, 59, 54, 53, 48, 48, 47, 45, 44, 40, 37, 36, 35, 30, 28, 26, 25, 25, 25, 22],
-     [172, 162, 149, 142, 108, 54], 3449, 1894,
+     [172, 162, 149, 142, 108, 54], 3449, 1361,
      (0, 0, 2, 0, 1, 1, 3, 2, 1, 3, 4, 4, 4, 3, 5, 5, 2, 2, 3, 1)),
     # the same with mass moved between two bins
     ([58, 54, 54, 52, 51, 43, 41, 41, 41, 37, 36, 35, 33, 30, 30, 28, 27, 25, 24, 22],
      [250, 190, 183, 66, 43, 30], 3929, 30,
      (0, 0, 0, 1, 0, 4, 1, 2, 2, 1, 3, 1, 0, 3, 5, 2, 2, 1, 2, 2)),
     ([57, 56, 56, 54, 51, 48, 46, 44, 42, 39, 38, 36, 33, 33, 30, 27, 27, 26, 21, 20],
-     [183, 182, 147, 122, 99, 51], 4799, 409,
+     [183, 182, 147, 122, 99, 51], 4799, 295,
      (0, 0, 1, 1, 2, 3, 4, 0, 2, 1, 3, 3, 1, 4, 5, 2, 2, 0, 5, 4)),
     ([60, 58, 57, 53, 52, 52, 48, 47, 45, 42, 39, 37, 33, 30, 30, 26, 25, 24, 24, 21],
      [186, 172, 144, 143, 121, 37], 4435, 464,
@@ -218,7 +218,7 @@ class TestSearchTree:
         w = embeds(lam, mu, nodes)
         assert w is not None and w.assignment == assignment and w.validate(lam, mu)
 
-    # The ids name each pair by its node count without the wasted-space prune.
+    # The ids name each pair by its node count without the slack-based prunes.
     @pytest.mark.parametrize("items,bins,unpruned,nodes,assignment", SEARCH_TREE_PAIRS,
                              ids=[f"{pair[2]}-nodes" for pair in SEARCH_TREE_PAIRS])
     def test_nodes_to_decide_and_witness(self, items, bins, unpruned, nodes, assignment,
@@ -307,6 +307,27 @@ class TestWastedSpacePrune:
         monkeypatch.setattr(orders, "WASTE_BITS", 0)
         with pytest.raises(BudgetExceeded):
             embeds(lam, mu, 2000)
+
+    # Seed-1 binpack-hard queries 42 and 1177: with the wasted-space prune
+    # alone, neither is decided in 2000 nodes; the fewest-items bound decides
+    # both well within them.
+    def test_fewest_items_finds_binpack_hard_embedding(self):
+        lam = from_entries([54, 52, 50, 49, 47, 46, 45, 43, 43, 43,
+                            42, 41, 40, 39, 39, 37, 30, 28, 24, 21])
+        mu = from_entries([186, 168, 148, 140, 110, 61])
+        w = embeds(lam, mu, 31)
+        assert w.assignment == (0, 0, 0, 3, 1, 3, 3, 1, 2, 2, 4, 2, 4, 1, 1, 5, 0, 4, 5, 2)
+        assert w.validate(lam, mu)
+        with pytest.raises(BudgetExceeded):
+            embeds(lam, mu, 30)
+
+    def test_fewest_items_proves_binpack_hard_non_embedding(self):
+        lam = from_entries([58, 57, 57, 57, 55, 55, 55, 53, 53, 52,
+                            49, 43, 42, 41, 39, 39, 37, 34, 33, 31])
+        mu = from_entries([302, 188, 186, 120, 103, 41])
+        assert embeds(lam, mu, 1739) is None
+        with pytest.raises(BudgetExceeded):
+            embeds(lam, mu, 1738)
 
     def test_huge_entries_skip_the_bitsets(self):
         big = 10**9

@@ -17,8 +17,18 @@ and bulk), the first 400 ``binpack-hard`` queries as they are (node budget
 budget is pinned at two budgets, both forms of ``repro-example24``, the
 pairs pinned by ``tests/golden`` under every relation, the first 100 ``powerq-mix`` catalyst-family pairs with one box
 added at every level up to mu's top on both sides (so normalization cancels
-something) as stable and all, and a few queries with an invalid option,
-among them the removed ``--tol`` and ``--grid``, which are usage errors.
+something) as stable and all, ``conjecture-scan`` over ``tools/scan_corpus.ndjson``
+with and without ``--json`` and ``--max-steps 3``, and a few queries with an
+invalid option, among them the removed ``--tol`` and ``--grid``, which are
+usage errors.
+
+The scan corpus is committed: the ``PAIRS`` below, the first 100 seed-1
+``powerq-mix`` catalyst-family pairs as they are, and 100 pairs of equal
+totals and equal top box, 25 from each of four groups (base 2 or 3, scan
+status holds or fails) of the count vectors with up to four levels and
+counts up to 4, every k-th in enumeration order.  Queries name it by a path
+relative to this checkout, which is the working directory while they run, so
+the argv is the same whichever tree ``--tree`` points at.
 The workload streams come from this checkout's ``bench/workloads.py``, which
 is only read.
 """
@@ -28,6 +38,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 import traceback
 from contextlib import redirect_stderr, redirect_stdout
@@ -36,6 +47,7 @@ from itertools import islice
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SCAN_CORPUS = "tools/scan_corpus.ndjson"
 RELATIONS = ("embed", "supermajorize", "bulk", "stable", "all")
 # LAM2/MU3 of the tests scaled by 3: no common power base, so the numeric bulk
 # path decides it and reports one touch hint.
@@ -111,6 +123,9 @@ def queries() -> list[list[str]]:
         query = replace(query, lhs=dict(query.lhs, counts=[c + 1 for c in lam]),
                         rhs=dict(query.rhs, counts=[c + 1 for c in mu]))
         out += ask(query, ("stable", "all"))
+    for extra in ((), ("--max-steps", "3")):
+        argv = ["conjecture-scan", SCAN_CORPUS, *extra]
+        out += [argv + ["--json"], argv]
     out += [list(argv) for argv in EDGE_QUERIES]
     return out
 
@@ -138,7 +153,9 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(args.tree.resolve() / "src"))
     import partembed.cli as cli
 
-    with open(args.out, "w", encoding="utf-8") as fh:
+    out = args.out.resolve()
+    os.chdir(ROOT)
+    with open(out, "w", encoding="utf-8") as fh:
         for query in todo:
             fh.write(json.dumps(record(cli, query)) + "\n")
     print(f"{len(todo)} queries -> {args.out} (partembed from {Path(cli.__file__).parent})")

@@ -52,7 +52,6 @@ from .orders import (
     embed_powerq,
     embeds,
     first_fit,
-    is_divisible_chain,
     supermajorizes,
 )
 from .stablep import (
@@ -66,11 +65,11 @@ from .stablep import (
     StepRecord,
     construct_nu,
     normalize_pair,
-    nu_order_compare,
     prefilter_stable,
     relations,
     stable_embeds,
 )
 from . import oracle
+from .oracle import nu_order_compare
 
 __version__ = "0.1.0"

@@ -29,28 +29,21 @@ from .core import (
     Partition,
     PartitionError,
     PowerPartition,
-    common_power_base,
     from_base_counts,
     from_entries,
     product,
     to_base_counts,
 )
-from .norms import bulk_verdict, exact_dominates_powerq
-from .orders import (
-    DEFAULT_NODE_BUDGET,
-    decide_embed,
-    embeds,
-    supermajorizes,
-)
+from .orders import DEFAULT_NODE_BUDGET, embeds, supermajorizes
 from .stablep import (
     FAILS,
     HOLDS,
     NORM_EQUALITY,
     TIGHT_VALUATION,
     UNKNOWN,
+    Pair,
     relations,
     stable_embeds,
-    _stable_given,
 )
 
 EX_OK = 0
@@ -201,8 +194,9 @@ def cmd_check(args) -> int:
         except PartitionError as exc:
             raise _InputError(f"--base {args.base}: {exc}") from exc
 
+    pair = Pair(lam, mu, args.budget, args.max_steps)
     if args.relation == "embed":
-        witness, undecided = decide_embed(lam, mu, common_power_base(lam, mu), args.budget)
+        witness, undecided = pair.embedding
         if args.json:
             doc = {"relation": "embed",
                    "verdict": "UNKNOWN" if undecided else ("HOLDS" if witness else "FAILS"),
@@ -218,7 +212,7 @@ def cmd_check(args) -> int:
         return EX_UNKNOWN if undecided else (EX_OK if witness else EX_FAILS)
 
     if args.relation == "supermajorize":
-        sup = supermajorizes(mu, lam)
+        sup = pair.sup
         if args.json:
             print(json.dumps({"relation": "supermajorize", "verdict": "HOLDS" if sup.holds else "FAILS",
                               "failing_x": sup.failing_x}, indent=2))
@@ -230,8 +224,7 @@ def cmd_check(args) -> int:
         return EX_OK if sup.holds else EX_FAILS
 
     if args.relation == "bulk":
-        base = common_power_base(lam, mu)
-        verdict = bulk_verdict(lam, mu, base)
+        base, verdict = pair.base, pair.bulk
         if args.json:
             print(json.dumps({"relation": "bulk", "verdict": "HOLDS" if verdict.holds else "FAILS",
                               "base": base, "report": to_doc(verdict)}, indent=2))
@@ -247,7 +240,7 @@ def cmd_check(args) -> int:
         return EX_OK if verdict.holds else EX_FAILS
 
     if args.relation == "stable":
-        verdict = stable_embeds(lam, mu, node_budget=args.budget, max_steps=args.max_steps)
+        verdict = pair.stable
         if args.json:
             print(json.dumps({"relation": "stable", "verdict": verdict.status,
                               "report": to_doc(verdict)}, indent=2))
@@ -318,7 +311,7 @@ def cmd_repro_example24(args) -> int:
     claim("lam1 is supermajorized by mu2", supermajorizes(mu2, lam1).holds)
     claim("lam1 does not embed into mu2", embeds(lam1, mu2) is None)
 
-    bulk23 = exact_dominates_powerq(to_base_counts(lam2, 2), to_base_counts(mu3, 2))
+    bulk23 = Pair(lam2, mu3).bulk
     claim("lam2 bulk-embeds into mu3", bulk23.holds,
           f"equalities={len(bulk23.interior_equalities)}")
 
@@ -389,10 +382,10 @@ def _scan_pair(name: str, lam: Partition, mu: Partition, max_steps: int | None) 
     dominance in between are interesting; everything else is excluded."""
     if lam == mu:
         return {"name": name, "status": "excluded", "detail": "identical partitions"}
-    base = common_power_base(lam, mu)
-    if base is None:
+    pair = Pair(lam, mu, max_steps=max_steps)
+    if pair.base is None:
         return {"name": name, "status": "excluded", "detail": "no common power base"}
-    bulk = bulk_verdict(lam, mu, base)
+    bulk = pair.bulk
     if not bulk.holds:
         return {"name": name, "status": "excluded", "detail": "norm dominance fails"}
     if not bulk.tight_at_one:
@@ -403,7 +396,7 @@ def _scan_pair(name: str, lam: Partition, mu: Partition, max_steps: int | None) 
                 "detail": f"not tight at s=oo ({lam.max_entry} < {mu.max_entry})"}
     if bulk.interior_equalities:
         return {"name": name, "status": "excluded", "detail": "interior equality point"}
-    verdict = _stable_given(lam, mu, base, bulk, False, max_steps)
+    verdict = pair.catalyst
     if verdict.status == FAILS:
         return {"name": name, "status": "fails", "detail": verdict.reason.rule}
     if verdict.status == HOLDS:
@@ -483,7 +476,7 @@ def build_parser() -> _Parser:
     gen = sub.add_parser("gen", help="emit reproducible partition documents")
     gen.add_argument("kind", choices=["random", "powerq", "divisible"])
     gen.add_argument("--seed", type=int, default=0, help="RNG seed (echoed in names)")
-    gen.add_argument("--count", type=int, default=1)
+    gen.add_argument("--count", type=_at_least(int, 0), default=1)
     gen.add_argument("--len", dest="length", type=_at_least(int, 1), default=6, help="max length")
     gen.add_argument("--max", dest="max_value", type=_at_least(int, 1), default=32,
                      help="max entry")

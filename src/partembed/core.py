@@ -100,10 +100,6 @@ class Partition:
     def max_entry(self) -> int:
         return self.entries[0]
 
-    @property
-    def min_entry(self) -> int:
-        return self.entries[-1]
-
     def __repr__(self) -> str:
         return f"Partition({list(self.entries)})"
 

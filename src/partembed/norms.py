@@ -15,7 +15,7 @@ substitution x = q**s turns f into an integer polynomial P(x), and dominance
 on [q, oo) is decided exactly with rational arithmetic (Sturm chains for root
 isolation, gap sign samples to separate touch roots from crossings).  Interior
 equality points discovered this way are certified by isolating intervals;
-numeric ones are only flagged, never trusted as refutations.  ``bulk_verdict``
+numeric ones are only flagged, never trusted as refutations.  ``stablep.Pair``
 picks the path for a pair.
 """
 
@@ -33,7 +33,6 @@ from .core import (
     Partition,
     PowerPartition,
     integer_root,
-    to_base_counts,
 )
 
 if TYPE_CHECKING:
@@ -651,11 +650,3 @@ def _positive_root_bound(P: list[int], lo: Fraction) -> Fraction:
     lead = abs(P[-1])
     bound = 1 + max(abs(c) for c in P) // lead + 1
     return max(Fraction(bound), lo + 1)
-
-
-def bulk_verdict(lam: Partition, mu: Partition, base: int | None) -> BulkVerdict:
-    """Bulk dominance of a pair: exact when ``base`` is a common power base of
-    both partitions, numeric when it is None."""
-    if base is not None:
-        return exact_dominates_powerq(to_base_counts(lam, base), to_base_counts(mu, base))
-    return dominates_all_s(lam, mu)

@@ -12,8 +12,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import Partition, PartitionError, common_power_base, power, to_base_counts
-from .stablep import _nu_key
+from .core import (BaseMismatch, EmptyPartition, Partition, PartitionError, PowerPartition,
+                   common_power_base, power, product, to_base_counts)
 
 ASSIGNMENT_GUARD = 10**6
 CANDIDATE_GUARD = 10**5
@@ -63,8 +63,6 @@ def brute_stable_search(lam: Partition, mu: Partition, max_len: int,
     space = _candidate_count(max_len, max_entry)
     if space > CANDIDATE_GUARD:
         raise TooLarge(f"{space} candidates exceed the guard of {CANDIDATE_GUARD}")
-    from .core import product  # local import keeps the module head small
-
     base = common_power_base(lam, mu)
     best = None
     best_key = None
@@ -109,6 +107,28 @@ def _packs(items: tuple[int, ...], bins: tuple[int, ...]) -> bool:
         return False
 
     return place(0, tuple(sorted(bins, reverse=True)))
+
+
+def nu_order_compare(u: PowerPartition, v: PowerPartition) -> int:
+    """Catalyst quality order: span length first, then count ratios.
+
+    The key is scale-free: multiplying all counts or shifting every box up a
+    level leaves it unchanged.  Returns -1, 0, or 1.
+    """
+    if u.base != v.base:
+        raise BaseMismatch(f"bases differ: {u.base} vs {v.base}")
+    if u.is_empty or v.is_empty:
+        raise EmptyPartition("catalyst order needs nonempty operands")
+    ku, kv = _nu_key(u), _nu_key(v)
+    return (ku > kv) - (ku < kv)
+
+
+def _nu_key(pp: PowerPartition):
+    counts = pp.counts
+    first = next(i for i, c in enumerate(counts) if c)
+    span = len(counts) - first
+    ratios = tuple(Fraction(counts[first + k], counts[first]) for k in range(1, span))
+    return span, ratios
 
 
 def _candidate_key(nu: Partition, base: int | None):

@@ -5,7 +5,7 @@ that no target is overfilled; deciding it is bin packing, so the exact
 search is a budgeted branch-and-bound.  Supermajorization compares tail
 sums at every threshold.  For power-of-q partitions the two coincide, and
 the witness is built greedily by splitting leftover capacity into base-q
-digits.  ``decide_embed`` picks the greedy path or the search for a pair.
+digits.  ``stablep.Pair`` picks the greedy path or the search for a pair.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .core import (
     PartitionError,
     PowerPartition,
     from_base_counts,
-    to_base_counts,
     _power_exponent,
 )
 
@@ -109,11 +108,6 @@ def supermajorizes(mu: Partition, lam: Partition) -> Supermajorization:
     if failed:
         failing_x = 1
     return Supermajorization(failing_x is None, failing_x)
-
-
-def is_divisible_chain(lam: Partition) -> bool:
-    """True iff every entry divides every larger entry."""
-    return all(lam[i] % lam[i + 1] == 0 for i in range(len(lam) - 1))
 
 
 def first_fit(lam: Partition, mu: Partition,
@@ -318,19 +312,3 @@ def embed_powerq(lam: PowerPartition, mu: PowerPartition) -> EmbeddingWitness | 
     if not witness.validate(lam_p, mu_p):
         raise AssertionError("greedy witness failed validation")
     return witness
-
-
-def decide_embed(lam: Partition, mu: Partition, base: int | None,
-                 node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[EmbeddingWitness | None, bool]:
-    """Embedding witness or None, plus an undecided flag.
-
-    ``base`` is the pair's common power base (or None): such pairs take the
-    exact greedy path, the others the budgeted search, whose BudgetExceeded
-    becomes the undecided flag instead of an exception.
-    """
-    if base is not None:
-        return embed_powerq(to_base_counts(lam, base), to_base_counts(mu, base)), False
-    try:
-        return embeds(lam, mu, node_budget), False
-    except BudgetExceeded:
-        return None, True

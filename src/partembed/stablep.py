@@ -25,22 +25,22 @@ be filled exactly, which is impossible when some prime divides every lam
 entry more often than every mu entry), checked on the pair as given and, for
 a power-of-q pair, on the normalized pair.
 
-This module owns the per-pair pipeline: ``relations`` and ``stable_embeds``
-decide a pair's common power base, its direct embedding and its bulk verdict
-once each, and every relation (and the CLI's ``conjecture-scan``) reads the
-same decisions.
+This module owns the per-pair pipeline: a ``Pair`` computes each fact of a
+pair once, on first use, and every relation (``relations``, ``stable_embeds``,
+``prefilter_stable`` and the CLI's ``check`` and ``conjecture-scan``) reads
+them from one ``Pair``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .core import (
     BaseMismatch,
     ContractViolation,
-    EmptyPartition,
     Partition,
     PartitionError,
     PowerPartition,
@@ -50,13 +50,15 @@ from .core import (
     product,
     to_base_counts,
 )
-from .norms import BulkVerdict, EqualityPoint, bulk_verdict, profile_poly, \
-    _eval_poly, _squarefree_part
+from .norms import BulkVerdict, EqualityPoint, dominates_all_s, exact_dominates_powerq, \
+    profile_poly, _eval_poly, _squarefree_part
 from .orders import (
     DEFAULT_NODE_BUDGET,
+    BudgetExceeded,
     EmbeddingWitness,
-    decide_embed,
+    Supermajorization,
     embed_powerq,
+    embeds,
     supermajorizes,
 )
 
@@ -111,7 +113,7 @@ class StableRefutation:
             if self.bulk.failure_x is not None and self.base is not None:
                 P = profile_poly(to_base_counts(lam, self.base), to_base_counts(mu, self.base))
                 return _eval_poly(P, self.bulk.failure_x) < 0
-            return not bulk_verdict(lam, mu, self.base).holds
+            return not Pair(lam, mu).bulk.holds
         if self.rule == NORM_EQUALITY:
             if lam == mu or self.equality is None or not self.equality.exact:
                 return False
@@ -225,36 +227,7 @@ def prefilter_stable(lam: Partition, mu: Partition) -> StableRefutation | None:
     the given pair shows no gap, (d) is applied to the normalized pair and
     its certificate records ``base``.
     """
-    base = common_power_base(lam, mu)
-    return _refute(lam, mu, base, bulk_verdict(lam, mu, base))
-
-
-def _refute(lam: Partition, mu: Partition, base: int | None,
-            bulk: BulkVerdict) -> StableRefutation | None:
-    """The rules of ``prefilter_stable``, given the pair's common power base
-    (or None) and its bulk verdict."""
-    if not bulk.holds:
-        return StableRefutation(BULK_FAILS, bulk=bulk, base=base)
-    if lam != mu:
-        for eq in bulk.interior_equalities:
-            if eq.exact:
-                return StableRefutation(NORM_EQUALITY, bulk=bulk, equality=eq, base=base)
-    normalized = None
-    if base is not None:
-        lt, mt = normalize_pair(to_base_counts(lam, base), to_base_counts(mu, base))
-        if not lt.is_empty and not mt.is_empty:
-            if mt.top_index < lt.top_index:
-                return StableRefutation(TOP_INDEX, base=base,
-                                        top_lam=lt.top_index, top_mu=mt.top_index)
-            normalized = lt, mt
-    if lam.total == mu.total:
-        ref = _valuation_gap(math.gcd(*lam.entries), math.gcd(*mu.entries))
-        if ref is None and normalized is not None:
-            # Common boxes can hide the gap (a shared unit box makes both
-            # gcds 1); the normalized pair is as stable as the given one.
-            ref = _valuation_gap(*map(_lowest_box, normalized), base=base)
-        return ref
-    return None
+    return Pair(lam, mu).refutation
 
 
 def _valuation_gap(g_lam: int, g_mu: int, base: int | None = None) -> StableRefutation | None:
@@ -378,69 +351,116 @@ def construct_nu(lam: PowerPartition, mu: PowerPartition,
     return StableVerdict(HOLDS, StableWitness(nu, w, tuple(log)), None, spent)
 
 
-def nu_order_compare(u: PowerPartition, v: PowerPartition) -> int:
-    """Catalyst quality order: span length first, then count ratios.
-
-    The key is scale-free: multiplying all counts or shifting every box up a
-    level leaves it unchanged.  Returns -1, 0, or 1.
-    """
-    if u.base != v.base:
-        raise BaseMismatch(f"bases differ: {u.base} vs {v.base}")
-    if u.is_empty or v.is_empty:
-        raise EmptyPartition("catalyst order needs nonempty operands")
-    ku = _nu_key(u)
-    kv = _nu_key(v)
-    if ku < kv:
-        return -1
-    if ku > kv:
-        return 1
-    return 0
-
-
-def _nu_key(pp: PowerPartition):
-    counts = pp.counts
-    first = next(i for i, c in enumerate(counts) if c)
-    span = len(counts) - first
-    ratios = tuple(Fraction(counts[first + k], counts[first]) for k in range(1, span))
-    return span, ratios
-
-
 def stable_embeds(lam: Partition, mu: Partition, *,
                   node_budget: int = DEFAULT_NODE_BUDGET,
                   max_steps: int | None = None) -> StableVerdict:
-    """Tri-state stable-embeddability decision.
-
-    Fast path: a direct embedding gives HOLDS with the trivial catalyst [1].
-    Then the refutation prefilters run, and for common-power-base pairs the
-    catalyst construction; pairs with no common base come back UNKNOWN since
-    no decision procedure is available for them.
-    """
-    base = common_power_base(lam, mu)
-    witness, embed_unknown = decide_embed(lam, mu, base, node_budget)
-    if witness is not None:
-        return _embeds_directly(witness)
-    return _stable_given(lam, mu, base, bulk_verdict(lam, mu, base), embed_unknown, max_steps)
+    """Tri-state stable-embeddability decision (see ``Pair.stable``)."""
+    return Pair(lam, mu, node_budget, max_steps).stable
 
 
-def _embeds_directly(witness: EmbeddingWitness) -> StableVerdict:
-    return StableVerdict(HOLDS, StableWitness(from_entries([1]), witness), None, 0)
+@dataclass(frozen=True)
+class Pair:
+    """A pair (lam, mu) and the facts its relations share, each computed on
+    first use and kept.  A pair with a common power base takes the exact paths
+    on its count vectors: the greedy embedding, the exact bulk decision and
+    the catalyst construction; any other pair the budgeted search and the
+    numeric bulk path."""
 
+    lam: Partition
+    mu: Partition
+    node_budget: int = DEFAULT_NODE_BUDGET
+    max_steps: int | None = None
 
-def _stable_given(lam: Partition, mu: Partition, base: int | None, bulk: BulkVerdict,
-                  embed_unknown: bool, max_steps: int | None) -> StableVerdict:
-    """Stable verdict for a pair with no direct embedding, given its common
-    power base (or None), its bulk verdict and whether the direct embedding
-    search ran out of budget: the refutation rules, then for a power-of-q
-    pair the catalyst construction, whose witness is already the pair's."""
-    ref = _refute(lam, mu, base, bulk)
-    if ref is not None:
-        return StableVerdict(FAILS, None, ref, 0)
-    if base is None:
-        detail = "no common power base, so no catalyst construction applies"
-        if embed_unknown:
-            detail += "; the direct embedding search also hit its budget"
-        return StableVerdict(UNKNOWN, None, None, 0, detail=detail)
-    return construct_nu(to_base_counts(lam, base), to_base_counts(mu, base), max_steps)
+    @cached_property
+    def base(self) -> int | None:
+        """The smallest common power base, or None."""
+        return common_power_base(self.lam, self.mu)
+
+    @cached_property
+    def counts(self) -> tuple[PowerPartition, PowerPartition] | None:
+        """Both sides as count vectors in ``base``, or None without a base."""
+        if self.base is None:
+            return None
+        return to_base_counts(self.lam, self.base), to_base_counts(self.mu, self.base)
+
+    @cached_property
+    def normalized(self) -> tuple[PowerPartition, PowerPartition] | None:
+        """The count vectors with their common boxes cancelled; None without a
+        base or when a side cancels away."""
+        if self.counts is None:
+            return None
+        lt, mt = normalize_pair(*self.counts)
+        return None if lt.is_empty or mt.is_empty else (lt, mt)
+
+    @cached_property
+    def embedding(self) -> tuple[EmbeddingWitness | None, bool]:
+        """Embedding witness or None, plus a flag set when the search ran out
+        of ``node_budget`` (never for a power-of-q pair)."""
+        if self.counts is not None:
+            return embed_powerq(*self.counts), False
+        try:
+            return embeds(self.lam, self.mu, self.node_budget), False
+        except BudgetExceeded:
+            return None, True
+
+    @cached_property
+    def sup(self) -> Supermajorization:
+        return supermajorizes(self.mu, self.lam)
+
+    @cached_property
+    def bulk(self) -> BulkVerdict:
+        if self.counts is not None:
+            return exact_dominates_powerq(*self.counts)
+        return dominates_all_s(self.lam, self.mu)
+
+    @cached_property
+    def refutation(self) -> StableRefutation | None:
+        """The first rule of ``prefilter_stable`` that fires, or None."""
+        lam, mu, base, bulk = self.lam, self.mu, self.base, self.bulk
+        if not bulk.holds:
+            return StableRefutation(BULK_FAILS, bulk=bulk, base=base)
+        if lam != mu:
+            for eq in bulk.interior_equalities:
+                if eq.exact:
+                    return StableRefutation(NORM_EQUALITY, bulk=bulk, equality=eq, base=base)
+        normalized = self.normalized
+        if normalized is not None:
+            lt, mt = normalized
+            if mt.top_index < lt.top_index:
+                return StableRefutation(TOP_INDEX, base=base,
+                                        top_lam=lt.top_index, top_mu=mt.top_index)
+        if lam.total != mu.total:
+            return None
+        ref = _valuation_gap(math.gcd(*lam.entries), math.gcd(*mu.entries))
+        if ref is None and normalized is not None:
+            # Common boxes can hide the gap (a shared unit box makes both
+            # gcds 1); the normalized pair is as stable as the given one.
+            ref = _valuation_gap(*map(_lowest_box, normalized), base=base)
+        return ref
+
+    @cached_property
+    def catalyst(self) -> StableVerdict:
+        """Stable verdict without the direct embedding: the refutation rules,
+        then for a power-of-q pair the catalyst construction, whose witness is
+        already the pair's."""
+        if self.refutation is not None:
+            return StableVerdict(FAILS, None, self.refutation, 0)
+        if self.counts is None:
+            return StableVerdict(UNKNOWN, None, None, 0,
+                                 detail="no common power base, so no catalyst construction applies")
+        return construct_nu(*self.counts, self.max_steps)
+
+    @cached_property
+    def stable(self) -> StableVerdict:
+        """A direct embedding gives HOLDS with the trivial catalyst [1];
+        otherwise the ``catalyst`` verdict."""
+        witness, undecided = self.embedding
+        if witness is not None:
+            return StableVerdict(HOLDS, StableWitness(from_entries([1]), witness), None, 0)
+        if undecided and self.refutation is None:
+            return replace(self.catalyst, detail=f"{self.catalyst.detail}; the direct embedding "
+                                                 "search also hit its budget")
+        return self.catalyst
 
 
 @dataclass
@@ -465,21 +485,16 @@ def relations(lam: Partition, mu: Partition, *,
               max_steps: int | None = None) -> RelationReport:
     """Compute all four relations and enforce the implication diagram.
 
-    The common power base, the direct embedding and the bulk verdict are
-    decided once and shared by every relation; power-of-q pairs take the
-    exact paths for embedding and bulk.  BudgetExceeded is reported as an
-    undecided field, never raised.  Diagram violations (embeds without
-    supermajorization, and so on) are internal errors and raise RuntimeError.
+    Every relation reads the same ``Pair``, so the pair's base, count vectors,
+    direct embedding and bulk verdict are computed once.  BudgetExceeded is
+    reported as an undecided field, never raised.  Diagram violations (embeds
+    without supermajorization, and so on) are internal errors and raise
+    RuntimeError.
     """
-    base = common_power_base(lam, mu)
-    witness, emb_unknown = decide_embed(lam, mu, base, node_budget)
+    pair = Pair(lam, mu, node_budget, max_steps)
+    witness, emb_unknown = pair.embedding
     emb = None if emb_unknown else witness is not None
-    sup = supermajorizes(mu, lam)
-    bulk = bulk_verdict(lam, mu, base)
-    if witness is not None:
-        stable = _embeds_directly(witness)
-    else:
-        stable = _stable_given(lam, mu, base, bulk, emb_unknown, max_steps)
+    sup, bulk, stable = pair.sup, pair.bulk, pair.stable
 
     if emb is True:
         if not sup.holds:
@@ -498,5 +513,5 @@ def relations(lam: Partition, mu: Partition, *,
         supermajorization_failing_x=sup.failing_x,
         stable=stable,
         bulk=bulk,
-        base=base,
+        base=pair.base,
     )

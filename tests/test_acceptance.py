@@ -18,14 +18,18 @@ from partembed.norms import (
     norm_profile,
     _default_tol,
 )
-from partembed.oracle import brute_embed, brute_stable_search, brute_supermajorize
+from partembed.oracle import (
+    brute_embed,
+    brute_stable_search,
+    brute_supermajorize,
+    nu_order_compare,
+)
 from partembed.orders import embed_powerq, embeds, first_fit, supermajorizes
 from partembed.stablep import (
     FAILS,
     HOLDS,
     construct_nu,
     normalize_pair,
-    nu_order_compare,
     prefilter_stable,
     stable_embeds,
 )

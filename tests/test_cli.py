@@ -200,6 +200,7 @@ class TestGen:
         ("random", "--len", "0"),
         ("random", "--max", "0"),
         ("divisible", "--max", "0"),
+        ("random", "--count", "-3"),
     ], ids="_".join)
     def test_bad_options_exit_64(self, capsys, argv):
         with pytest.raises(SystemExit) as e:

@@ -1,6 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
+
+import partembed.oracle
 
 from partembed.core import from_entries
 from partembed.oracle import (
@@ -14,6 +18,14 @@ from partembed.oracle import (
 from partembed.orders import embeds, supermajorizes
 from partembed.stablep import FAILS, stable_embeds
 from helpers import LAM1, LAM3, MU1, MU2, MU4, random_partition
+
+
+def test_oracle_imports_only_core():
+    # The references depend on nothing they check.
+    tree = ast.parse(Path(partembed.oracle.__file__).read_text(encoding="utf-8"))
+    package_imports = {node.module for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) and node.level}
+    assert package_imports == {"core"}
 
 
 class TestBruteEmbed:

@@ -18,7 +18,6 @@ from partembed.orders import (
     embed_powerq,
     embeds,
     first_fit,
-    is_divisible_chain,
     supermajorizes,
 )
 from partembed import orders, stablep
@@ -87,19 +86,6 @@ class TestSupermajorizes:
             res = supermajorizes(mu, lam)
             assert res.failing_x == (failing[0] if failing else None)
             assert res.holds == (res.failing_x is None) == brute_supermajorize(mu, lam)
-
-
-class TestDivisibleChain:
-    def test_examples(self):
-        assert is_divisible_chain(from_entries([4, 2, 2, 1]))
-        assert not is_divisible_chain(from_entries([6, 4]))
-        assert is_divisible_chain(from_entries([1]))
-
-    def test_power_of_base_is_chain(self):
-        rng = random.Random(31)
-        for _ in range(10):
-            pp = random_powerq(rng, base=rng.choice([2, 3]))
-            assert is_divisible_chain(from_base_counts(pp))
 
 
 class TestFirstFit:

@@ -9,13 +9,13 @@ power-of-2/3 pairs go through the embedding, bulk and refutation decisions
 from hypothesis import given, settings, strategies as st
 
 from partembed.core import PowerPartition, from_base_counts, from_entries, product
-from partembed.norms import bulk_verdict
 from partembed.oracle import brute_embed, brute_supermajorize
-from partembed.orders import decide_embed, supermajorizes
+from partembed.orders import supermajorizes
 from partembed.stablep import (
     BULK_FAILS,
     FAILS,
     HOLDS,
+    Pair,
     StableRefutation,
     prefilter_stable,
     relations,
@@ -30,8 +30,7 @@ partitions = st.lists(st.integers(1, 24), min_size=1, max_size=6).map(from_entri
 def powerq_pairs(draw):
     base = draw(st.sampled_from([2, 3]))
     counts = st.lists(st.integers(0, 6), min_size=1, max_size=5).filter(lambda c: c[-1])
-    lam, mu = (PowerPartition(base, tuple(draw(counts))) for _ in range(2))
-    return base, from_base_counts(lam), from_base_counts(mu)
+    return tuple(from_base_counts(PowerPartition(base, tuple(draw(counts)))) for _ in range(2))
 
 
 def tail_fails(mu, lam, x: int) -> bool:
@@ -62,21 +61,22 @@ def test_general_pair_verdicts_are_certified(lam, mu):
 
 @SWEEP
 @given(powerq_pairs())
-def test_powerq_pair_verdicts_are_certified(pair):
-    base, lam, mu = pair
-    witness, undecided = decide_embed(lam, mu, base)
+def test_powerq_pair_verdicts_are_certified(sides):
+    lam, mu = sides
+    pair = Pair(lam, mu)
+    witness, undecided = pair.embedding
     assert not undecided
     sup = supermajorizes(mu, lam)
     if witness is not None:
         assert witness.validate(lam, mu) and sup.holds
     if not sup.holds:
         assert tail_fails(mu, lam, sup.failing_x)
-    bulk = bulk_verdict(lam, mu, base)
+    bulk = pair.bulk
     if sup.holds:
         assert bulk.holds
     if not bulk.holds:
         assert bulk.failure_x is not None
-        assert StableRefutation(BULK_FAILS, bulk=bulk, base=base).verify(lam, mu)
+        assert StableRefutation(BULK_FAILS, bulk=bulk, base=pair.base).verify(lam, mu)
     ref = prefilter_stable(lam, mu)
     assert (ref is not None and ref.rule == BULK_FAILS) == (not bulk.holds)
     if ref is not None:

@@ -8,6 +8,7 @@ import pytest
 import partembed.core
 import partembed.norms
 import partembed.orders
+from partembed import cli
 from partembed.core import (
     BaseMismatch,
     ContractViolation,
@@ -29,11 +30,11 @@ from partembed.stablep import (
     StableRefutation,
     construct_nu,
     normalize_pair,
-    nu_order_compare,
     prefilter_stable,
     relations,
     stable_embeds,
 )
+from partembed.oracle import nu_order_compare
 from helpers import LAM1, LAM2, LAM3, MU1, MU3, MU4, random_powerq
 
 
@@ -265,6 +266,14 @@ class TestStableEmbeds:
         assert verdict.status == UNKNOWN
         assert verdict.detail
 
+    def test_unknown_names_the_exhausted_search(self):
+        # [3,3,3] passes the search's pre-checks into [5,5], so a budget of 0
+        # nodes runs out; no refutation applies and there is no common base.
+        verdict = stable_embeds(from_entries([3, 3, 3]), from_entries([5, 5]), node_budget=0)
+        assert verdict.status == UNKNOWN and verdict.reason is None
+        assert verdict.detail == ("no common power base, so no catalyst construction applies; "
+                                  "the direct embedding search also hit its budget")
+
     def test_norm_equality_refutation(self):
         verdict = stable_embeds(LAM2, MU3)
         assert verdict.status == FAILS
@@ -334,8 +343,13 @@ def count_calls(monkeypatch, fn) -> _Calls:
     return counter
 
 
+# A base-2 pair and a pair with no common base, neither embedding.
+CHECK_PAIRS = [("[2,2,2,2]", "[4,1,1,1,1,1,1,1,1]"), ("[3,3,3]", "[5,5]")]
+
+
 class TestOneDecisionPerPair:
-    """relations() decides the base and the bulk verdict once and shares them."""
+    """Each relation reads one Pair: its base, count vectors and bulk verdict
+    are computed once, and only the facts the relation needs."""
 
     @pytest.mark.parametrize("lam, mu", [
         (from_entries([3, 3, 3]), from_entries([5, 5])),  # no common base, stable UNKNOWN
@@ -363,3 +377,32 @@ class TestOneDecisionPerPair:
         assert report.stable.status == HOLDS
         assert products.n == 2
         assert embeds_q.n == 2
+
+    def test_count_vectors_built_once(self, monkeypatch):
+        # Two for the pair's sides, two for the catalyst's products.
+        conversions = count_calls(monkeypatch, partembed.core.to_base_counts)
+        report = relations(from_base_counts(PowerPartition(2, (0, 4))),
+                           from_base_counts(PowerPartition(2, (5, 0, 1))))
+        assert report.stable.status == HOLDS
+        assert conversions.n == 4
+
+    @pytest.mark.parametrize("lhs, rhs", CHECK_PAIRS)
+    def test_check_embed_makes_no_bulk_decision(self, monkeypatch, capsys, lhs, rhs):
+        numeric = count_calls(monkeypatch, partembed.norms.dominates_all_s)
+        exact = count_calls(monkeypatch, partembed.norms.exact_dominates_powerq)
+        assert cli.main(["check", "embed", "--lhs", lhs, "--rhs", rhs]) == 1
+        assert numeric.n + exact.n == 0
+
+    @pytest.mark.parametrize("lhs, rhs", CHECK_PAIRS)
+    def test_check_bulk_makes_no_embedding_call(self, monkeypatch, capsys, lhs, rhs):
+        search = count_calls(monkeypatch, partembed.orders.embeds)
+        greedy = count_calls(monkeypatch, partembed.orders.embed_powerq)
+        assert cli.main(["check", "bulk", "--lhs", lhs, "--rhs", rhs]) == 0
+        assert search.n + greedy.n == 0
+
+    @pytest.mark.parametrize("relation", ["embed", "supermajorize", "bulk", "stable", "all"])
+    @pytest.mark.parametrize("lhs, rhs", CHECK_PAIRS)
+    def test_check_finds_the_base_at_most_once(self, monkeypatch, capsys, relation, lhs, rhs):
+        base = count_calls(monkeypatch, partembed.core.common_power_base)
+        cli.main(["check", relation, "--lhs", lhs, "--rhs", rhs, "--json"])
+        assert base.n <= 1

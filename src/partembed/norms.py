@@ -12,11 +12,12 @@ Two decision paths are provided.  The numeric path samples f in very high
 precision on a provably sufficient interval and refines sign changes and
 near-zero minima.  For partitions whose entries are powers of one base q the
 substitution x = q**s turns f into an integer polynomial P(x), and dominance
-on [q, oo) is decided exactly with rational arithmetic (Sturm chains for root
-isolation, gap sign samples to separate touch roots from crossings).  Interior
-equality points discovered this way are certified by isolating intervals;
-numeric ones are only flagged, never trusted as refutations.  ``stablep.Pair``
-picks the path for a pair.
+on [q, oo) is decided exactly: the square-free part and the Sturm chain are
+pseudo-remainder sequences in integers, and their evaluations at rational
+points (root isolation, gap sign samples that tell touch roots from
+crossings) are exact.  Interior equality points discovered this way are
+certified by isolating intervals; numeric ones are only flagged, never
+trusted as refutations.  ``stablep.Pair`` picks the path for a pair.
 """
 
 from __future__ import annotations
@@ -352,79 +353,78 @@ def _deriv(p: list) -> list:
     return _trim([i * c for i, c in enumerate(p)][1:])
 
 
-def _poly_divmod(num: list, den: list):
-    """Quotient and remainder over the rationals; den must be nonzero."""
-    num = [Fraction(c) for c in num]
-    den = [Fraction(c) for c in den]
-    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    while num and len(num) >= len(den):
+def _primitive_keep_sign(p: list[int]) -> list[int]:
+    """Divide by the positive content only (sign pattern must survive)."""
+    g = math.gcd(*p) or 1
+    return [c // g for c in p]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A positive integer multiple of the remainder of a by the nonzero b over
+    the rationals: with lc(b) > 0 (negating b keeps the remainder), each step
+    scales r by lc(b) / gcd(lc(r), lc(b)) > 0, then cancels its top term."""
+    if b[-1] < 0:
+        b = [-c for c in b]
+    lb = b[-1]
+    r = list(a)
+    while len(r) >= len(b):
+        g = math.gcd(r[-1], lb)
+        f, m = r[-1] // g, lb // g
+        r = [m * c for c in r]
+        shift = len(r) - len(b)
+        for i, c in enumerate(b):
+            r[shift + i] -= f * c
+        r.pop()
+        _trim(r)
+    return r
+
+
+def _exact_quotient(num: list[int], den: list[int]) -> list[int] | None:
+    """num / den over the integers, or None when den does not divide num (a
+    primitive divisor over the rationals divides over the integers: Gauss)."""
+    num = list(num)
+    quot = [0] * max(0, len(num) - len(den) + 1)
+    while len(num) >= len(den):
+        f, rest = divmod(num[-1], den[-1])
+        if rest:
+            return None
         shift = len(num) - len(den)
-        f = num[-1] / den[-1]
         quot[shift] = f
         for i, c in enumerate(den):
             num[shift + i] -= f * c
         num.pop()
-        _trim(num)
-    return _trim(quot), num
+    return None if any(num) else quot
 
 
-def _primitive(p: list) -> list:
-    """Scale to a primitive integer polynomial with positive leading coefficient."""
-    ints = _primitive_keep_sign(p)
-    if ints and ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
-
-
-def _primitive_keep_sign(p: list) -> list:
-    """Divide by the positive content only (sign pattern must survive)."""
-    if not p:
-        return []
-    fracs = [Fraction(c) for c in p]
-    # Unpack lists, not generators: CPython builds the argument tuple of a
-    # generator in a 10-slot tuple and resizes it, so every call moves a tuple
-    # into the free list of another size; over a few thousand calls those
-    # free lists hold about 4 MB until a full garbage collection.
-    denom = math.lcm(*[c.denominator for c in fracs])
-    ints = [int(c * denom) for c in fracs]
-    g = math.gcd(*[abs(c) for c in ints])
-    return [c // g for c in ints]
-
-
-def _poly_gcd(a: list, b: list) -> list:
-    """Primitive integer gcd (positive leading coefficient)."""
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
+def _squarefree_part(p: list[int]) -> list[int]:
+    """p / gcd(p, p'), primitive with positive leading coefficient; the gcd
+    comes from a primitive pseudo-remainder sequence (Collins 1967)."""
+    a, b = _primitive_keep_sign(p), _primitive_keep_sign(_deriv(p))
     while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    return _primitive(a)
-
-
-def _squarefree_part(p: list) -> list:
-    g = _poly_gcd(p, _deriv(p))
-    if len(g) <= 1:
-        return _primitive(p)
-    quot, rem = _poly_divmod(p, g)
-    if rem:
+        a, b = b, _primitive_keep_sign(_pseudo_remainder(a, b))
+    quot = p if len(a) <= 1 else _exact_quotient(p, a)
+    if quot is None:
         raise AssertionError("gcd does not divide its polynomial")
-    return _primitive(quot)
+    quot = _primitive_keep_sign(quot)
+    return [-c for c in quot] if quot and quot[-1] < 0 else quot
 
 
-def _deflate(p: list, root: Fraction) -> list:
-    """Exact division by (x - root)."""
-    quot, rem = _poly_divmod(p, [-root, Fraction(1)])
-    if rem:
+def _deflate(p: list[int], root: Fraction) -> list[int]:
+    """Exact division by d*x - n for root = n/d, sign kept."""
+    quot = _exact_quotient(p, [-root.numerator, root.denominator])
+    if quot is None:
         raise AssertionError(f"{root} is not a root")
     return _primitive_keep_sign(quot)
 
 
-def _sturm_chain(p: list) -> list[list[int]]:
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """p, p' and the negated remainders, each primitive with its sign kept."""
     chain = [_primitive_keep_sign(p)]
     d = _deriv(p)
     if d:
         chain.append(_primitive_keep_sign(d))
     while len(chain) >= 2:
-        rem = _poly_divmod(chain[-2], chain[-1])[1]
+        rem = _pseudo_remainder(chain[-2], chain[-1])
         if not rem:
             break
         chain.append(_primitive_keep_sign([-c for c in rem]))
@@ -556,9 +556,7 @@ def exact_dominates_powerq(lam: PowerPartition, mu: PowerPartition) -> BulkVerdi
         raise BaseMismatch(f"bases differ: {lam.base} vs {mu.base}")
     q = lam.base
     P = profile_poly(lam, mu)
-    tight_inf = (not lam.is_empty and not mu.is_empty and lam.top_index == mu.top_index) or (
-        lam.is_empty and mu.is_empty
-    )
+    tight_inf = len(lam.counts) == len(mu.counts)  # same top box, or both empty
     if not P:
         return BulkVerdict(holds=True, tight_at_one=True, tight_at_infinity=True)
 

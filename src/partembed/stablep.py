@@ -262,7 +262,12 @@ def construct_nu(lam: PowerPartition, mu: PowerPartition,
     iteration halts exactly on stable pairs, so slow halting and divergence
     cannot be told apart within a budget.
     """
-    lt, mt = normalize_pair(lam, mu)
+    return _construct_nu(lam, mu, *normalize_pair(lam, mu), max_steps)
+
+
+def _construct_nu(lam: PowerPartition, mu: PowerPartition, lt: PowerPartition,
+                  mt: PowerPartition, max_steps: int | None) -> StableVerdict:
+    """``construct_nu`` on a pair whose normalized pair (lt, mt) is known."""
     q = lam.base
     if lt.is_empty:
         return StableVerdict(HOLDS, StableWitness(from_entries([1]), embed_powerq(lam, mu)),
@@ -385,12 +390,9 @@ class Pair:
 
     @cached_property
     def normalized(self) -> tuple[PowerPartition, PowerPartition] | None:
-        """The count vectors with their common boxes cancelled; None without a
-        base or when a side cancels away."""
-        if self.counts is None:
-            return None
-        lt, mt = normalize_pair(*self.counts)
-        return None if lt.is_empty or mt.is_empty else (lt, mt)
+        """The count vectors with their common boxes cancelled, either side
+        possibly empty; None without a base."""
+        return None if self.counts is None else normalize_pair(*self.counts)
 
     @cached_property
     def embedding(self) -> tuple[EmbeddingWitness | None, bool]:
@@ -424,6 +426,9 @@ class Pair:
                 if eq.exact:
                     return StableRefutation(NORM_EQUALITY, bulk=bulk, equality=eq, base=base)
         normalized = self.normalized
+        if normalized is not None and normalized[0].is_empty:
+            # lam cancels away; mu keeps boxes whenever lam does, as bulk holds
+            normalized = None
         if normalized is not None:
             lt, mt = normalized
             if mt.top_index < lt.top_index:
@@ -448,7 +453,7 @@ class Pair:
         if self.counts is None:
             return StableVerdict(UNKNOWN, None, None, 0,
                                  detail="no common power base, so no catalyst construction applies")
-        return construct_nu(*self.counts, self.max_steps)
+        return _construct_nu(*self.counts, *self.normalized, self.max_steps)
 
     @cached_property
     def stable(self) -> StableVerdict:

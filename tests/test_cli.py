@@ -239,6 +239,10 @@ class TestConjectureScan:
 
 
 GOLDEN = Path(__file__).parent / "golden"
+TOUCH_PAIRS = (
+    ("4_20", [0, 3200, 240, 0, 24, 8], [6400, 0, 0, 320, 0, 0, 1]),
+    ("10by3_8", [0, 5440, 0, 204], [6400, 0, 1636, 0, 9]),
+)
 GOLDEN_QUERIES = {
     "all-2222-4_1x8": ("all", "[2,2,2,2]", "[4,1,1,1,1,1,1,1,1]"),
     "all-8x4_4x4-16_2x16_1x16": ("all", "[8,8,8,8,4,4,4,4]",
@@ -252,6 +256,13 @@ GOLDEN_QUERIES = {
     # and the printed hint pins the bits of its samples.
     "bulk-24x4_12x4-48_6x16_3x16": ("bulk", "[24,24,24,24,12,12,12,12]",
                                     json.dumps([48] + [6] * 16 + [3] * 16)),
+    # Base-2 count pairs whose P(x) has two double roots past x = 2, so bulk
+    # holds with two exact equalities and the printed x_interval bounds pin
+    # the root refinement: P = (x-4)^2 (x^2-20)^2 and P = (3x-10)^2 (x-8)^2.
+    **{f"{relation}-touch-{name}": (relation, json.dumps({"base": 2, "counts": lhs}),
+                                     json.dumps({"base": 2, "counts": rhs}))
+       for relation in ("bulk", "all")
+       for name, lhs, rhs in TOUCH_PAIRS},
 }
 
 

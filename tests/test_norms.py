@@ -14,9 +14,11 @@ from partembed.norms import (
     norm_profile,
     p_norm,
     power_sum,
+    _deflate,
     _eval_poly,
     _isolate_roots,
     _squarefree_part,
+    _sturm_chain,
     _variations,
 )
 from partembed.core import InvalidExponent
@@ -305,6 +307,105 @@ class TestRootIsolation:
         a, b = intervals[0]
         assert not (a <= Fraction(9, 2) <= b)
         assert a * a < 5 < b * b  # still contains sqrt(5)
+
+
+# A reference for the integer polynomial algebra: long division and Euclid's
+# gcd over the rationals, written here so the oracle shares no code with it.
+def _ref_divmod(num, den):
+    num = [Fraction(c) for c in num]
+    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
+    while num and len(num) >= len(den):
+        shift = len(num) - len(den)
+        f = num[-1] / den[-1]
+        quot[shift] = f
+        for i, c in enumerate(den):
+            num[shift + i] -= f * c
+        while num and num[-1] == 0:
+            num.pop()
+    return quot, num
+
+
+def _ref_integer(p):
+    """The primitive integer polynomial that is a positive multiple of p."""
+    denom = math.lcm(*(Fraction(c).denominator for c in p))
+    ints = [int(Fraction(c) * denom) for c in p]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _ref_squarefree(p):
+    a, b = [Fraction(c) for c in p], [i * c for i, c in enumerate(p)][1:]
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    sf = _ref_integer(_ref_divmod(p, a)[0])
+    return sf if sf[-1] > 0 else [-c for c in sf]
+
+
+def _ref_sturm(p):
+    chain = [p, [i * c for i, c in enumerate(p)][1:]]
+    while True:
+        rem = _ref_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            return [_ref_integer(m) for m in chain]
+        chain.append([-c for c in rem])
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _integer_polys(n, seed=12):
+    """Integer polynomials of degree 1..12 built from linear factors d*x - c
+    (rational roots) and quadratics, many of them repeated, times a content."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        poly, roots = [rng.choice([-3, -1, 1, 2])], []
+        target = rng.randint(1, 12)
+        while len(poly) - 1 < target:
+            if rng.random() < 0.6:
+                d, c = rng.randint(1, 4), rng.randint(-12, 12)
+                factor = [-c, d]
+                roots.append(Fraction(c, d))
+            else:
+                factor = [rng.randint(-20, 20), rng.randint(-5, 5), rng.choice([-2, 1, 3])]
+            for _ in range(rng.choice([1, 1, 2, 3])):
+                if len(poly) + len(factor) - 2 <= 12:
+                    poly = _poly_mul(poly, factor)
+        yield poly, roots
+
+
+class TestIntegerAlgebra:
+    POLYS = list(_integer_polys(300))
+
+    def test_sweep_has_repeated_factors_and_rational_roots(self):
+        repeated = sum(len(_ref_squarefree(p)) < len(p) for p, _ in self.POLYS)
+        assert repeated > 100
+        assert sum(bool(roots) for _, roots in self.POLYS) > 150
+        assert max(len(p) for p, _ in self.POLYS) == 13
+
+    def test_squarefree_part_matches_rational_reference(self):
+        for p, _ in self.POLYS:
+            assert _squarefree_part(p) == _ref_squarefree(p), p
+
+    def test_sturm_chain_matches_rational_reference(self):
+        for p, _ in self.POLYS:
+            assert _sturm_chain(p) == _ref_sturm(p), p
+            sf = _ref_squarefree(p)
+            assert _sturm_chain(sf) == _ref_sturm(sf), sf
+
+    def test_deflate_matches_rational_reference(self):
+        for p, roots in self.POLYS:
+            for root in roots:
+                quot, rem = _ref_divmod(p, [-root, 1])
+                assert not rem
+                assert _deflate(p, root) == _ref_integer(quot), (p, root)
+            if _eval_poly(p, Fraction(1, 7)) != 0:
+                with pytest.raises(AssertionError):
+                    _deflate(p, Fraction(1, 7))
 
 
 class TestExactPathMixedRoots:

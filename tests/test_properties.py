@@ -4,7 +4,11 @@ Hypothesis runs derandomized and without an example database, so the same
 examples run every time.  General pairs go through ``relations``; count-form
 power-of-2/3 pairs go through the embedding, bulk and refutation decisions
 (the catalyst construction is left out: its catalysts can outgrow memory).
+Smaller power-of-2/3 pairs, padded on both sides with the same boxes, go
+through the full stable decision, catalyst construction included.
 """
+
+from itertools import zip_longest
 
 from hypothesis import given, settings, strategies as st
 
@@ -81,3 +85,44 @@ def test_powerq_pair_verdicts_are_certified(sides):
     assert (ref is not None and ref.rule == BULK_FAILS) == (not bulk.holds)
     if ref is not None:
         assert ref.verify(lam, mu)
+
+
+@st.composite
+def padded_powerq_pairs(draw):
+    """Two count vectors in one base and a vector of common boxes to add to
+    both.  The vectors have up to three levels, or are a boxes of size q
+    against one box gap levels higher plus unit boxes making up lam's total
+    and slack more, a pair that needs a catalyst unless slack is 0."""
+    base = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        counts = st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(lambda c: c[-1])
+        u, v = draw(counts), draw(counts)
+    else:
+        gap, excess, slack = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(0, 2))
+        a = base**gap + excess
+        u, v = [0, a], [a * base - base ** (1 + gap) + slack] + [0] * gap + [1]
+    pad = st.lists(st.integers(0, 2), min_size=1, max_size=4).filter(lambda c: c[-1])
+    return base, u, v, draw(pad)
+
+
+def assert_certified(verdict, lam, mu):
+    if verdict.status == HOLDS:
+        nu = verdict.witness.nu
+        assert verdict.witness.embedding.validate(product(lam, nu), product(mu, nu))
+    elif verdict.status == FAILS:
+        assert verdict.reason.verify(lam, mu)
+
+
+@SWEEP
+@given(padded_powerq_pairs())
+def test_stable_status_survives_common_boxes(case):
+    base, u, v, pad = case
+    lam, mu = (from_base_counts(PowerPartition(base, tuple(c)))
+               for c in (u, v))
+    lam_p, mu_p = (from_base_counts(PowerPartition(base, tuple(
+        a + b for a, b in zip_longest(c, pad, fillvalue=0)))) for c in (u, v))
+    plain = Pair(lam, mu, max_steps=300).stable
+    padded = Pair(lam_p, mu_p, max_steps=300).stable
+    assert plain.status == padded.status, (base, u, v, pad)
+    assert_certified(plain, lam, mu)
+    assert_certified(padded, lam_p, mu_p)

@@ -27,6 +27,7 @@ from partembed.stablep import (
     TIGHT_VALUATION,
     TOP_INDEX,
     UNKNOWN,
+    Pair,
     StableRefutation,
     construct_nu,
     normalize_pair,
@@ -385,6 +386,21 @@ class TestOneDecisionPerPair:
                            from_base_counts(PowerPartition(2, (5, 0, 1))))
         assert report.stable.status == HOLDS
         assert conversions.n == 4
+
+    def test_catalyst_pair_normalized_once(self, monkeypatch):
+        # The refutation rules and the catalyst construction share one
+        # normalization of the count vectors.
+        normalizations = count_calls(monkeypatch, normalize_pair)
+        report = relations(from_base_counts(PowerPartition(2, (0, 4))),
+                           from_base_counts(PowerPartition(2, (5, 0, 1))))
+        assert report.stable.status == HOLDS
+        assert normalizations.n == 1
+
+    @pytest.mark.parametrize("lam, mu", [([2], [2, 1]), ([4, 2], [4, 2])])
+    def test_catalyst_when_lam_cancels_away(self, lam, mu):
+        verdict = Pair(from_entries(lam), from_entries(mu)).catalyst
+        assert verdict.status == HOLDS
+        assert verdict.witness.nu == from_entries([1])
 
     @pytest.mark.parametrize("lhs, rhs", CHECK_PAIRS)
     def test_check_embed_makes_no_bulk_decision(self, monkeypatch, capsys, lhs, rhs):

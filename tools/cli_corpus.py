@@ -12,10 +12,15 @@ files mean the two programs print the same bytes and exit codes.
 The query list is fixed: the first 300 seed-1 queries of ``general-mix`` and
 ``powerq-mix`` re-asked as every relation with and without ``--json`` (deep
 ``powerq-mix`` pairs, which ask ``check bulk``, only as embed, supermajorize
-and bulk), the first 400 ``binpack-hard`` queries as they are (node budget
+and bulk), the first 100 seed-7 deep ``powerq-mix`` pairs as ``check bulk
+--json`` (57 of them reach the exact path's Sturm root isolation; none has a
+root past q), the first 400 ``binpack-hard`` queries as they are (node budget
 2000) and again with ``--budget 500``, so that which searches run out of
 budget is pinned at two budgets, both forms of ``repro-example24``, the
-pairs pinned by ``tests/golden`` under every relation, the first 100 ``powerq-mix`` catalyst-family pairs with one box
+``PAIRS`` below (those pinned by ``tests/golden``, among them two base-2
+count pairs with two touch roots each, which reach the root refinement)
+under every relation, the first 100
+``powerq-mix`` catalyst-family pairs with one box
 added at every level up to mu's top on both sides (so normalization cancels
 something) as stable and all, ``conjecture-scan`` over ``tools/scan_corpus.ndjson``
 with and without ``--json`` and ``--max-steps 3``, and a few queries with an
@@ -62,6 +67,11 @@ PAIRS = (
     SCALED_TOUCH,
     # f dips below 0 only near s = 3.83, between the samples of a coarse grid.
     ("[30,25]", "[31,22,13,9,1]"),
+    # Base-2 count pairs with two touch roots each, which the exact path
+    # refines to printed x_intervals: P = (x-4)^2 (x^2-20)^2 and
+    # P = (3x-10)^2 (x-8)^2.
+    ('{"base":2,"counts":[0,3200,240,0,24,8]}', '{"base":2,"counts":[6400,0,0,320,0,0,1]}'),
+    ('{"base":2,"counts":[0,5440,0,204]}', '{"base":2,"counts":[6400,0,1636,0,9]}'),
 )
 # Option range checks; --tol and --grid are no longer options, so their
 # queries pin that both are usage errors.
@@ -108,6 +118,9 @@ def queries() -> list[list[str]]:
         out += ask(query, RELATIONS)
     for query in islice(workloads.powerq_mix(1), 300):
         out += ask(query, RELATIONS[:3] if query.relation == "bulk" else RELATIONS)
+    deep = (query for query in workloads.powerq_mix(7) if query.relation == "bulk")
+    out += [["check", "bulk", "--lhs", json.dumps(query.lhs), "--rhs", json.dumps(query.rhs),
+             "--json"] for query in islice(deep, 100)]
     binpack = list(islice(workloads.binpack_hard(1), 400))
     out += [query.argv() for query in binpack]
     out += [replace(query, extra_args=("--budget", "500")).argv() for query in binpack]

@@ -13,11 +13,12 @@ precision on a provably sufficient interval and refines sign changes and
 near-zero minima.  For partitions whose entries are powers of one base q the
 substitution x = q**s turns f into an integer polynomial P(x), and dominance
 on [q, oo) is decided exactly: the square-free part and the Sturm chain are
-pseudo-remainder sequences in integers, and their evaluations at rational
-points (root isolation, gap sign samples that tell touch roots from
-crossings) are exact.  Interior equality points discovered this way are
-certified by isolating intervals; numeric ones are only flagged, never
-trusted as refutations.  ``stablep.Pair`` picks the path for a pair.
+pseudo-remainder sequences in integers, and every sign taken at a rational
+point n/d (root isolation, gap sign samples that tell touch roots from
+crossings) is the sign of the integer d**deg * P(n/d).  Interior equality
+points discovered this way are certified by isolating intervals; numeric
+ones are only flagged, never trusted as refutations.  ``stablep.Pair`` picks
+the path for a pair.
 """
 
 from __future__ import annotations
@@ -343,9 +344,22 @@ def _trim(p: list) -> list:
 
 
 def _eval_poly(p: list, x):
+    """p(x) in the arithmetic of x: the plain reference certificates are
+    checked with; the decision path takes its signs from ``_scaled_eval``."""
     acc = 0
     for c in reversed(p):
         acc = acc * x + c
+    return acc
+
+
+def _scaled_eval(p: list[int], x: Fraction) -> int:
+    """d**deg(p) * p(n/d) for x = n/d, d > 0: the sign of p(x), and 0 exactly
+    where p(x) is 0, by a homogeneous Horner loop over plain integers."""
+    n, d = x.numerator, x.denominator
+    acc, scale = 0, 1
+    for c in reversed(p):
+        acc = acc * n + c * scale
+        scale *= d
     return acc
 
 
@@ -461,7 +475,7 @@ def _isolate_roots(S: list[int], lo: Fraction, hi: Fraction):
     """
     S = list(S)
     exact: list[Fraction] = []
-    while len(S) > 1 and _eval_poly(S, lo) == 0:
+    while len(S) > 1 and _scaled_eval(S, lo) == 0:
         S = _deflate(S, lo)
     while True:
         if len(S) <= 1:
@@ -469,7 +483,7 @@ def _isolate_roots(S: list[int], lo: Fraction, hi: Fraction):
         chain = _sturm_chain(S)
 
         def var_at(x: Fraction) -> int:
-            return _variations(_eval_poly(p, x) for p in chain)
+            return _variations(_scaled_eval(p, x) for p in chain)
 
         intervals: list[tuple[Fraction, Fraction]] = []
         try:
@@ -480,14 +494,14 @@ def _isolate_roots(S: list[int], lo: Fraction, hi: Fraction):
                 if k <= 0:
                     continue
                 if k == 1:
-                    sa = _eval_poly(S, a)
-                    sb = _eval_poly(S, b)
+                    sa = _scaled_eval(S, a)
+                    sb = _scaled_eval(S, b)
                     if sa * sb >= 0:
                         raise AssertionError("isolated interval without sign change")
                     intervals.append((a, b))
                     continue
                 mid = (a + b) / 2
-                if _eval_poly(S, mid) == 0:
+                if _scaled_eval(S, mid) == 0:
                     raise _RationalRoot(mid)
                 vm = var_at(mid)
                 stack.append((a, mid, va, vm))
@@ -499,10 +513,10 @@ def _isolate_roots(S: list[int], lo: Fraction, hi: Fraction):
             for a, b in intervals:
                 while any(a <= r <= b for r in exact):
                     mid = (a + b) / 2
-                    sm = _eval_poly(S, mid)
+                    sm = _scaled_eval(S, mid)
                     if sm == 0:
                         raise _RationalRoot(mid)
-                    if (sm > 0) == (_eval_poly(S, a) > 0):
+                    if (sm > 0) == (_scaled_eval(S, a) > 0):
                         a = mid
                     else:
                         b = mid
@@ -516,10 +530,10 @@ def _isolate_roots(S: list[int], lo: Fraction, hi: Fraction):
 
 def _refine_root_interval(S: list[int], a: Fraction, b: Fraction, width: Fraction):
     """Shrink a sign-change interval of S by bisection to the requested width."""
-    sa = _eval_poly(S, a)
+    sa = _scaled_eval(S, a)
     while b - a > width:
         mid = (a + b) / 2
-        sm = _eval_poly(S, mid)
+        sm = _scaled_eval(S, mid)
         if sm == 0:
             return mid, mid
         if (sa > 0) == (sm > 0):
@@ -561,14 +575,14 @@ def exact_dominates_powerq(lam: PowerPartition, mu: PowerPartition) -> BulkVerdi
         return BulkVerdict(holds=True, tight_at_one=True, tight_at_infinity=True)
 
     q_f = Fraction(q)
-    p_at_q = _eval_poly(P, q_f)
+    p_at_q = _scaled_eval(P, q_f)
     tight_one = p_at_q == 0
     if p_at_q < 0:
         return BulkVerdict(holds=False, failure_exponent=1.0, failure_x=q_f,
                            tight_at_one=False, tight_at_infinity=tight_inf)
     if P[-1] < 0:
         x = q_f + 1
-        while _eval_poly(P, x) >= 0:
+        while _scaled_eval(P, x) >= 0:
             x *= 2
         return BulkVerdict(holds=False, failure_exponent=_s_of(x, q), failure_x=x,
                            tight_at_one=tight_one, tight_at_infinity=tight_inf)
@@ -577,12 +591,12 @@ def exact_dominates_powerq(lam: PowerPartition, mu: PowerPartition) -> BulkVerdi
         d = list(P)
         while True:
             d = _deriv(d)
-            val = _eval_poly(d, q_f)
+            val = _scaled_eval(d, q_f)
             if val != 0:
                 break
         if val < 0:
             eps = Fraction(1, 2)
-            while _eval_poly(P, q_f + eps) >= 0:
+            while _scaled_eval(P, q_f + eps) >= 0:
                 eps /= 2
             x = q_f + eps
             return BulkVerdict(holds=False, failure_exponent=_s_of(x, q), failure_x=x,
@@ -617,7 +631,7 @@ def exact_dominates_powerq(lam: PowerPartition, mu: PowerPartition) -> BulkVerdi
         prev_hi = hi_i
     gap_points.append(max(hi, prev_hi + 1))
     for w in gap_points:
-        val = _eval_poly(P, w)
+        val = _scaled_eval(P, w)
         if val == 0:
             raise AssertionError("gap sample hit a root")
         if val < 0:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from partembed import norms
 from partembed.core import BaseMismatch, PowerPartition, from_base_counts, from_entries, power, to_base_counts
 from partembed.norms import (
     INF,
@@ -13,10 +14,12 @@ from partembed.norms import (
     exact_dominates_powerq,
     norm_profile,
     p_norm,
+    profile_poly,
     power_sum,
     _deflate,
     _eval_poly,
     _isolate_roots,
+    _scaled_eval,
     _squarefree_part,
     _sturm_chain,
     _variations,
@@ -406,6 +409,54 @@ class TestIntegerAlgebra:
             if _eval_poly(p, Fraction(1, 7)) != 0:
                 with pytest.raises(AssertionError):
                     _deflate(p, Fraction(1, 7))
+
+    # integers, dyadic midpoints and non-dyadic rationals across the roots' range
+    SIGN_POINTS = ([Fraction(k) for k in range(-13, 14)]
+                   + [Fraction(2 * k + 1, 2**j) for j in (1, 3, 6) for k in range(-13, 13)]
+                   + [Fraction(k, 7) for k in range(-91, 92, 4)])
+
+    def test_scaled_eval_signs_match_rational_reference(self):
+        def sign(v):
+            return (v > 0) - (v < 0)
+
+        for p, roots in self.POLYS:
+            for x in self.SIGN_POINTS:
+                assert sign(_scaled_eval(p, x)) == sign(_eval_poly(p, x)), (p, x)
+            for root in roots:
+                assert _eval_poly(p, root) == 0 and _scaled_eval(p, root) == 0, (p, root)
+
+
+class TestDecisionPathTakesIntegerSigns:
+    """The exact path takes every sign from ``_scaled_eval``; the rational
+    ``_eval_poly`` stays the independent reference of ``verify`` and the tests."""
+
+    PAIRS = (
+        # the two golden touch pairs: isolation, k = 1 checks, gap samples, refinement
+        ((0, 3200, 240, 0, 24, 8), (6400, 0, 0, 320, 0, 0, 1), True),
+        ((0, 5440, 0, 204), (6400, 0, 1636, 0, 9), True),
+        # P = (x-2)(x-5): tight at q = 2 and negative just above it
+        ((0, 7), (10, 0, 1), False),
+        # P = -x^2 + 3x + 1: positive at q, leading coefficient negative
+        ((0, 0, 1), (1, 3), False),
+        # P = (x-4)^2 (x^2-8)^2: a midpoint hits the root 4, which is deflated,
+        # and the interval of sqrt(8) is shrunk clear of it
+        ((0, 512, 192, 0, 0, 8), (1024, 0, 0, 128, 0, 0, 1), True),
+    )
+
+    def test_exact_path_never_evaluates_in_fractions(self, monkeypatch):
+        def forbidden(p, x):
+            raise AssertionError("the exact path evaluated a polynomial in Fractions")
+
+        monkeypatch.setattr(norms, "_eval_poly", forbidden)
+        verdicts = [exact_dominates_powerq(PowerPartition(2, a), PowerPartition(2, b))
+                    for a, b, _ in self.PAIRS]
+        monkeypatch.undo()
+        for (a, b, holds), verdict in zip(self.PAIRS, verdicts):
+            assert verdict.holds is holds
+            if not holds:
+                P = profile_poly(PowerPartition(2, a), PowerPartition(2, b))
+                assert _eval_poly(P, verdict.failure_x) < 0
+        assert verdicts[-1].interior_equalities[-1].x_interval == (Fraction(4), Fraction(4))
 
 
 class TestExactPathMixedRoots:

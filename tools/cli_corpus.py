@@ -18,8 +18,9 @@ root past q), the first 400 ``binpack-hard`` queries as they are (node budget
 2000) and again with ``--budget 500``, so that which searches run out of
 budget is pinned at two budgets, both forms of ``repro-example24``, the
 ``PAIRS`` below (those pinned by ``tests/golden``, among them two base-2
-count pairs with two touch roots each, which reach the root refinement)
-under every relation, the first 100
+count pairs with two touch roots each, which reach the root refinement, and
+one whose rational touch root is printed as a point interval) under every
+relation, the first 100
 ``powerq-mix`` catalyst-family pairs with one box
 added at every level up to mu's top on both sides (so normalization cancels
 something) as stable and all, ``conjecture-scan`` over ``tools/scan_corpus.ndjson``
@@ -72,6 +73,9 @@ PAIRS = (
     # P = (3x-10)^2 (x-8)^2.
     ('{"base":2,"counts":[0,3200,240,0,24,8]}', '{"base":2,"counts":[6400,0,0,320,0,0,1]}'),
     ('{"base":2,"counts":[0,5440,0,204]}', '{"base":2,"counts":[6400,0,1636,0,9]}'),
+    # P = (x-4)^2 (x^2-8)^2: a bisection midpoint lands on the touch root 4,
+    # which is deflated and printed as the point interval ["4/1", "4/1"].
+    ('{"base":2,"counts":[0,512,192,0,0,8]}', '{"base":2,"counts":[1024,0,0,128,0,0,1]}'),
 )
 # Option range checks; --tol and --grid are no longer options, so their
 # queries pin that both are usage errors.

@@ -19,8 +19,9 @@ root past q), the first 400 ``binpack-hard`` queries as they are (node budget
 budget is pinned at two budgets, both forms of ``repro-example24``, the
 ``PAIRS`` below (those pinned by ``tests/golden``, among them two base-2
 count pairs with two touch roots each, which reach the root refinement, and
-one whose rational touch root is printed as a point interval) under every
-relation, the first 100
+one whose rational touch root is printed as a point interval, and one base-2
+pair whose catalyst has 3,888 boxes, so that the witness of a large catalyst is
+pinned) under every relation, the first 100
 ``powerq-mix`` catalyst-family pairs with one box
 added at every level up to mu's top on both sides (so normalization cancels
 something) as stable and all, ``conjecture-scan`` over ``tools/scan_corpus.ndjson``
@@ -76,6 +77,8 @@ PAIRS = (
     # P = (x-4)^2 (x^2-8)^2: a bisection midpoint lands on the touch root 4,
     # which is deflated and printed as the point interval ["4/1", "4/1"].
     ('{"base":2,"counts":[0,512,192,0,0,8]}', '{"base":2,"counts":[1024,0,0,128,0,0,1]}'),
+    # Needs a 3,888-box catalyst: pins the witness bytes of a large catalyst.
+    (json.dumps([16] * 7), json.dumps([32] * 3 + [8] + [4] * 4 + [2] * 4)),
 )
 # Option range checks; --tol and --grid are no longer options, so their
 # queries pin that both are usage errors.

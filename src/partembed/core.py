@@ -3,7 +3,8 @@
 A partition here is a finite nonincreasing sequence of positive integers.
 The algebra the embeddability orders need is small: juxtaposition addition,
 entrywise product, iterated product, scalar multiples, and a count-vector
-form for partitions whose entries are all powers of one fixed base.
+form for partitions whose entries are all powers of one fixed base, in which
+the entrywise product is the convolution of the count vectors.
 
 Values are immutable and every operation is a pure function of its inputs,
 so everything in this module is safe for unrestricted concurrent use.
@@ -13,6 +14,7 @@ exact.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -172,6 +174,20 @@ def product(a: Partition, b: Partition) -> Partition:
     return Partition(tuple(sorted((x * y for x in a.entries for y in b.entries), reverse=True)))
 
 
+def count_product(a: PowerPartition, b: PowerPartition) -> PowerPartition:
+    """All pairwise box products of two same-base count vectors: the
+    convolution of their counts, since q**i * q**j == q**(i + j)."""
+    if a.base != b.base:
+        raise BaseMismatch(f"bases differ: {a.base} vs {b.base}")
+    if a.is_empty or b.is_empty:
+        return PowerPartition(a.base, ())
+    counts = [0] * (len(a.counts) + len(b.counts) - 1)
+    for i, x in enumerate(a.counts):
+        for j, y in enumerate(b.counts):
+            counts[i + j] += x * y
+    return PowerPartition(a.base, tuple(counts))
+
+
 def power(a: Partition, n: int) -> Partition:
     """Iterated product of ``a`` with itself, ``n`` factors total (n >= 1)."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
@@ -208,33 +224,27 @@ def integer_root(n: int, k: int) -> int:
         raise ValueError("integer_root needs n >= 0, k >= 1")
     if n in (0, 1) or k == 1:
         return n
-    # Newton iteration with a safe floating seed.
-    x = max(1, int(round(n ** (1.0 / k))))
-    while True:
-        if x > 0 and x**k <= n < (x + 1) ** k:
-            return x
-        x = ((k - 1) * x + n // x ** (k - 1)) // k
-        if x < 1:
-            x = 1
+    # Newton descends from 2**ceil(bits/k), which lies above the root, to its floor.
+    x = 1 << -(-n.bit_length() // k)
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x
 
 
 def to_base_counts(a: Partition, q: int) -> PowerPartition:
     """Count-vector form of ``a`` in base ``q``.
 
-    Raises NotPowerOfBase on the first entry that is not a power of q.
+    Raises NotPowerOfBase on the largest entry that is not a power of q.
     """
     if isinstance(q, bool) or not isinstance(q, int) or q < 2:
         raise InvalidBase(f"base {q!r} must be an integer >= 2")
-    top = _power_exponent(a.max_entry, q)
-    if top is None:
-        raise NotPowerOfBase(a.max_entry, q)
-    counts = [0] * (top + 1)
-    for e in a.entries:
+    levels: dict[int, int] = {}
+    for e, n in Counter(a.entries).items():
         k = _power_exponent(e, q)
         if k is None:
             raise NotPowerOfBase(e, q)
-        counts[k] += 1
-    return PowerPartition(q, tuple(counts))
+        levels[k] = n
+    return PowerPartition(q, tuple(levels.get(i, 0) for i in range(max(levels) + 1)))
 
 
 def from_base_counts(pp: PowerPartition) -> Partition:

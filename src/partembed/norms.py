@@ -253,7 +253,11 @@ def dominates_all_s(lam: Partition, mu: Partition) -> BulkVerdict:
         # Beyond s_max the top term exceeds the constant mass of all others.
         s_max = 1.0 + math.log(max(2, coeff_mass)) / math.log(top_v)
     else:
-        s_max = 1.0 + math.log(max(2, coeff_mass)) / (math.log(top_v) - math.log(v2))
+        gap = math.log(top_v) - math.log(v2)
+        if gap == 0.0:
+            # Close large values whose logarithms round to the same float.
+            gap = math.log1p((top_v - v2) / v2)
+        s_max = 1.0 + math.log(max(2, coeff_mass)) / gap
 
     tol = _default_tol(profile)
     with mpmath.workprec(_PRECISION_BITS):
@@ -297,7 +301,7 @@ def dominates_all_s(lam: Partition, mu: Partition) -> BulkVerdict:
                            tight_at_one=tight_one, tight_at_infinity=tight_inf)
 
 
-def _refine_minimum(profile: NormProfile, lo, hi, steps: int = 140):
+def _refine_minimum(profile: NormProfile, lo, hi):
     """Golden-section minimization of f on [lo, hi]."""
     import mpmath
 
@@ -307,7 +311,7 @@ def _refine_minimum(profile: NormProfile, lo, hi, steps: int = 140):
     d = a + gr * (b - a)
     fc, fd = profile.f_mpf(c), profile.f_mpf(d)
     width = mpmath.mpf("1e-9")
-    for _ in range(steps):
+    for _ in range(140):
         if b - a < width:
             break
         if fc < fd:

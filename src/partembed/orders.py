@@ -5,7 +5,8 @@ that no target is overfilled; deciding it is bin packing, so the exact
 search is a budgeted branch-and-bound.  Supermajorization compares tail
 sums at every threshold.  For power-of-q partitions the two coincide, and
 the witness is built greedily by splitting leftover capacity into base-q
-digits.  ``stablep.Pair`` picks the greedy path or the search for a pair.
+digits; that greedy works on box exponents read from the count vectors.
+``stablep.Pair`` picks the greedy path or the search for a pair.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from itertools import repeat
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
     BaseMismatch,
@@ -21,7 +23,6 @@ from .core import (
     PartitionError,
     PowerPartition,
     from_base_counts,
-    _power_exponent,
 )
 
 DEFAULT_NODE_BUDGET = 10**7
@@ -263,6 +264,12 @@ def embeds(lam: Partition, mu: Partition,
     return None
 
 
+def _levels(pp: PowerPartition) -> Iterator[int]:
+    """The exponent of each box of ``pp``, in canonical (nonincreasing) order."""
+    for i in range(len(pp.counts) - 1, -1, -1):
+        yield from repeat(i, pp.counts[i])
+
+
 def embed_powerq(lam: PowerPartition, mu: PowerPartition) -> EmbeddingWitness | None:
     """Embedding decision and witness for same-base power partitions.
 
@@ -285,28 +292,19 @@ def embed_powerq(lam: PowerPartition, mu: PowerPartition) -> EmbeddingWitness | 
     if not supermajorizes(mu_p, lam_p).holds:
         return None
 
-    # Max-heap of (capacity, original bin) with deterministic tie-breaking.
-    heap: list[tuple[int, int, int]] = []
-    seq = 0
-    for j, cap in enumerate(mu_p.entries):
-        heap.append((-cap, j, seq))
-        seq += 1
-    heapq.heapify(heap)
-
+    # Max-heap of capacities as (-exponent, original bin).  mu's boxes in
+    # canonical order are sorted, so they already form a heap.  Tied entries
+    # are equal tuples, so which of them pops first does not matter.
+    heap = [(-t, j) for j, t in enumerate(_levels(mu))]
     assignment = []
-    for item in lam_p.entries:
-        neg_cap, origin, _ = heapq.heappop(heap)
-        cap = -neg_cap
-        if cap < item:
+    for s in _levels(lam):
+        neg_t, origin = heapq.heappop(heap)
+        if -neg_t < s:
             raise AssertionError("largest capacity below item despite supermajorization")
         assignment.append(origin)
-        s = _power_exponent(item, q)
-        t = _power_exponent(cap, q)
-        for e in range(s, t):
-            piece = q**e
+        for e in range(s, -neg_t):
             for _ in range(q - 1):
-                heapq.heappush(heap, (-piece, origin, seq))
-                seq += 1
+                heapq.heappush(heap, (-e, origin))
 
     witness = _make_witness(lam_p, mu_p, assignment)
     if not witness.validate(lam_p, mu_p):

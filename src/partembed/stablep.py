@@ -12,10 +12,10 @@ dominance of the products and stops.  A second pass with the first
 coefficient scaled to (top count)^(N+1), N the last index of the first pass,
 makes every division exact; it may stop earlier than the first, and its own
 coefficients, scaled to an integral partition, are the catalyst.  It is also
-a catalyst of the pair as given, so only that pair's products are built and
-embedded.  The iteration need not terminate: it halts exactly on the stable
-pairs, so the step budget produces honest UNKNOWN verdicts, never fabricated
-ones.
+a catalyst of the pair as given, so only that pair's products are built, as
+count vectors (convolutions of the counts), and embedded.  The iteration need
+not terminate: it halts exactly on the stable pairs, so the step budget
+produces honest UNKNOWN verdicts, never fabricated ones.
 
 Refutations come from prefilters, each with a re-checkable certificate:
 failed norm dominance, an exactly certified interior norm equality point for
@@ -45,9 +45,9 @@ from .core import (
     PartitionError,
     PowerPartition,
     common_power_base,
+    count_product,
     from_base_counts,
     from_entries,
-    product,
     to_base_counts,
 )
 from .norms import BulkVerdict, EqualityPoint, dominates_all_s, exact_dominates_powerq, \
@@ -347,13 +347,10 @@ def _construct_nu(lam: PowerPartition, mu: PowerPartition, lt: PowerPartition,
     # second[k] counts boxes of nominal size q^-k; scaling by q^top makes them
     # integral: counts[i] boxes of size q^i with counts[i] = second[top - i].
     nu_pp = PowerPartition(q, tuple(second[top - i] for i in range(top + 1)))
-    nu = from_base_counts(nu_pp)
-    prod_l = product(from_base_counts(lam), nu)
-    prod_m = product(from_base_counts(mu), nu)
-    w = embed_powerq(to_base_counts(prod_l, q), to_base_counts(prod_m, q))
+    w = embed_powerq(count_product(lam, nu_pp), count_product(mu, nu_pp))
     if w is None:
         raise RuntimeError("internal error: stop rule fired without product dominance")
-    return StableVerdict(HOLDS, StableWitness(nu, w, tuple(log)), None, spent)
+    return StableVerdict(HOLDS, StableWitness(from_base_counts(nu_pp), w, tuple(log)), None, spent)
 
 
 def stable_embeds(lam: Partition, mu: Partition, *,

@@ -68,6 +68,31 @@ class TestCheckCommand:
         mu = from_base_counts(PowerPartition(2, (5, 1, 2)))
         assert verdict.reason.verify(lam, mu)
 
+    @pytest.mark.parametrize("relation", ["embed", "supermajorize", "bulk", "stable", "all"])
+    def test_entries_beyond_float_range(self, capsys, relation):
+        # The common base is found from an entry too large for a float.
+        big = 3**700
+        code, out, _ = run(capsys, "check", relation, "--lhs", f"[{big}]",
+                           "--rhs", f"[{big}, 1]")
+        assert code == 0
+        assert "FAILS" not in out
+
+    @pytest.mark.parametrize("relation, lhs, rhs", [
+        ("bulk", [2**60], [2**60 + 1]),
+        ("stable", [2**60] * 2, [2**60 + 1, 2**60 - 1]),
+        ("all", [2**60] * 2, [2**60 + 1, 2**60 - 1]),
+    ])
+    def test_close_large_entries(self, capsys, relation, lhs, rhs):
+        # The logarithms of the two largest values round to the same float;
+        # bulk holds, and stable fails by the valuation rule.
+        code, out, _ = run(capsys, "check", relation, "--lhs", json.dumps(lhs),
+                           "--rhs", json.dumps(rhs), "--json")
+        doc = json.loads(out)
+        if relation == "all":
+            assert code == 0 and doc["bulk"]["holds"] and doc["stable"]["status"] == "FAILS"
+        else:
+            assert (code, doc["verdict"]) == ((0, "HOLDS") if relation == "bulk" else (1, "FAILS"))
+
     def test_check_all_human(self, capsys):
         code, out, _ = run(capsys, "check", "all",
                            "--lhs", "[4,2,2]", "--rhs", "[5,3]")

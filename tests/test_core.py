@@ -11,8 +11,10 @@ from partembed.core import (
     NotPowerOfBase,
     Partition,
     PowerPartition,
+    BaseMismatch,
     add,
     common_power_base,
+    count_product,
     from_base_counts,
     from_entries,
     integer_root,
@@ -139,6 +141,11 @@ class TestBaseCounts:
             to_base_counts(from_entries([5, 3]), 2)
         assert e.value.entry in (5, 3)
 
+    def test_not_power_of_base_names_the_largest_such_entry(self):
+        with pytest.raises(NotPowerOfBase) as e:
+            to_base_counts(from_entries([8, 6, 3]), 2)
+        assert e.value.entry == 6
+
     def test_bad_base(self):
         with pytest.raises(InvalidBase):
             to_base_counts(LAM1, 1)
@@ -179,6 +186,25 @@ class TestBaseCounts:
                     conv[i + j] += a * b
             assert list(got) == conv
 
+    def test_count_product_matches_entry_product(self):
+        rng = random.Random(14)
+        for base in (2, 3, 5):
+            # Single-level vectors, then random ones, some with zero levels.
+            vectors = [PowerPartition(base, (0,) * k + (c,)) for k in range(3) for c in (1, 3)]
+            vectors += [random_powerq(rng, base=base, levels=5, max_count=3) for _ in range(12)]
+            assert any(0 in pp.counts for pp in vectors)
+            for a in vectors:
+                for b in vectors:
+                    want = to_base_counts(product(from_base_counts(a), from_base_counts(b)), base)
+                    assert count_product(a, b) == want
+
+    def test_count_product_edge_cases(self):
+        empty = PowerPartition(2, ())
+        assert count_product(empty, PowerPartition(2, (1, 2))) == empty
+        assert count_product(PowerPartition(2, (1, 2)), empty) == empty
+        with pytest.raises(BaseMismatch):
+            count_product(PowerPartition(2, (1,)), PowerPartition(3, (1,)))
+
 
 class TestCommonBase:
     def test_powers_of_two(self):
@@ -211,3 +237,14 @@ class TestSmallHelpers:
         for n in range(0, 200):
             r = integer_root(n, 2)
             assert r * r <= n < (r + 1) * (r + 1)
+
+    def test_integer_root_sweep_beyond_float_range(self):
+        # Entries above about 1.8e308 cannot be converted to float.
+        rng = random.Random(14)
+        for bits in [*range(1, 70), *range(70, 5001, 101)]:
+            n = rng.getrandbits(bits) | 1 << (bits - 1)
+            for k in {1, 2, 3, 7, bits, bits + 1, rng.randint(1, bits + 1)}:
+                r = integer_root(n, k)
+                assert r**k <= n < (r + 1) ** k
+                assert integer_root(r**k, k) == r
+                assert integer_root(r**k - 1, k) == r - 1

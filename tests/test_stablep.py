@@ -370,22 +370,26 @@ class TestOneDecisionPerPair:
 
     def test_catalyst_products_built_once(self, monkeypatch):
         # One embed_powerq for the direct embedding, one for the catalyst's
-        # products; the products are built for the given pair only.
+        # products; the products are count vectors of the given pair only,
+        # never expanded entry products.
         products = count_calls(monkeypatch, partembed.core.product)
+        count_products = count_calls(monkeypatch, partembed.core.count_product)
         embeds_q = count_calls(monkeypatch, partembed.orders.embed_powerq)
         report = relations(from_base_counts(PowerPartition(2, (0, 4))),
                            from_base_counts(PowerPartition(2, (5, 0, 1))))
         assert report.stable.status == HOLDS
-        assert products.n == 2
+        assert products.n == 0
+        assert count_products.n == 2
         assert embeds_q.n == 2
 
     def test_count_vectors_built_once(self, monkeypatch):
-        # Two for the pair's sides, two for the catalyst's products.
+        # Two for the pair's sides; the catalyst's products are built as
+        # count vectors.
         conversions = count_calls(monkeypatch, partembed.core.to_base_counts)
         report = relations(from_base_counts(PowerPartition(2, (0, 4))),
                            from_base_counts(PowerPartition(2, (5, 0, 1))))
         assert report.stable.status == HOLDS
-        assert conversions.n == 4
+        assert conversions.n == 2
 
     def test_catalyst_pair_normalized_once(self, monkeypatch):
         # The refutation rules and the catalyst construction share one

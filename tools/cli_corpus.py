@@ -19,9 +19,11 @@ root past q), the first 400 ``binpack-hard`` queries as they are (node budget
 budget is pinned at two budgets, both forms of ``repro-example24``, the
 ``PAIRS`` below (those pinned by ``tests/golden``, among them two base-2
 count pairs with two touch roots each, which reach the root refinement, and
-one whose rational touch root is printed as a point interval, and one base-2
+one whose rational touch root is printed as a point interval, one base-2
 pair whose catalyst has 3,888 boxes, so that the witness of a large catalyst is
-pinned) under every relation, the first 100
+pinned, two base-q pairs whose roots past q are all bisection midpoints of the
+isolation range, and one tight at q whose one isolating interval starts at the
+root q) under every relation, the first 100
 ``powerq-mix`` catalyst-family pairs with one box
 added at every level up to mu's top on both sides (so normalization cancels
 something) as stable and all, ``conjecture-scan`` over ``tools/scan_corpus.ndjson``
@@ -79,6 +81,14 @@ PAIRS = (
     ('{"base":2,"counts":[0,512,192,0,0,8]}', '{"base":2,"counts":[1024,0,0,128,0,0,1]}'),
     # Needs a 3,888-box catalyst: pins the witness bytes of a large catalyst.
     (json.dumps([16] * 7), json.dumps([32] * 3 + [8] + [4] * 4 + [2] * 4)),
+    # Roots hit at bisection midpoints of the isolation range (2, 10) and
+    # (3, 35): P = (x-3)(4x-11) and P = (x-6)(2x-11), both failing between
+    # their roots.
+    ('{"base":2,"counts":[0,23]}', '{"base":2,"counts":[33,0,4]}'),
+    ('{"base":3,"counts":[0,23]}', '{"base":3,"counts":[66,0,2]}'),
+    # P = (x-2)(10x-21)^2, tight at q = 2: the one isolating interval, (2, 14),
+    # starts at the root q, and bulk holds with one exact equality.
+    ('{"base":2,"counts":[882,0,620]}', '{"base":2,"counts":[0,1281,0,100]}'),
 )
 # Option range checks; --tol and --grid are no longer options, so their
 # queries pin that both are usage errors.

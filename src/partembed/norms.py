@@ -15,7 +15,9 @@ substitution x = q**s turns f into an integer polynomial P(x), and dominance
 on [q, oo) is decided exactly: the square-free part and the Sturm chain are
 pseudo-remainder sequences in integers, and every sign taken at a rational
 point n/d (root isolation, gap sign samples that tell touch roots from
-crossings) is the sign of the integer d**deg * P(n/d).  Interior equality
+crossings) is the sign of the integer d**deg * P(n/d).  The roots are
+isolated by one bisection over one Sturm chain: a rational root met at a
+midpoint is reported exactly, and nothing is divided out.  Interior equality
 points discovered this way are certified by isolating intervals; numeric
 ones are only flagged, never trusted as refutations.  ``stablep.Pair`` picks
 the path for a pair.
@@ -427,14 +429,6 @@ def _squarefree_part(p: list[int]) -> list[int]:
     return [-c for c in quot] if quot and quot[-1] < 0 else quot
 
 
-def _deflate(p: list[int], root: Fraction) -> list[int]:
-    """Exact division by d*x - n for root = n/d, sign kept."""
-    quot = _exact_quotient(p, [-root.numerator, root.denominator])
-    if quot is None:
-        raise AssertionError(f"{root} is not a root")
-    return _primitive_keep_sign(quot)
-
-
 def _sturm_chain(p: list[int]) -> list[list[int]]:
     """p, p' and the negated remainders, each primitive with its sign kept."""
     chain = [_primitive_keep_sign(p)]
@@ -462,88 +456,61 @@ def _variations(values: Iterable) -> int:
     return count
 
 
-class _RationalRoot(Exception):
-    def __init__(self, root: Fraction):
-        self.root = root
-
-
 def _isolate_roots(S: list[int], lo: Fraction, hi: Fraction):
     """Isolate the real roots of the square-free S inside the open (lo, hi);
     ``hi`` must lie strictly above every root of S.
 
-    Returns (exact_roots, intervals, S_final): exact rational roots found en
-    route, disjoint open intervals (a, b) with S_final(a)*S_final(b) < 0 and
-    one simple root each, and the polynomial left after deflating the exact
-    roots out.  Every interval strictly excludes every exact root, so any
-    point of an interval-free gap is provably not a root of the input.
+    One bisection over one Sturm chain.  At a root c of a square-free S the
+    sign variations V(c) equal those just right of c, so V(a) - V(b) counts
+    the roots in (a, b] even when a or b is a root.  Returns (exact_roots,
+    intervals): the rational roots hit at bisection midpoints, and disjoint
+    open intervals (a, b) with one simple root each and no other root of S in
+    their closure, where S(b) != 0 and S(a) has the opposite sign or a is the
+    root lo.  So every point of an interval-free gap other than lo is
+    provably not a root.
     """
-    S = list(S)
-    exact: list[Fraction] = []
-    while len(S) > 1 and _scaled_eval(S, lo) == 0:
-        S = _deflate(S, lo)
-    while True:
-        if len(S) <= 1:
-            return exact, [], S
-        chain = _sturm_chain(S)
+    chain = _sturm_chain(S)
 
-        def var_at(x: Fraction) -> int:
-            return _variations(_scaled_eval(p, x) for p in chain)
+    def signs_at(x: Fraction) -> list[int]:
+        return [_scaled_eval(p, x) for p in chain]
 
-        intervals: list[tuple[Fraction, Fraction]] = []
-        try:
-            stack = [(lo, hi, var_at(lo), var_at(hi))]
-            while stack:
-                a, b, va, vb = stack.pop()
-                k = va - vb
-                if k <= 0:
-                    continue
-                if k == 1:
-                    sa = _scaled_eval(S, a)
-                    sb = _scaled_eval(S, b)
-                    if sa * sb >= 0:
-                        raise AssertionError("isolated interval without sign change")
-                    intervals.append((a, b))
-                    continue
-                mid = (a + b) / 2
-                if _scaled_eval(S, mid) == 0:
-                    raise _RationalRoot(mid)
-                vm = var_at(mid)
-                stack.append((a, mid, va, vm))
-                stack.append((mid, b, vm, vb))
-            # Isolation restarts after each deflation, so fresh intervals can
-            # straddle roots deflated earlier; shrink until each interval is
-            # strictly clear of every exact root.
-            separated: list[tuple[Fraction, Fraction]] = []
-            for a, b in intervals:
-                while any(a <= r <= b for r in exact):
-                    mid = (a + b) / 2
-                    sm = _scaled_eval(S, mid)
-                    if sm == 0:
-                        raise _RationalRoot(mid)
-                    if (sm > 0) == (_scaled_eval(S, a) > 0):
-                        a = mid
-                    else:
-                        b = mid
-                separated.append((a, b))
-            separated.sort()
-            return exact, separated, S
-        except _RationalRoot as e:
-            exact.append(e.root)
-            S = _deflate(S, e.root)
+    exact: set[Fraction] = set()
+    intervals: list[tuple[Fraction, Fraction]] = []
+    stack = [(lo, hi, _variations(signs_at(lo)), _variations(signs_at(hi)))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        k = va - vb - (b in exact)  # roots in the open (a, b)
+        if k == 0:
+            continue
+        if k == 1 and a not in exact and b not in exact:
+            if _scaled_eval(S, a) * _scaled_eval(S, b) > 0:
+                raise AssertionError("isolated interval without sign change")
+            intervals.append((a, b))
+            continue
+        mid = (a + b) / 2
+        at_mid = signs_at(mid)
+        if at_mid[0] == 0:
+            exact.add(mid)
+        vm = _variations(at_mid)
+        stack.append((a, mid, va, vm))
+        stack.append((mid, b, vm, vb))
+    return sorted(exact), sorted(intervals)
 
 
 def _refine_root_interval(S: list[int], a: Fraction, b: Fraction, width: Fraction):
-    """Shrink a sign-change interval of S by bisection to the requested width."""
-    sa = _scaled_eval(S, a)
+    """Shrink an isolating interval of S by bisection to the requested width.
+
+    Signs are compared against S(b), which is never 0: a may be the root q."""
+    sb = _scaled_eval(S, b)
     while b - a > width:
         mid = (a + b) / 2
         sm = _scaled_eval(S, mid)
         if sm == 0:
             return mid, mid
-        if (sa > 0) == (sm > 0):
-            a, sa = mid, sm
-        else:
+        if (sb > 0) == (sm > 0):
             b = mid
+        else:
+            a = mid
     return a, b
 
 
@@ -608,7 +575,7 @@ def exact_dominates_powerq(lam: PowerPartition, mu: PowerPartition) -> BulkVerdi
 
     S = _squarefree_part(P)
     hi = _positive_root_bound(P, q_f)
-    exact_roots, intervals, S_left = _isolate_roots(S, q_f, hi)
+    exact_roots, intervals = _isolate_roots(S, q_f, hi)
 
     # Merge roots into (a, b) items sorted by position; exact roots collapse.
     # Items are pairwise disjoint (endpoints may coincide) and every interval
@@ -648,7 +615,7 @@ def exact_dominates_powerq(lam: PowerPartition, mu: PowerPartition) -> BulkVerdi
             interval = (lo_i, hi_i)
             s_val = _s_of(lo_i, q)
         else:
-            ra, rb = _refine_root_interval(S_left, lo_i, hi_i, _EQUALITY_INTERVAL_WIDTH)
+            ra, rb = _refine_root_interval(S, lo_i, hi_i, _EQUALITY_INTERVAL_WIDTH)
             interval = (ra, rb)
             s_val = _s_of((ra + rb) / 2, q)
         equalities.append(EqualityPoint(s=s_val, exact=True, x_interval=interval, base=q))

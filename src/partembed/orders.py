@@ -273,39 +273,41 @@ def _levels(pp: PowerPartition) -> Iterator[int]:
 def embed_powerq(lam: PowerPartition, mu: PowerPartition) -> EmbeddingWitness | None:
     """Embedding decision and witness for same-base power partitions.
 
-    Supermajorization is decisive here.  When it holds, the witness is built
-    by repeatedly placing the largest remaining box into the largest remaining
-    capacity and splitting the leftover into base-q digit pieces (every piece
-    is at least as large as the box just placed, so nothing is stranded).
-    Capacities live in a multiset tagged with their original bin, and the
+    Greedy: place the largest remaining box into the largest remaining
+    capacity and split the leftover into base-q digit pieces (every piece is
+    at least as large as the box just placed, so nothing is stranded).  It
+    answers None when no capacity is left or the largest is below the box.
+    Capacities live in a heap tagged with their original bin, and the
     emitted witness maps back to the original mu indices.
+
+    Supermajorization is decisive here, and the greedy decides it: when mu
+    supermajorizes lam, then at every level x = q**e up to the current box
+    the pieces >= x sum to at least the remaining boxes >= x.  Each
+    placement keeps it, and at the box's own level it means that some
+    piece >= the box is on the heap, so the greedy never stops early.  It
+    stops only when mu does not supermajorize lam, and then no embedding
+    exists.
     """
     if lam.base != mu.base:
         raise BaseMismatch(f"bases differ: {lam.base} vs {mu.base}")
     if lam.is_empty:
         return EmbeddingWitness((), tuple([0] * (0 if mu.is_empty else sum(mu.counts))))
-    if mu.is_empty:
-        return None
     q = lam.base
-    lam_p = from_base_counts(lam)
-    mu_p = from_base_counts(mu)
-    if not supermajorizes(mu_p, lam_p).holds:
-        return None
-
     # Max-heap of capacities as (-exponent, original bin).  mu's boxes in
     # canonical order are sorted, so they already form a heap.  Tied entries
     # are equal tuples, so which of them pops first does not matter.
     heap = [(-t, j) for j, t in enumerate(_levels(mu))]
     assignment = []
     for s in _levels(lam):
+        if not heap or -heap[0][0] < s:
+            return None
         neg_t, origin = heapq.heappop(heap)
-        if -neg_t < s:
-            raise AssertionError("largest capacity below item despite supermajorization")
         assignment.append(origin)
         for e in range(s, -neg_t):
             for _ in range(q - 1):
                 heapq.heappush(heap, (-e, origin))
 
+    lam_p, mu_p = from_base_counts(lam), from_base_counts(mu)
     witness = _make_witness(lam_p, mu_p, assignment)
     if not witness.validate(lam_p, mu_p):
         raise AssertionError("greedy witness failed validation")

@@ -16,9 +16,9 @@ from partembed.norms import (
     p_norm,
     profile_poly,
     power_sum,
-    _deflate,
     _eval_poly,
     _isolate_roots,
+    _refine_root_interval,
     _scaled_eval,
     _squarefree_part,
     _sturm_chain,
@@ -272,14 +272,14 @@ class TestRootIsolation:
 
     def test_isolate_two_roots(self):
         # (x-3)(x-5) = x^2 - 8x + 15
-        exact, intervals, _ = _isolate_roots([15, -8, 1], Fraction(2), Fraction(100))
+        exact, intervals = _isolate_roots([15, -8, 1], Fraction(2), Fraction(100))
         found = sorted([Fraction(r) for r in exact] + [(a + b) / 2 for a, b in intervals])
         assert len(found) == 2
         assert abs(float(found[0]) - 3) < 1.5 and abs(float(found[1]) - 5) < 1.5
 
     def test_isolate_irrational(self):
         # x^2 - 2 on (0, 10): one root at sqrt(2)
-        exact, intervals, _ = _isolate_roots([-2, 0, 1], Fraction(0), Fraction(10))
+        exact, intervals = _isolate_roots([-2, 0, 1], Fraction(0), Fraction(10))
         assert len(exact) + len(intervals) == 1
         if intervals:
             a, b = intervals[0]
@@ -295,16 +295,16 @@ class TestRootIsolation:
     def test_rational_root_hit(self):
         # root exactly at a bisection midpoint: (x-3)(x^2-2)
         poly = [6, -2, -3, 1]
-        exact, intervals, _ = _isolate_roots(poly, Fraction(1), Fraction(8))
+        exact, intervals = _isolate_roots(poly, Fraction(1), Fraction(8))
         total = len(exact) + len(intervals)
         assert total == 2  # 3 and sqrt(2) both lie in (1, 8)
 
-    def test_separation_after_deflation(self):
-        # (2x-9)(x^2-5): the first midpoint of (1, 8) is exactly 4.5, so the
-        # rational root deflates and the restart isolates sqrt(5) in an
-        # interval that must then be shrunk clear of 4.5
+    def test_interval_clear_of_a_midpoint_root(self):
+        # (2x-9)(x^2-5): the first midpoint of (1, 8) is exactly 4.5, an
+        # exact root, and the interval of sqrt(5) is bisected until its
+        # closure is clear of 4.5
         poly = [45, -10, -9, 2]
-        exact, intervals, _ = _isolate_roots(poly, Fraction(1), Fraction(8))
+        exact, intervals = _isolate_roots(poly, Fraction(1), Fraction(8))
         assert exact == [Fraction(9, 2)]
         assert len(intervals) == 1
         a, b = intervals[0]
@@ -400,16 +400,6 @@ class TestIntegerAlgebra:
             sf = _ref_squarefree(p)
             assert _sturm_chain(sf) == _ref_sturm(sf), sf
 
-    def test_deflate_matches_rational_reference(self):
-        for p, roots in self.POLYS:
-            for root in roots:
-                quot, rem = _ref_divmod(p, [-root, 1])
-                assert not rem
-                assert _deflate(p, root) == _ref_integer(quot), (p, root)
-            if _eval_poly(p, Fraction(1, 7)) != 0:
-                with pytest.raises(AssertionError):
-                    _deflate(p, Fraction(1, 7))
-
     # integers, dyadic midpoints and non-dyadic rationals across the roots' range
     SIGN_POINTS = ([Fraction(k) for k in range(-13, 14)]
                    + [Fraction(2 * k + 1, 2**j) for j in (1, 3, 6) for k in range(-13, 13)]
@@ -426,6 +416,91 @@ class TestIntegerAlgebra:
                 assert _eval_poly(p, root) == 0 and _scaled_eval(p, root) == 0, (p, root)
 
 
+def _ref_root_counter(p):
+    """(a, b) -> the roots of the square-free p in (a, b], by Sturm's theorem
+    over the rational reference chain (zeros are skipped, so a may be a root)."""
+    chain = _ref_sturm(p)
+
+    def variations(x):
+        signs = [v for v in (_eval_poly(m, x) for m in chain) if v != 0]
+        return sum((u > 0) != (v > 0) for u, v in zip(signs, signs[1:]))
+
+    return lambda a, b: variations(a) - variations(b)
+
+
+def _grid_polys(n, seed=15):
+    """Square-free integer polynomials to isolate on (lo, lo + 128): rational
+    roots on the bisection grid of that range (some of them adjacent), a root
+    at lo, and irrational roots close beside the grid roots."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        lo = Fraction(rng.randint(-4, 16))
+        depth = rng.randint(2, 8)
+        grid = set()
+        for _ in range(rng.randint(1, 4)):
+            j = rng.randint(1, 2**depth - 2)
+            grid.add(lo + Fraction(128 * j, 2**depth))
+            if rng.random() < 0.4:
+                grid.add(lo + Fraction(128 * (j + 1), 2**depth))
+        roots = sorted(grid) + ([lo] if rng.random() < 0.3 else [])
+        poly = [1]
+        for r in roots:
+            poly = _poly_mul(poly, [-r.numerator, r.denominator])
+        for r in rng.sample(sorted(grid), min(len(grid), rng.randint(0, 2))):
+            # (D x - N)^2 - k with N/D = r: the roots r +- sqrt(k)/D
+            d = 16 * r.denominator * rng.choice([1, 2, 4])
+            nn, k = r.numerator * d // r.denominator, rng.choice([2, 3, 5, 7])
+            poly = _poly_mul(poly, [nn * nn - k, -2 * d * nn, d * d])
+        yield _ref_squarefree(poly), lo, lo + 128
+
+
+class TestIsolationSweep:
+    """``_isolate_roots`` against the rational reference only."""
+
+    CASES = [(S, lo, hi, *_isolate_roots(S, lo, hi)) for S, lo, hi in _grid_polys(400)]
+
+    def test_sweep_reaches_midpoint_roots_and_roots_at_lo(self):
+        assert sum(len(exact) >= 2 for _, _, _, exact, _ in self.CASES) > 100
+        assert sum(any(b - a <= 1 for a, b in zip(exact, exact[1:]))
+                   for *_, exact, _ in self.CASES) > 10
+        assert sum(any(a == lo for a, _ in intervals)
+                   for _, lo, _, _, intervals in self.CASES) > 10
+        assert sum(bool(exact) and bool(intervals) for *_, exact, intervals in self.CASES) > 100
+
+    def test_exact_roots_and_intervals_are_certified(self):
+        for S, lo, hi, exact, intervals in self.CASES:
+            roots_in = _ref_root_counter(S)
+            assert exact == sorted(set(exact))
+            for r in exact:
+                assert lo < r < hi and _eval_poly(S, r) == 0, (S, r)
+            for (a, b), (c, _) in zip(intervals, intervals[1:]):
+                assert b <= c, (S, intervals)
+            for a, b in intervals:
+                sa, sb = _eval_poly(S, a), _eval_poly(S, b)
+                assert sa * sb < 0 or (sa == 0 and a == lo and sb != 0), (S, a, b)
+                # one root in (a, b] and S(b) != 0: the closure holds no other
+                # root, except a root at lo
+                assert roots_in(a, b) == 1, (S, a, b)
+            assert len(exact) + len(intervals) == roots_in(lo, hi), S
+
+    def test_one_sturm_chain_per_call(self, monkeypatch):
+        calls = []
+        chain = norms._sturm_chain
+        monkeypatch.setattr(norms, "_sturm_chain", lambda p: calls.append(p) or chain(p))
+        S, lo, hi, exact, intervals = max(self.CASES, key=lambda case: len(case[3]))
+        assert _isolate_roots(S, lo, hi) == (exact, intervals)
+        assert calls == [S]
+
+    def test_refine_from_a_root_at_the_left_end(self):
+        # (x-2)(10x-21) and its product with (x-20) on the isolating interval
+        # (2, 14): S(2) = 0, and S is negative, then positive, just right of 2
+        for S in ([42, -41, 10], _poly_mul([42, -41, 10], [-20, 1])):
+            assert _isolate_roots(S, Fraction(2), Fraction(14)) == ([], [(Fraction(2), Fraction(14))])
+            a, b = _refine_root_interval(S, Fraction(2), Fraction(14), Fraction(1, 10**10))
+            assert a < Fraction(21, 10) < b and b - a <= Fraction(1, 10**10)
+            assert _eval_poly(S, a) * _eval_poly(S, b) < 0
+
+
 class TestDecisionPathTakesIntegerSigns:
     """The exact path takes every sign from ``_scaled_eval``; the rational
     ``_eval_poly`` stays the independent reference of ``verify`` and the tests."""
@@ -438,8 +513,8 @@ class TestDecisionPathTakesIntegerSigns:
         ((0, 7), (10, 0, 1), False),
         # P = -x^2 + 3x + 1: positive at q, leading coefficient negative
         ((0, 0, 1), (1, 3), False),
-        # P = (x-4)^2 (x^2-8)^2: a midpoint hits the root 4, which is deflated,
-        # and the interval of sqrt(8) is shrunk clear of it
+        # P = (x-4)^2 (x^2-8)^2: a midpoint hits the root 4, and the interval
+        # of sqrt(8) is bisected until its closure is clear of it
         ((0, 512, 192, 0, 0, 8), (1024, 0, 0, 128, 0, 0, 1), True),
     )
 

@@ -366,6 +366,21 @@ class TestEmbedPowerq:
         with pytest.raises(BaseMismatch):
             embed_powerq(PowerPartition(2, (1,)), PowerPartition(3, (1,)))
 
+    def test_empty_mu_gives_none(self):
+        assert embed_powerq(PowerPartition(2, (0, 1)), PowerPartition(2, ())) is None
+        assert embed_powerq(PowerPartition(3, ()), PowerPartition(3, ())) == EmbeddingWitness((), ())
+
+    def test_greedy_decides_without_expanding(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("embed_powerq expanded or compared entry lists")
+
+        monkeypatch.setattr(orders, "supermajorizes", forbidden)
+        monkeypatch.setattr(orders, "from_base_counts", forbidden)
+        # no capacity left for the third 4, then the 8 above every capacity
+        assert embed_powerq(PowerPartition(2, (0, 0, 3)), PowerPartition(2, (0, 0, 0, 1))) is None
+        assert embed_powerq(PowerPartition(2, (0, 0, 0, 1)), PowerPartition(2, (0, 0, 3))) is None
+        assert embed_powerq(to_base_counts(LAM1, 2), to_base_counts(MU1, 2)) is None
+
     def test_equivalence_with_supermajorization(self):
         rng = random.Random(34)
         for _ in range(120):

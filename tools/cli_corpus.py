@@ -77,7 +77,7 @@ PAIRS = (
     ('{"base":2,"counts":[0,3200,240,0,24,8]}', '{"base":2,"counts":[6400,0,0,320,0,0,1]}'),
     ('{"base":2,"counts":[0,5440,0,204]}', '{"base":2,"counts":[6400,0,1636,0,9]}'),
     # P = (x-4)^2 (x^2-8)^2: a bisection midpoint lands on the touch root 4,
-    # which is deflated and printed as the point interval ["4/1", "4/1"].
+    # which is kept as exact and printed as the point interval ["4/1", "4/1"].
     ('{"base":2,"counts":[0,512,192,0,0,8]}', '{"base":2,"counts":[1024,0,0,128,0,0,1]}'),
     # Needs a 3,888-box catalyst: pins the witness bytes of a large catalyst.
     (json.dumps([16] * 7), json.dumps([32] * 3 + [8] + [4] * 4 + [2] * 4)),

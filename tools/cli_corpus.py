@@ -22,8 +22,9 @@ count pairs with two touch roots each, which reach the root refinement, and
 one whose rational touch root is printed as a point interval, one base-2
 pair whose catalyst has 3,888 boxes, so that the witness of a large catalyst is
 pinned, two base-q pairs whose roots past q are all bisection midpoints of the
-isolation range, and one tight at q whose one isolating interval starts at the
-root q) under every relation, the first 100
+isolation range, one tight at q whose one isolating interval starts at the
+root q, and two supermajorized count pairs, one of them tight at q and at oo
+and one on 24 levels) under every relation, the first 100
 ``powerq-mix`` catalyst-family pairs with one box
 added at every level up to mu's top on both sides (so normalization cancels
 something) as stable and all, ``conjecture-scan`` over ``tools/scan_corpus.ndjson``
@@ -89,6 +90,11 @@ PAIRS = (
     # P = (x-2)(10x-21)^2, tight at q = 2: the one isolating interval, (2, 14),
     # starts at the root q, and bulk holds with one exact equality.
     ('{"base":2,"counts":[882,0,620]}', '{"base":2,"counts":[0,1281,0,100]}'),
+    # Supermajorized, so every tail sum of P is >= 0: P = x - 2 is tight at q
+    # and at oo, and a 24-level pair with one tail sum 0 below its top.
+    ('{"base":2,"counts":[2,1,1]}', '{"base":2,"counts":[0,2,1]}'),
+    ('{"base":2,"counts":[4,0,3,2,0,0,1,4,3,2,2,0,2,3,1,3,4,4,0,1,4,4,2,4]}',
+     '{"base":2,"counts":[2,1,1,1,1,0,1,5,1,1,1,2,2,1,0,2,1,6,0,2,0,4,1,5]}'),
 )
 # Option range checks; --tol and --grid are no longer options, so their
 # queries pin that both are usage errors.

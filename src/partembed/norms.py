@@ -12,15 +12,19 @@ Two decision paths are provided.  The numeric path samples f in very high
 precision on a provably sufficient interval and refines sign changes and
 near-zero minima.  For partitions whose entries are powers of one base q the
 substitution x = q**s turns f into an integer polynomial P(x), and dominance
-on [q, oo) is decided exactly: the square-free part and the Sturm chain are
-pseudo-remainder sequences in integers, and every sign taken at a rational
-point n/d (root isolation, gap sign samples that tell touch roots from
-crossings) is the sign of the integer d**deg * P(n/d).  The roots are
-isolated by one bisection over one Sturm chain: a rational root met at a
-midpoint is reported exactly, and nothing is divided out.  Interior equality
-points discovered this way are certified by isolating intervals; numeric
-ones are only flagged, never trusted as refutations.  ``stablep.Pair`` picks
-the path for a pair.
+on [q, oo) is decided exactly.  If every tail sum T_i = sum_{j >= i} P_j q**j
+is >= 0 (mu supermajorizes lam), Abel summation against the increasing
+weights (x/q)**j gives P(x) = T_0 + sum_{i >= 1} T_i ((x/q)**i - (x/q)**(i-1)),
+which is > 0 for x > q unless every T_i, and so P, is 0: dominance holds with
+no interior equality, and nothing is isolated.  Otherwise the square-free
+part and the Sturm chain are pseudo-remainder sequences in integers, and
+every sign taken at a rational point n/d (root isolation, gap sign samples
+that tell touch roots from crossings) is the sign of the integer
+d**deg * P(n/d).  The roots are isolated by one bisection over one Sturm
+chain: a rational root met at a midpoint is reported exactly, and nothing is
+divided out.  Interior equality points discovered this way are certified by
+isolating intervals; numeric ones are only flagged, never trusted as
+refutations.  ``stablep.Pair`` picks the path for a pair.
 """
 
 from __future__ import annotations
@@ -533,8 +537,10 @@ def exact_dominates_powerq(lam: PowerPartition, mu: PowerPartition) -> BulkVerdi
 
     With x = q**s the comparand becomes the integer polynomial
     P(x) = sum_i (b_i - a_i) x^i, to be checked >= 0 on [q, oo).  The check
-    is exact: sign at q, leading sign, root isolation in (q, oo), and gap
-    sign samples between consecutive roots.  Roots inside a nonnegative P are
+    is exact: sign at q, leading sign, tail sums, root isolation in (q, oo),
+    and gap sign samples between consecutive roots.  Tail sums
+    sum_{j >= i} P_j q**j all >= 0 give P > 0 on (q, oo) by Abel summation,
+    so the pair holds with no touch point.  Roots inside a nonnegative P are
     touch points and come back as exact interior equalities.
     """
     if lam.base != mu.base:
@@ -557,6 +563,15 @@ def exact_dominates_powerq(lam: PowerPartition, mu: PowerPartition) -> BulkVerdi
             x *= 2
         return BulkVerdict(holds=False, failure_exponent=_s_of(x, q), failure_x=x,
                            tight_at_one=tight_one, tight_at_infinity=tight_inf)
+    # Top-down Horner: after the step at c = P_i, h = T_i / q**i for the tail
+    # sum T_i = sum_{j >= i} P_j q**j.  No T_i < 0 means P > 0 on (q, oo).
+    h = 0
+    for c in reversed(P):
+        h = h * q + c
+        if h < 0:
+            break
+    else:
+        return BulkVerdict(holds=True, tight_at_one=tight_one, tight_at_infinity=tight_inf)
     if p_at_q == 0:
         # Sign of P just above q from the first nonvanishing derivative.
         d = list(P)

@@ -13,9 +13,12 @@ coefficient scaled to (top count)^(N+1), N the last index of the first pass,
 makes every division exact; it may stop earlier than the first, and its own
 coefficients, scaled to an integral partition, are the catalyst.  It is also
 a catalyst of the pair as given, so only that pair's products are built, as
-count vectors (convolutions of the counts), and embedded.  The iteration need
-not terminate: it halts exactly on the stable pairs, so the step budget
-produces honest UNKNOWN verdicts, never fabricated ones.
+count vectors (convolutions of the counts), and embedded.  A halt gives a
+catalyst, so the iteration halts only on stable pairs, but not on every one:
+base 2 [0,1,4,2,4] / [4,4,0,3,0,2] is stable with nu = [7,10,0,0,9], yet its
+first pass still runs after 100,000 steps.  So the step budget produces
+honest UNKNOWN verdicts, never fabricated ones, and UNKNOWN does not mean
+unstable.
 
 Refutations come from prefilters, each with a re-checkable certificate:
 failed norm dominance, an exactly certified interior norm equality point for
@@ -258,9 +261,9 @@ def construct_nu(lam: PowerPartition, mu: PowerPartition,
     (violations raise ContractViolation): mu nonempty whenever lam is, and
     mu's top box index not below lam's.  A pair that cancels down to an empty
     lam gets the trivial catalyst [1].  The verdict is HOLDS with a validated
-    witness, or UNKNOWN when ``max_steps`` (default 64*(n+m+2)) runs out; the
-    iteration halts exactly on stable pairs, so slow halting and divergence
-    cannot be told apart within a budget.
+    witness, or UNKNOWN when ``max_steps`` (default 64*(n+m+2)) runs out.  The
+    iteration halts only on stable pairs, but some stable pairs never halt it,
+    and slow halting and divergence cannot be told apart within a budget.
     """
     return _construct_nu(lam, mu, *normalize_pair(lam, mu), max_steps)
 

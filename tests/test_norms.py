@@ -18,6 +18,7 @@ from partembed.norms import (
     power_sum,
     _eval_poly,
     _isolate_roots,
+    _positive_root_bound,
     _refine_root_interval,
     _scaled_eval,
     _squarefree_part,
@@ -25,6 +26,7 @@ from partembed.norms import (
     _variations,
 )
 from partembed.core import InvalidExponent
+from partembed.orders import supermajorizes
 from helpers import LAM1, LAM2, MU3, random_partition, random_powerq
 
 S_STAR = math.log(1 + math.sqrt(5)) / math.log(2)  # where the lam2/mu3 norms touch
@@ -532,6 +534,136 @@ class TestDecisionPathTakesIntegerSigns:
                 P = profile_poly(PowerPartition(2, a), PowerPartition(2, b))
                 assert _eval_poly(P, verdict.failure_x) < 0
         assert verdicts[-1].interior_equalities[-1].x_interval == (Fraction(4), Fraction(4))
+
+
+def _tail_sums(P, q):
+    """T_i = sum_{j >= i} P_j q**j for i = 0 .. deg P, summed term by term."""
+    return [sum(c * q**j for j, c in enumerate(P) if j >= i) for i in range(len(P))]
+
+
+def _supermajorized_pairs(n, seed=16):
+    """Distinct same-base count pairs (lam, mu) on 1..24 levels, bases 2 and
+    3, where mu is lam with some runs of q boxes merged into one box a level
+    up, one level higher in a third of them, and a few boxes added: every
+    tail sum of mu - lam is >= 0."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        q, levels = rng.choice((2, 3)), rng.randint(1, 23)
+        lam = [rng.randint(0, 4) for _ in range(levels)]
+        lam[-1] = max(lam[-1], 1)
+        mu = lam + [0] * (rng.random() < 1 / 3)
+        for _ in range(rng.randint(0, 3 * levels)):
+            i = rng.randrange(len(mu) - 1) if len(mu) > 1 else 0
+            if len(mu) > 1 and mu[i] >= q:
+                mu[i] -= q
+                mu[i + 1] += 1
+        for _ in range(rng.choice((0, 0, 1, 3))):
+            mu[rng.randrange(len(mu))] += 1
+        while mu[-1] == 0:
+            mu.pop()
+        if mu != lam:
+            yield PowerPartition(q, tuple(lam)), PowerPartition(q, tuple(mu))
+
+
+class TestTailSumShortcut:
+    """Pairs whose tail sums are all >= 0 are decided without root isolation."""
+
+    CASES = [(lam, mu, profile_poly(lam, mu)) for lam, mu in _supermajorized_pairs(400)]
+
+    @staticmethod
+    def _one_negative_tail(lam, mu, P, k):
+        """(lam, mu) with P_k lowered by d and P_(k-1) raised by d*q, so that
+        T_k < 0 is the one negative tail sum."""
+        q = lam.base
+        d = _tail_sums(P, q)[k] // q**k + 1
+        a, b = list(lam.counts), list(mu.counts)
+        a += [0] * (len(b) - len(a))
+        a[k] += d
+        b[k - 1] += d * q
+        while a[-1] == 0:
+            a.pop()
+        return PowerPartition(q, tuple(a)), PowerPartition(q, tuple(b))
+
+    def test_sweep_covers_both_bases_and_both_tight_ends(self):
+        for q in (2, 3):
+            assert max(len(P) for lam, _, P in self.CASES if lam.base == q) == 24
+        tight_q = [_eval_poly(P, lam.base) == 0 for lam, _, P in self.CASES]
+        tight_inf = [len(lam.counts) == len(mu.counts) for lam, mu, _ in self.CASES]
+        assert 50 < sum(tight_q) < len(self.CASES) - 50
+        assert 50 < sum(tight_inf) < len(self.CASES) - 50
+        assert sum(0 in _tail_sums(P, lam.base)[1:] for lam, _, P in self.CASES) > 50
+
+    def test_supermajorized_pairs_hold_with_no_equality(self):
+        for lam, mu, P in self.CASES:
+            q = lam.base
+            assert min(_tail_sums(P, q)) >= 0
+            assert supermajorizes(from_base_counts(mu), from_base_counts(lam)).holds
+            verdict = exact_dominates_powerq(lam, mu)
+            assert verdict == norms.BulkVerdict(
+                holds=True, tight_at_one=_eval_poly(P, q) == 0,
+                tight_at_infinity=len(lam.counts) == len(mu.counts)), (lam, mu)
+
+    def test_reference_isolation_finds_no_root(self):
+        for lam, mu, P in self.CASES:
+            q = Fraction(lam.base)
+            assert _isolate_roots(_squarefree_part(P), q, _positive_root_bound(P, q)) == ([], [])
+            assert _eval_poly(P, q + 1) > 0
+
+    def test_isolation_is_never_reached(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a supermajorized pair reached root isolation")
+
+        for name in ("_isolate_roots", "_squarefree_part", "_sturm_chain"):
+            monkeypatch.setattr(norms, name, forbidden)
+        for lam, mu, _ in self.CASES:
+            assert exact_dominates_powerq(lam, mu).holds
+
+    NEGATIVE_TAIL = (
+        # the two golden touch pairs
+        (2, (0, 3200, 240, 0, 24, 8), (6400, 0, 0, 320, 0, 0, 1)),
+        (2, (0, 5440, 0, 204), (6400, 0, 1636, 0, 9)),
+        # catalyst-family pairs: P = x^2 - 3x + 3 and x^3 - 6x + 11 over base 2,
+        # x^2 - 5x + 7 over base 3
+        (2, (0, 3), (3, 0, 1)),
+        (2, (0, 6), (11, 0, 0, 1)),
+        (3, (0, 5), (7, 0, 1)),
+    )
+
+    def _isolations(self, monkeypatch, lam, mu):
+        calls = []
+        isolate = norms._isolate_roots
+        monkeypatch.setattr(norms, "_isolate_roots",
+                            lambda *args: calls.append(args) or isolate(*args))
+        verdict = exact_dominates_powerq(lam, mu)
+        monkeypatch.undo()
+        return verdict, len(calls)
+
+    def test_negative_tail_sum_isolates_once(self, monkeypatch):
+        for q, a, b in self.NEGATIVE_TAIL:
+            lam, mu = PowerPartition(q, a), PowerPartition(q, b)
+            P = profile_poly(lam, mu)
+            assert min(_tail_sums(P, q)) < 0 and _eval_poly(P, q) > 0 and P[-1] > 0
+            verdict, calls = self._isolations(monkeypatch, lam, mu)
+            assert verdict.holds and calls == 1, (a, b)
+
+    def test_each_tail_sum_is_checked(self, monkeypatch):
+        # for every base and every k below the top: a pair whose one negative
+        # tail sum is T_k still goes to root isolation, once
+        seen = set()
+        for lam, mu, P in self.CASES:
+            q = lam.base
+            for k in range(1, len(P) - 1):
+                if (q, k) in seen:
+                    continue
+                seen.add((q, k))
+                lam_k, mu_k = self._one_negative_tail(lam, mu, P, k)
+                P_k = profile_poly(lam_k, mu_k)
+                assert [i for i, t in enumerate(_tail_sums(P_k, q)) if t < 0] == [k]
+                verdict, calls = self._isolations(monkeypatch, lam_k, mu_k)
+                assert calls == 1, (lam_k, mu_k)
+                if not verdict.holds:
+                    assert verdict.failure_x > q and _eval_poly(P_k, verdict.failure_x) < 0
+        assert seen == {(q, k) for q in (2, 3) for k in range(1, 23)}
 
 
 class TestExactPathMixedRoots:

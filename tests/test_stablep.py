@@ -14,6 +14,7 @@ from partembed.core import (
     ContractViolation,
     EmptyPartition,
     PowerPartition,
+    count_product,
     from_base_counts,
     from_entries,
     product,
@@ -184,6 +185,21 @@ class TestConstructNu:
         verdict = construct_nu(lt, mt, max_steps=200)
         assert verdict.status == UNKNOWN
         assert verdict.budget_spent >= 200
+
+    def test_unknown_on_a_stable_pair(self):
+        # The iteration does not halt on every stable pair: this one passes
+        # every refutation rule and nu = [7,10,0,0,9] is a catalyst, yet the
+        # first pass runs out of the default budget, 64 * (4 + 5 + 2) steps
+        # on the normalized pair [0,0,4,0,4] / [4,3,0,1,0,2].
+        lam, mu = PowerPartition(2, (0, 1, 4, 2, 4)), PowerPartition(2, (4, 4, 0, 3, 0, 2))
+        assert prefilter_stable(from_base_counts(lam), from_base_counts(mu)) is None
+        verdict = construct_nu(lam, mu)
+        assert (verdict.status, verdict.budget_spent, verdict.detail) == (
+            UNKNOWN, 704, "iteration budget exhausted in the first pass")
+        nu = PowerPartition(2, (7, 10, 0, 0, 9))
+        lam_nu, mu_nu = count_product(lam, nu), count_product(mu, nu)
+        witness = partembed.orders.embed_powerq(lam_nu, mu_nu)
+        assert witness.validate(from_base_counts(lam_nu), from_base_counts(mu_nu))
 
     def test_validates_on_random_stable_pairs(self):
         rng = random.Random(41)

@@ -13,24 +13,24 @@ The query list is fixed: the first 300 seed-1 queries of ``general-mix`` and
 ``powerq-mix`` re-asked as every relation with and without ``--json`` (deep
 ``powerq-mix`` pairs, which ask ``check bulk``, only as embed, supermajorize
 and bulk), the first 100 seed-7 deep ``powerq-mix`` pairs as ``check bulk
---json`` (57 of them reach the exact path's Sturm root isolation; none has a
-root past q), the first 400 ``binpack-hard`` queries as they are (node budget
-2000) and again with ``--budget 500``, so that which searches run out of
-budget is pinned at two budgets, both forms of ``repro-example24``, the
-``PAIRS`` below (those pinned by ``tests/golden``, among them two base-2
-count pairs with two touch roots each, which reach the root refinement, and
-one whose rational touch root is printed as a point interval, one base-2
-pair whose catalyst has 3,888 boxes, so that the witness of a large catalyst is
+--json`` (57 of them get past the exact path's sign checks at q and at oo; all
+57 are supermajorized, so their tail sums decide them and none reaches the
+Sturm root isolation), the first 400 ``binpack-hard`` queries as they are
+(node budget 2000) and again with ``--budget 500``, so that which searches run
+out of budget is pinned at two budgets, both forms of ``repro-example24``, the
+``PAIRS`` below (those pinned by ``tests/golden``, among them two base-2 count
+pairs with two touch roots each, which reach the root refinement, and one
+whose rational touch root is printed as a point interval, one base-2 pair
+whose catalyst has 3,888 boxes, so that the witness of a large catalyst is
 pinned, two base-q pairs whose roots past q are all bisection midpoints of the
 isolation range, one tight at q whose one isolating interval starts at the
 root q, and two supermajorized count pairs, one of them tight at q and at oo
-and one on 24 levels) under every relation, the first 100
-``powerq-mix`` catalyst-family pairs with one box
-added at every level up to mu's top on both sides (so normalization cancels
-something) as stable and all, ``conjecture-scan`` over ``tools/scan_corpus.ndjson``
-with and without ``--json`` and ``--max-steps 3``, and a few queries with an
-invalid option, among them the removed ``--tol`` and ``--grid``, which are
-usage errors.
+and one on 24 levels) under every relation, the first 100 ``powerq-mix``
+catalyst-family pairs with one box added at every level up to mu's top on both
+sides (so normalization cancels something) as stable and all,
+``conjecture-scan`` over ``tools/scan_corpus.ndjson`` with and without
+``--json`` and ``--max-steps 3``, and a few queries with an invalid option,
+among them the removed ``--tol`` and ``--grid``, which are usage errors.
 
 The scan corpus is committed: the ``PAIRS`` below, the first 100 seed-1
 ``powerq-mix`` catalyst-family pairs as they are, and 100 pairs of equal

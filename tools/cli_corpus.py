@@ -25,7 +25,8 @@ whose catalyst has 3,888 boxes, so that the witness of a large catalyst is
 pinned, two base-q pairs whose roots past q are all bisection midpoints of the
 isolation range, one tight at q whose one isolating interval starts at the
 root q, and two supermajorized count pairs, one of them tight at q and at oo
-and one on 24 levels) under every relation, the first 100 ``powerq-mix``
+and one on 24 levels, and one whose bulk failure exponent, 2**66, prints in
+e-notation) under every relation, the first 100 ``powerq-mix``
 catalyst-family pairs with one box added at every level up to mu's top on both
 sides (so normalization cancels something) as stable and all,
 ``conjecture-scan`` over ``tools/scan_corpus.ndjson`` with and without
@@ -95,6 +96,10 @@ PAIRS = (
     ('{"base":2,"counts":[2,1,1]}', '{"base":2,"counts":[0,2,1]}'),
     ('{"base":2,"counts":[4,0,3,2,0,0,1,4,3,2,2,0,2,3,1,3,4,4,0,1,4,4,2,4]}',
      '{"base":2,"counts":[2,1,1,1,1,0,1,5,1,1,1,2,2,1,0,2,1,6,0,2,0,4,1,5]}'),
+    # f(s) = 2*v**s - (v+1)**s with v = 10**20 turns negative only past
+    # s = v*ln 2, so the doubling search prints failure_exponent 2**66 in
+    # e-notation, next to entries above 2**64.
+    (json.dumps([10**20 + 1]), json.dumps([10**20] * 2)),
 )
 # Option range checks; --tol and --grid are no longer options, so their
 # queries pin that both are usage errors.

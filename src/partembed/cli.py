@@ -8,7 +8,8 @@ Partitions travel as JSON documents with exactly one of ``entries`` (a list
 of positive integers, any order) or ``counts`` plus ``base`` (the power
 count-vector form), and an optional ``name``.  Quick queries can pass a bare
 array inline: ``--lhs '[2,2,2,2]'``.  Corpora are newline-delimited JSON.
-Reports print as ``to_doc(x)``, and ``from_doc(type(x), to_doc(x)) == x``.
+Reports print as ``json.dumps(to_doc(x), indent=2)``, written in one pass
+over the report objects by ``_write``, and ``from_doc(type(x), to_doc(x)) == x``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import types
 import typing
 from collections import Counter
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .core import (
     Partition,
@@ -42,7 +44,6 @@ from .stablep import (
     TIGHT_VALUATION,
     UNKNOWN,
     Pair,
-    relations,
     stable_embeds,
 )
 
@@ -130,6 +131,63 @@ def from_doc(tp, doc):
     return doc
 
 
+_INTS = {int}
+# Writers of the scalars that report objects hold, by exact type.
+_SCALAR_JSON = {
+    str: _json_str,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+@functools.cache
+def _json_members(cls) -> tuple[tuple[str, str], ...]:
+    """(attribute, '"key": ') of each field, in declaration order."""
+    return tuple((name, _json_str(key) + ": ") for name, key, _ in _fields(cls))
+
+
+def _encode(obj, indent: str) -> str:
+    """``json.dumps(to_doc(obj), indent=2)`` for a value whose line starts at
+    ``indent`` (a newline and two spaces per level), written in one pass over
+    the report objects themselves.  Containers are the dataclasses, Partition
+    and Fraction of ``to_doc`` plus JSON lists and dicts with string keys."""
+    tp = type(obj)
+    if write := _SCALAR_JSON.get(tp):
+        return write(obj)
+    if isinstance(obj, _SCALARS):  # floats, and subclasses of the scalar types
+        return json.dumps(obj)
+    if tp is Fraction:
+        return f'"{obj.numerator}/{obj.denominator}"'
+    inner = indent + "  "
+    if tp is Partition:
+        obj = obj.entries
+    if isinstance(obj, (tuple, list)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == _INTS:
+            items = map(int.__repr__, obj)
+        else:
+            items = [_encode(x, inner) for x in obj]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]"
+    get = _SCALAR_JSON.get
+    if isinstance(obj, dict):
+        items = [_json_str(k) + ": " + (write(v) if (write := get(type(v))) else _encode(v, inner))
+                 for k, v in obj.items()]
+    else:
+        items = [key + (write(v) if (write := get(type(v := getattr(obj, name))))
+                        else _encode(v, inner))
+                 for name, key in _json_members(tp)]
+    if not items:
+        return "{}"
+    return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
+
+
+def _write(obj) -> None:
+    """Print ``json.dumps(to_doc(obj), indent=2)``: every ``--json`` answer."""
+    print(_encode(obj, "\n"))
+
+
 def parse_partition_doc(obj) -> tuple[Partition, str | None]:
     if isinstance(obj, list):
         obj = {"entries": obj}
@@ -198,10 +256,9 @@ def cmd_check(args) -> int:
     if args.relation == "embed":
         witness, undecided = pair.embedding
         if args.json:
-            doc = {"relation": "embed",
-                   "verdict": "UNKNOWN" if undecided else ("HOLDS" if witness else "FAILS"),
-                   "witness": to_doc(witness)}
-            print(json.dumps(doc, indent=2))
+            _write({"relation": "embed",
+                    "verdict": "UNKNOWN" if undecided else ("HOLDS" if witness else "FAILS"),
+                    "witness": witness})
         else:
             if undecided:
                 print(f"embed: UNKNOWN (search budget of {args.budget} nodes exhausted)")
@@ -214,8 +271,8 @@ def cmd_check(args) -> int:
     if args.relation == "supermajorize":
         sup = pair.sup
         if args.json:
-            print(json.dumps({"relation": "supermajorize", "verdict": "HOLDS" if sup.holds else "FAILS",
-                              "failing_x": sup.failing_x}, indent=2))
+            _write({"relation": "supermajorize", "verdict": "HOLDS" if sup.holds else "FAILS",
+                    "failing_x": sup.failing_x})
         else:
             if sup.holds:
                 print("supermajorize: HOLDS")
@@ -226,8 +283,8 @@ def cmd_check(args) -> int:
     if args.relation == "bulk":
         base, verdict = pair.base, pair.bulk
         if args.json:
-            print(json.dumps({"relation": "bulk", "verdict": "HOLDS" if verdict.holds else "FAILS",
-                              "base": base, "report": to_doc(verdict)}, indent=2))
+            _write({"relation": "bulk", "verdict": "HOLDS" if verdict.holds else "FAILS",
+                    "base": base, "report": verdict})
         else:
             word = "HOLDS" if verdict.holds else "FAILS"
             path = f"exact, base {base}" if base is not None else "numeric"
@@ -242,8 +299,7 @@ def cmd_check(args) -> int:
     if args.relation == "stable":
         verdict = pair.stable
         if args.json:
-            print(json.dumps({"relation": "stable", "verdict": verdict.status,
-                              "report": to_doc(verdict)}, indent=2))
+            _write({"relation": "stable", "verdict": verdict.status, "report": verdict})
         else:
             print(f"stable: {verdict.status}")
             if verdict.witness is not None:
@@ -255,9 +311,9 @@ def cmd_check(args) -> int:
         return {HOLDS: EX_OK, FAILS: EX_FAILS, UNKNOWN: EX_UNKNOWN}[verdict.status]
 
     # all four relations
-    report = relations(lam, mu, node_budget=args.budget, max_steps=args.max_steps)
+    report = pair.report()
     if args.json:
-        print(json.dumps(to_doc(report), indent=2))
+        _write(report)
     else:
         emb = "UNKNOWN" if report.embeds is None else ("HOLDS" if report.embeds else "FAILS")
         print(f"embed:          {emb}")
@@ -330,7 +386,7 @@ def cmd_repro_example24(args) -> int:
 
     ok_all = all(c["ok"] for c in claims)
     if args.json:
-        print(json.dumps({"claims": claims, "ok": ok_all}, indent=2))
+        _write({"claims": claims, "ok": ok_all})
     else:
         for c in claims:
             tag = "ok  " if c["ok"] else "FAIL"
@@ -426,7 +482,7 @@ def cmd_conjecture_scan(args) -> int:
 
     counts = Counter(r["status"] for r in rows)
     if args.json:
-        print(json.dumps({"rows": rows, "counts": dict(counts)}, indent=2))
+        _write({"rows": rows, "counts": dict(counts)})
     else:
         for r in rows:
             extra = r.get("detail") or (f"steps={r.get('steps')} nu={r.get('nu')}"

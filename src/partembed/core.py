@@ -14,6 +14,7 @@ exact.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -244,7 +245,10 @@ def to_base_counts(a: Partition, q: int) -> PowerPartition:
         if k is None:
             raise NotPowerOfBase(e, q)
         levels[k] = n
-    return PowerPartition(q, tuple(levels.get(i, 0) for i in range(max(levels) + 1)))
+    # tuple() of a list, not of a generator: a tuple built from a generator
+    # is resized to its length, and on release it joins the free list of that
+    # length, which the next generator-built tuple never draws from.
+    return PowerPartition(q, tuple([levels.get(i, 0) for i in range(max(levels) + 1)]))
 
 
 def from_base_counts(pp: PowerPartition) -> Partition:
@@ -257,25 +261,38 @@ def from_base_counts(pp: PowerPartition) -> Partition:
     return Partition(tuple(entries))
 
 
+def _primes_upto(n: int) -> list[int]:
+    """The primes p <= n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = bytes(min(2, n + 1))
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, n + 1, i)))
+    return [i for i, is_prime in enumerate(sieve) if is_prime]
+
+
 def common_power_base(a: Partition, b: Partition) -> int | None:
     """Smallest base q >= 2 such that every entry of both partitions is a power of q.
 
-    Any valid base must be an exact integer root of the smallest entry above 1,
-    so only those few candidates are tested (equivalent to scanning q upward,
-    but without touching every integer).  Returns None when no base exists.
+    Only one candidate is tested: the minimal root r of the smallest entry m
+    above 1, found by taking prime-degree roots of m while there are any.  A
+    valid base q has m = q**k, and every q with a power equal to m is itself a
+    power of r, so r is valid whenever any base is, and it is the smallest.
+    Returns None when no base exists.  The cost is one ``integer_root`` per
+    prime up to the bit length of m: about a second for a 10,000-bit m that is
+    not a perfect power.
     """
     values = set(a.entries) | set(b.entries)
     values.discard(1)
     if not values:
         # All entries are 1; any base works, report the smallest.
         return 2
-    m = min(values)
-    candidates: list[int] = []
-    for k in range(m.bit_length() - 1, 0, -1):
-        r = integer_root(m, k)
-        if r >= 2 and r**k == m:
-            candidates.append(r)
-    for q in candidates:  # ascending by construction
-        if all(_power_exponent(v, q) is not None for v in values):
-            return q
+    r = min(values)
+    for p in _primes_upto(r.bit_length() - 1):
+        if p >= r.bit_length():  # r < 2**p: no p-th root >= 2
+            break
+        while (root := integer_root(r, p)) ** p == r:
+            r = root
+    if all(_power_exponent(v, r) is not None for v in values):
+        return r
     return None

@@ -17,10 +17,10 @@ is >= 0 (mu supermajorizes lam), Abel summation against the increasing
 weights (x/q)**j gives P(x) = T_0 + sum_{i >= 1} T_i ((x/q)**i - (x/q)**(i-1)),
 which is > 0 for x > q unless every T_i, and so P, is 0: dominance holds with
 no interior equality, and nothing is isolated.  Otherwise the square-free
-part and the Sturm chain are pseudo-remainder sequences in integers, and
-every sign taken at a rational point n/d (root isolation, gap sign samples
-that tell touch roots from crossings) is the sign of the integer
-d**deg * P(n/d).  The roots are isolated by one bisection over one Sturm
+part and the Sturm chain are pseudo-remainder sequences in integers (one
+sequence gives both when P is square-free), and every sign taken at a
+rational point n/d (root isolation, gap sign samples that tell touch roots
+from crossings) is the sign of the integer d**deg * P(n/d).  The roots are isolated by one bisection over one Sturm
 chain: a rational root met at a midpoint is reported exactly, and nothing is
 divided out.  Interior equality points discovered this way are certified by
 isolating intervals; numeric ones are only flagged, never trusted as
@@ -421,16 +421,34 @@ def _exact_quotient(num: list[int], den: list[int]) -> list[int] | None:
 
 
 def _squarefree_part(p: list[int]) -> list[int]:
-    """p / gcd(p, p'), primitive with positive leading coefficient; the gcd
-    comes from a primitive pseudo-remainder sequence (Collins 1967)."""
-    a, b = _primitive_keep_sign(p), _primitive_keep_sign(_deriv(p))
-    while b:
-        a, b = b, _primitive_keep_sign(_pseudo_remainder(a, b))
-    quot = p if len(a) <= 1 else _exact_quotient(p, a)
-    if quot is None:
-        raise AssertionError("gcd does not divide its polynomial")
-    quot = _primitive_keep_sign(quot)
-    return [-c for c in quot] if quot and quot[-1] < 0 else quot
+    """p / gcd(p, p'), primitive with positive leading coefficient."""
+    return _squarefree_chain(p)[0]
+
+
+def _squarefree_chain(p: list[int]) -> list[list[int]]:
+    """The Sturm chain of S = p / gcd(p, p'), whose first member is S,
+    primitive with positive leading coefficient.
+
+    The gcd comes from a primitive pseudo-remainder sequence of p and p'
+    (Collins 1967).  When it is constant, p is square-free and that sequence
+    is its Sturm chain up to signs: the chain's member k is -rem(k-2, k-1),
+    the sequence's is +rem, and ``_pseudo_remainder`` is odd in its first
+    argument and even in its second, so the signs repeat +, +, -, - along the
+    chain, all flipped when p's leading coefficient is negative.
+    """
+    seq = [_primitive_keep_sign(p), _primitive_keep_sign(_deriv(p))]
+    while seq[-1]:
+        seq.append(_primitive_keep_sign(_pseudo_remainder(seq[-2], seq[-1])))
+    seq.pop()
+    gcd = seq[-1]
+    if len(gcd) > 1:
+        quot = _exact_quotient(p, gcd)
+        if quot is None:
+            raise AssertionError("gcd does not divide its polynomial")
+        quot = _primitive_keep_sign(quot)
+        return _sturm_chain([-c for c in quot] if quot[-1] < 0 else quot)
+    negate = p[-1] < 0 if p else False
+    return [[-c for c in m] if (k % 4 > 1) != negate else m for k, m in enumerate(seq)]
 
 
 def _sturm_chain(p: list[int]) -> list[list[int]]:
@@ -460,20 +478,23 @@ def _variations(values: Iterable) -> int:
     return count
 
 
-def _isolate_roots(S: list[int], lo: Fraction, hi: Fraction):
+def _isolate_roots(S: list[int], lo: Fraction, hi: Fraction,
+                   chain: list[list[int]] | None = None):
     """Isolate the real roots of the square-free S inside the open (lo, hi);
     ``hi`` must lie strictly above every root of S.
 
-    One bisection over one Sturm chain.  At a root c of a square-free S the
-    sign variations V(c) equal those just right of c, so V(a) - V(b) counts
-    the roots in (a, b] even when a or b is a root.  Returns (exact_roots,
-    intervals): the rational roots hit at bisection midpoints, and disjoint
-    open intervals (a, b) with one simple root each and no other root of S in
-    their closure, where S(b) != 0 and S(a) has the opposite sign or a is the
-    root lo.  So every point of an interval-free gap other than lo is
-    provably not a root.
+    One bisection over one Sturm chain: ``chain``, S's chain when the caller
+    already has it, or else ``_sturm_chain(S)``.  At a root c of a
+    square-free S the sign variations V(c) equal those just right of c, so
+    V(a) - V(b) counts the roots in (a, b] even when a or b is a root.
+    Returns (exact_roots, intervals): the rational roots hit at bisection
+    midpoints, and disjoint open intervals (a, b) with one simple root each
+    and no other root of S in their closure, where S(b) != 0 and S(a) has the
+    opposite sign or a is the root lo.  So every point of an interval-free
+    gap other than lo is provably not a root.
     """
-    chain = _sturm_chain(S)
+    if chain is None:
+        chain = _sturm_chain(S)
 
     def signs_at(x: Fraction) -> list[int]:
         return [_scaled_eval(p, x) for p in chain]
@@ -588,9 +609,10 @@ def exact_dominates_powerq(lam: PowerPartition, mu: PowerPartition) -> BulkVerdi
             return BulkVerdict(holds=False, failure_exponent=_s_of(x, q), failure_x=x,
                                tight_at_one=True, tight_at_infinity=tight_inf)
 
-    S = _squarefree_part(P)
+    chain = _squarefree_chain(P)
+    S = chain[0]
     hi = _positive_root_bound(P, q_f)
-    exact_roots, intervals = _isolate_roots(S, q_f, hi)
+    exact_roots, intervals = _isolate_roots(S, q_f, hi, chain)
 
     # Merge roots into (a, b) items sorted by position; exact roots collapse.
     # Items are pairwise disjoint (endpoints may coincide) and every interval

@@ -349,7 +349,7 @@ def _construct_nu(lam: PowerPartition, mu: PowerPartition, lt: PowerPartition,
 
     # second[k] counts boxes of nominal size q^-k; scaling by q^top makes them
     # integral: counts[i] boxes of size q^i with counts[i] = second[top - i].
-    nu_pp = PowerPartition(q, tuple(second[top - i] for i in range(top + 1)))
+    nu_pp = PowerPartition(q, tuple(second[::-1]))
     w = embed_powerq(count_product(lam, nu_pp), count_product(mu, nu_pp))
     if w is None:
         raise RuntimeError("internal error: stop rule fired without product dominance")
@@ -467,6 +467,37 @@ class Pair:
                                                  "search also hit its budget")
         return self.catalyst
 
+    def report(self) -> RelationReport:
+        """All four relations, with the implication diagram enforced.
+
+        BudgetExceeded is reported as an undecided field, never raised.
+        Diagram violations (embeds without supermajorization, and so on) are
+        internal errors and raise RuntimeError.
+        """
+        witness, emb_unknown = self.embedding
+        emb = None if emb_unknown else witness is not None
+        sup, bulk, stable = self.sup, self.bulk, self.stable
+
+        if emb is True:
+            if not sup.holds:
+                raise RuntimeError("implication violated: embeds but not supermajorized")
+            if stable.status == FAILS:
+                raise RuntimeError("implication violated: embeds but stable=FAILS")
+        if sup.holds and not bulk.holds:
+            raise RuntimeError("implication violated: supermajorized but not bulk")
+        if stable.status == HOLDS and not bulk.holds:
+            raise RuntimeError("implication violated: stable holds but not bulk")
+
+        return RelationReport(
+            embeds=emb,
+            embed_witness=witness,
+            supermajorized=sup.holds,
+            supermajorization_failing_x=sup.failing_x,
+            stable=stable,
+            bulk=bulk,
+            base=self.base,
+        )
+
 
 @dataclass
 class RelationReport:
@@ -488,35 +519,6 @@ class RelationReport:
 def relations(lam: Partition, mu: Partition, *,
               node_budget: int = DEFAULT_NODE_BUDGET,
               max_steps: int | None = None) -> RelationReport:
-    """Compute all four relations and enforce the implication diagram.
-
-    Every relation reads the same ``Pair``, so the pair's base, count vectors,
-    direct embedding and bulk verdict are computed once.  BudgetExceeded is
-    reported as an undecided field, never raised.  Diagram violations (embeds
-    without supermajorization, and so on) are internal errors and raise
-    RuntimeError.
-    """
-    pair = Pair(lam, mu, node_budget, max_steps)
-    witness, emb_unknown = pair.embedding
-    emb = None if emb_unknown else witness is not None
-    sup, bulk, stable = pair.sup, pair.bulk, pair.stable
-
-    if emb is True:
-        if not sup.holds:
-            raise RuntimeError("implication violated: embeds but not supermajorized")
-        if stable.status == FAILS:
-            raise RuntimeError("implication violated: embeds but stable=FAILS")
-    if sup.holds and not bulk.holds:
-        raise RuntimeError("implication violated: supermajorized but not bulk")
-    if stable.status == HOLDS and not bulk.holds:
-        raise RuntimeError("implication violated: stable holds but not bulk")
-
-    return RelationReport(
-        embeds=emb,
-        embed_witness=witness,
-        supermajorized=sup.holds,
-        supermajorization_failing_x=sup.failing_x,
-        stable=stable,
-        bulk=bulk,
-        base=pair.base,
-    )
+    """Compute all four relations and enforce the implication diagram (see
+    ``Pair.report``)."""
+    return Pair(lam, mu, node_budget, max_steps).report()

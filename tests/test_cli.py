@@ -1,7 +1,12 @@
+import contextlib
+import gc
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,8 +19,22 @@ from partembed.core import (
     from_entries,
     to_base_counts,
 )
-from partembed.norms import BulkVerdict, dominates_all_s, exact_dominates_powerq
-from partembed.stablep import RelationReport, StableVerdict, relations, stable_embeds
+from partembed.norms import BulkVerdict, EqualityPoint, dominates_all_s, exact_dominates_powerq
+from partembed.orders import EmbeddingWitness
+from partembed.stablep import (
+    FAILS,
+    HOLDS,
+    TIGHT_VALUATION,
+    UNKNOWN,
+    Pair,
+    RelationReport,
+    StableRefutation,
+    StableVerdict,
+    StableWitness,
+    StepRecord,
+    relations,
+    stable_embeds,
+)
 from helpers import LAM1, LAM2, LAM3, MU1, MU2, MU3, MU4
 
 
@@ -300,6 +319,93 @@ class TestJsonLayout:
         code, out, _ = run(capsys, "check", relation, "--lhs", lhs, "--rhs", rhs, "--json")
         assert code == 0
         assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+def _golden_pair(name):
+    _, lhs, rhs = GOLDEN_QUERIES[name]
+    return Pair(cli.parse_partition_doc(json.loads(lhs))[0],
+                cli.parse_partition_doc(json.loads(rhs))[0])
+
+
+class TestJsonWriter:
+    """``cli._write`` against its oracle, the standard library's
+    ``json.dumps(to_doc(x), indent=2)``."""
+
+    @staticmethod
+    def written(capsys, obj):
+        cli._write(obj)
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_QUERIES))
+    def test_every_report_of_the_golden_pairs(self, capsys, name):
+        pair = _golden_pair(name)
+        witness, _ = pair.embedding
+        for obj in (pair.report(), pair.stable, pair.catalyst, pair.bulk, pair.refutation,
+                    witness, pair.sup, pair.lam, pair.mu):
+            assert self.written(capsys, obj) == json.dumps(cli.to_doc(obj), indent=2) + "\n"
+
+    EDGE_REPORTS = (
+        BulkVerdict(holds=True),  # None fields and an empty tuple
+        BulkVerdict(False, failure_exponent=1e-07, failure_x=Fraction(-7, 3), interior_equalities=(
+            EqualityPoint(1e16, True, (Fraction(5), Fraction(2**70, 3)), 2),
+            EqualityPoint(math.inf, False),
+            EqualityPoint(-math.inf, False),
+            EqualityPoint(math.nan, False),
+        )),
+        StableVerdict(UNKNOWN, detail='budget \u2014 \u00fcber \u2603 "quoted" \\ \n\t\x00 \U0001d11e'),
+        StableVerdict(HOLDS, StableWitness(Partition((2**70, 2**64 + 1, 1)),
+                                           EmbeddingWitness((0, 1, 1), (5, 2**65)),
+                                           (StepRecord(1, 0, 2**64, 0, 3, 0),)),
+                      budget_spent=2**65),
+        StableRefutation(TIGHT_VALUATION, prime=2**61 - 1, lam_valuation=0, mu_valuation=0),
+        EmbeddingWitness((), ()),
+        RelationReport(None, None, False, 2**64, StableVerdict(FAILS), BulkVerdict(True), None),
+        Partition((2**64,)),
+        Fraction(3),
+        (),
+        ((), ((),)),
+        (True, False, 1, None, 0),  # bools among ints are not ints
+        1e-07, 1e16, 1.5, -0.0, math.inf, 2**64 + 1, -3, "\u00e9", "", None, True, False,
+    )
+
+    @pytest.mark.parametrize("obj", EDGE_REPORTS)
+    def test_edge_cases(self, capsys, obj):
+        assert self.written(capsys, obj) == json.dumps(cli.to_doc(obj), indent=2) + "\n"
+
+    def test_literal_documents(self, capsys):
+        # Dicts and lists as cmd_check and the other commands build them,
+        # with report objects as values.
+        for doc in (
+            {}, [], {"a": [], "b": {}, "c": [[], {}, [[]], [{}]]},
+            {"relation": "bulk", "verdict": "HOLDS", "base": None, "report": BulkVerdict(True)},
+            {"claims": [{"claim": "\u00fc", "ok": True, "detail": ""}], "ok": False},
+            {"rows": [{"name": "n", "nu": [2, 1, 1], "steps": 2**64}], "counts": {"holds": 1}},
+            [1.5, [True, 1], [2**64, 3], {"x": Fraction(1, 3)}],
+        ):
+            want = json.dumps(doc, indent=2, default=cli.to_doc) + "\n"
+            assert self.written(capsys, doc) == want
+
+
+def test_json_answers_leave_no_cyclic_garbage():
+    # Twenty ``check bulk --json`` answers, exact (with root refinement) and
+    # numeric, free everything they allocate by reference counting alone.
+    for name in ("bulk-touch-4_20", "bulk-24x4_12x4-48_6x16_3x16"):
+        _, lhs, rhs = GOLDEN_QUERIES[name]
+        argv = ["check", "bulk", "--json", "--lhs", lhs, "--rhs", rhs]
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv)  # the parser, lazy imports and caches
+            gc.collect()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                before = len(gc.garbage)
+                for _ in range(20):
+                    cli.main(argv)
+                gc.collect()
+                left = len(gc.garbage) - before
+            finally:
+                gc.set_debug(0)
+                gc.garbage.clear()
+        assert left == 0, name
 
 
 class TestJsonRoundTrips:

@@ -228,6 +228,38 @@ class TestCommonBase:
     def test_mixed_not_powers(self):
         assert common_power_base(from_entries([6, 4]), from_entries([2])) is None
 
+    def test_matches_an_upward_scan(self):
+        # The reference scans q = 2, 3, ... up to the smallest entry above 1,
+        # which bounds every base; the sets mix powers of bases that are
+        # themselves powers (4, 8, 9, 16, 27).
+        def is_power(v, q):
+            p = 1
+            while p < v:
+                p *= q
+            return p == v
+
+        def scan(values):
+            values = set(values) - {1}
+            if not values:
+                return 2
+            for q in range(2, min(values) + 1):
+                if all(is_power(v, q) for v in values):
+                    return q
+            return None
+
+        rng = random.Random(11)
+        for _ in range(1500):
+            q = rng.choice([2, 3, 4, 5, 6, 8, 9, 16, 27])
+            sides = [[q ** rng.randint(0, 4) if rng.random() < 0.9 else rng.randint(1, 300)
+                      for _ in range(rng.randint(1, 4))] for _ in range(2)]
+            assert common_power_base(*map(from_entries, sides)) == scan(sides[0] + sides[1]), sides
+
+    def test_huge_power_of_three(self):
+        # One candidate root per prime degree: 3**6309 (about 10,000 bits)
+        # reduces to 3 in milliseconds.
+        m = 3**6309
+        assert common_power_base(from_entries([m]), from_entries([m, 1])) == 3
+
 
 class TestSmallHelpers:
     def test_integer_root(self):

@@ -21,6 +21,7 @@ from partembed.norms import (
     _positive_root_bound,
     _refine_root_interval,
     _scaled_eval,
+    _squarefree_chain,
     _squarefree_part,
     _sturm_chain,
     _variations,
@@ -401,6 +402,7 @@ class TestIntegerAlgebra:
             assert _sturm_chain(p) == _ref_sturm(p), p
             sf = _ref_squarefree(p)
             assert _sturm_chain(sf) == _ref_sturm(sf), sf
+            assert _squarefree_chain(p) == _ref_sturm(sf), p
 
     # integers, dyadic midpoints and non-dyadic rationals across the roots' range
     SIGN_POINTS = ([Fraction(k) for k in range(-13, 14)]
@@ -492,6 +494,25 @@ class TestIsolationSweep:
         S, lo, hi, exact, intervals = max(self.CASES, key=lambda case: len(case[3]))
         assert _isolate_roots(S, lo, hi) == (exact, intervals)
         assert calls == [S]
+
+    def test_chain_from_the_gcd_remainder_sequence(self):
+        # For a square-free p (of either sign, with content) the Sturm chain
+        # comes from the remainder sequence that found the constant gcd.
+        for S, lo, hi, exact, intervals in self.CASES:
+            for p in (S, [-c for c in S], [3 * c for c in S]):
+                chain = _squarefree_chain(p)
+                assert chain == _sturm_chain(S), p
+                assert _isolate_roots(S, lo, hi, chain) == (exact, intervals), p
+
+    def test_exact_path_runs_one_remainder_sequence(self, monkeypatch):
+        # P = (x-3)(4x-11) is square-free and reaches the root isolation:
+        # its chain is the gcd's sequence, so no second chain is built.
+        def forbidden(p):
+            raise AssertionError("a second remainder sequence was built")
+
+        monkeypatch.setattr(norms, "_sturm_chain", forbidden)
+        verdict = exact_dominates_powerq(PowerPartition(2, (0, 23)), PowerPartition(2, (33, 0, 4)))
+        assert not verdict.holds and Fraction(11, 4) < verdict.failure_x < 3
 
     def test_refine_from_a_root_at_the_left_end(self):
         # (x-2)(10x-21) and its product with (x-20) on the isolating interval

@@ -436,6 +436,14 @@ class TestOneDecisionPerPair:
         assert cli.main(["check", "bulk", "--lhs", lhs, "--rhs", rhs]) == 0
         assert search.n + greedy.n == 0
 
+    @pytest.mark.parametrize("lhs, rhs", CHECK_PAIRS)
+    def test_check_all_builds_one_pair(self, monkeypatch, capsys, lhs, rhs):
+        init, built = Pair.__init__, []
+        monkeypatch.setattr(Pair, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
+        cli.main(["check", "all", "--lhs", lhs, "--rhs", rhs, "--json"])
+        assert len(built) == 1
+
     @pytest.mark.parametrize("relation", ["embed", "supermajorize", "bulk", "stable", "all"])
     @pytest.mark.parametrize("lhs, rhs", CHECK_PAIRS)
     def test_check_finds_the_base_at_most_once(self, monkeypatch, capsys, relation, lhs, rhs):

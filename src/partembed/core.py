@@ -263,8 +263,7 @@ def from_base_counts(pp: PowerPartition) -> Partition:
 
 def _primes_upto(n: int) -> list[int]:
     """The primes p <= n, by the sieve of Eratosthenes."""
-    sieve = bytearray([1]) * (n + 1)
-    sieve[:2] = bytes(min(2, n + 1))
+    sieve = bytearray(2) + bytearray([1]) * (n - 1)  # 0 and 1 are not prime
     for i in range(2, math.isqrt(n) + 1):
         if sieve[i]:
             sieve[i * i::i] = bytes(len(range(i * i, n + 1, i)))

@@ -338,17 +338,16 @@ def _construct_nu(lam: PowerPartition, mu: PowerPartition, lt: PowerPartition,
     if second is None:
         return StableVerdict(UNKNOWN, None, None, spent,
                              detail="iteration budget exhausted in the second pass")
-    # The scaled pass may stop earlier than the first; its own last nonzero
-    # coefficient sets the catalyst's span.
-    top = len(second) - 1
     for k, ck in enumerate(second):
         e = scale - k
         if e > 0 and ck % bm**e:
             raise RuntimeError(
                 f"internal error: divisibility of coefficient {k} by top count^{e} failed")
 
-    # second[k] counts boxes of nominal size q^-k; scaling by q^top makes them
-    # integral: counts[i] boxes of size q^i with counts[i] = second[top - i].
+    # second[k] counts boxes of nominal size q^-k.  The scaled pass may stop
+    # earlier than the first; its own last index, top, sets the catalyst's
+    # span, and scaling by q^top makes the boxes integral: counts[i] boxes of
+    # size q^i with counts[i] = second[top - i].
     nu_pp = PowerPartition(q, tuple(second[::-1]))
     w = embed_powerq(count_product(lam, nu_pp), count_product(mu, nu_pp))
     if w is None:

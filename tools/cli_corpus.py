@@ -25,8 +25,10 @@ whose catalyst has 3,888 boxes, so that the witness of a large catalyst is
 pinned, two base-q pairs whose roots past q are all bisection midpoints of the
 isolation range, one tight at q whose one isolating interval starts at the
 root q, and two supermajorized count pairs, one of them tight at q and at oo
-and one on 24 levels, and one whose bulk failure exponent, 2**66, prints in
-e-notation) under every relation, the first 100 ``powerq-mix``
+and one on 24 levels, one whose bulk failure exponent, 2**66, prints in
+e-notation, one whose numeric bulk failure only the refinement of a grid
+minimum finds, and one refuted by a NormEquality certificate whose isolating
+interval is a point) under every relation, the first 100 ``powerq-mix``
 catalyst-family pairs with one box added at every level up to mu's top on both
 sides (so normalization cancels something) as stable and all,
 ``conjecture-scan`` over ``tools/scan_corpus.ndjson`` with and without
@@ -100,6 +102,13 @@ PAIRS = (
     # s = v*ln 2, so the doubling search prints failure_exponent 2**66 in
     # e-notation, next to entries above 2**64.
     (json.dumps([10**20 + 1]), json.dumps([10**20] * 2)),
+    # No common power base; bulk fails only at s = 1.69424..., where
+    # f = 30**s (x**2 - 2x - 4)**2 - 1 with x = 2**s is about -1.  No grid
+    # sample falls below the failure band, so the refined minimum decides it.
+    (json.dumps([240] * 4 + [120] * 4 + [1]), json.dumps([480] + [60] * 16 + [30] * 16)),
+    # P = (x-4)**2: the touch root 4 is a bisection midpoint of (2, 18), so
+    # the NormEquality certificate carries the point interval ["4/1", "4/1"].
+    (json.dumps([2] * 8), json.dumps([4] + [1] * 16)),
 )
 # Option range checks; --tol and --grid are no longer options, so their
 # queries pin that both are usage errors.

@@ -434,7 +434,9 @@ def _squarefree_chain(p: list[int]) -> list[list[int]]:
     is its Sturm chain up to signs: the chain's member k is -rem(k-2, k-1),
     the sequence's is +rem, and ``_pseudo_remainder`` is odd in its first
     argument and even in its second, so the signs repeat +, +, -, - along the
-    chain, all flipped when p's leading coefficient is negative.
+    chain, all flipped when p's leading coefficient is negative.  Otherwise
+    the chain is that of the square-free quotient p / gcd, whose own sequence
+    ends in a constant.
     """
     seq = [_primitive_keep_sign(p), _primitive_keep_sign(_deriv(p))]
     while seq[-1]:
@@ -445,24 +447,9 @@ def _squarefree_chain(p: list[int]) -> list[list[int]]:
         quot = _exact_quotient(p, gcd)
         if quot is None:
             raise AssertionError("gcd does not divide its polynomial")
-        quot = _primitive_keep_sign(quot)
-        return _sturm_chain([-c for c in quot] if quot[-1] < 0 else quot)
+        return _squarefree_chain(quot)
     negate = p[-1] < 0 if p else False
     return [[-c for c in m] if (k % 4 > 1) != negate else m for k, m in enumerate(seq)]
-
-
-def _sturm_chain(p: list[int]) -> list[list[int]]:
-    """p, p' and the negated remainders, each primitive with its sign kept."""
-    chain = [_primitive_keep_sign(p)]
-    d = _deriv(p)
-    if d:
-        chain.append(_primitive_keep_sign(d))
-    while len(chain) >= 2:
-        rem = _pseudo_remainder(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append(_primitive_keep_sign([-c for c in rem]))
-    return chain
 
 
 def _variations(values: Iterable) -> int:
@@ -478,23 +465,21 @@ def _variations(values: Iterable) -> int:
     return count
 
 
-def _isolate_roots(S: list[int], lo: Fraction, hi: Fraction,
-                   chain: list[list[int]] | None = None):
-    """Isolate the real roots of the square-free S inside the open (lo, hi);
-    ``hi`` must lie strictly above every root of S.
+def _isolate_roots(chain: list[list[int]], lo: Fraction, hi: Fraction):
+    """Isolate the real roots of the square-free S = chain[0] inside the open
+    (lo, hi), given S's Sturm chain (``_squarefree_chain``); ``hi`` must lie
+    strictly above every root of S.
 
-    One bisection over one Sturm chain: ``chain``, S's chain when the caller
-    already has it, or else ``_sturm_chain(S)``.  At a root c of a
-    square-free S the sign variations V(c) equal those just right of c, so
-    V(a) - V(b) counts the roots in (a, b] even when a or b is a root.
+    One bisection over the chain.  At a root c of a square-free S the sign
+    variations V(c) equal those just right of c, so V(a) - V(b) counts the
+    roots in (a, b] even when a or b is a root.
     Returns (exact_roots, intervals): the rational roots hit at bisection
     midpoints, and disjoint open intervals (a, b) with one simple root each
     and no other root of S in their closure, where S(b) != 0 and S(a) has the
     opposite sign or a is the root lo.  So every point of an interval-free
     gap other than lo is provably not a root.
     """
-    if chain is None:
-        chain = _sturm_chain(S)
+    S = chain[0]
 
     def signs_at(x: Fraction) -> list[int]:
         return [_scaled_eval(p, x) for p in chain]
@@ -612,7 +597,7 @@ def exact_dominates_powerq(lam: PowerPartition, mu: PowerPartition) -> BulkVerdi
     chain = _squarefree_chain(P)
     S = chain[0]
     hi = _positive_root_bound(P, q_f)
-    exact_roots, intervals = _isolate_roots(S, q_f, hi, chain)
+    exact_roots, intervals = _isolate_roots(chain, q_f, hi)
 
     # Merge roots into (a, b) items sorted by position; exact roots collapse.
     # Items are pairwise disjoint (endpoints may coincide) and every interval

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterator, NamedTuple, Sequence
 
-from .core import (
-    BaseMismatch,
-    Partition,
-    PartitionError,
-    PowerPartition,
-    from_base_counts,
-)
+from .core import BaseMismatch, Partition, PartitionError, PowerPartition
 
 DEFAULT_NODE_BUDGET = 10**7
 # Most bits the wasted-space prune of ``embeds`` may spend on its subset-sum
@@ -235,31 +229,37 @@ def embeds(lam: Partition, mu: Partition,
             return spare >= 0
         return True
 
-    def place(idx: int) -> bool:
-        nonlocal nodes
-        if idx == n:
-            return True
+    # Depth-first over the items, one loop with an explicit stack: nxt[idx] is
+    # the next bin to try for item idx and seen[idx] the capacities it tried.
+    nxt = [0] * n
+    seen: list[set[int]] = [set() for _ in range(n)]
+    idx = 0
+    while 0 <= idx < n:
         item = items[idx]
-        start = assignment[idx - 1] if idx > 0 and items[idx - 1] == item else 0
-        seen: set[int] = set()
-        for j in range(start, len(caps)):
+        for j in range(nxt[idx], len(caps)):
             cap = caps[j]
-            if cap < item or cap in seen:
+            if cap < item or cap in seen[idx]:
                 continue
-            seen.add(cap)
+            seen[idx].add(cap)
             nodes += 1
             if nodes > node_budget:
                 raise BudgetExceeded(nodes)
             caps[j] -= item
             if idx + 1 == n or fits(idx + 1):
                 assignment[idx] = j
-                if place(idx + 1):
-                    caps[j] += item
-                    return True
+                nxt[idx] = j + 1
+                idx += 1
+                if idx < n:
+                    # identical items only move rightward across bins
+                    nxt[idx] = j if items[idx] == item else 0
+                    seen[idx].clear()
+                break
             caps[j] += item
-        return False
-
-    if place(0):
+        else:
+            idx -= 1
+            if idx >= 0:
+                caps[assignment[idx]] += items[idx]
+    if idx == n:
         return _make_witness(lam, mu, assignment)
     return None
 
@@ -278,7 +278,9 @@ def embed_powerq(lam: PowerPartition, mu: PowerPartition) -> EmbeddingWitness | 
     at least as large as the box just placed, so nothing is stranded).  It
     answers None when no capacity is left or the largest is below the box.
     Capacities live in a heap tagged with their original bin, and the
-    emitted witness maps back to the original mu indices.
+    emitted witness maps back to the original mu indices; each bin's load is
+    summed from the exponents of the boxes placed in it, so neither side is
+    expanded into its entries.
 
     Supermajorization is decisive here, and the greedy decides it: when mu
     supermajorizes lam, then at every level x = q**e up to the current box
@@ -286,29 +288,24 @@ def embed_powerq(lam: PowerPartition, mu: PowerPartition) -> EmbeddingWitness | 
     placement keeps it, and at the box's own level it means that some
     piece >= the box is on the heap, so the greedy never stops early.  It
     stops only when mu does not supermajorize lam, and then no embedding
-    exists.
+    exists.  So every witness it returns is valid.
     """
     if lam.base != mu.base:
         raise BaseMismatch(f"bases differ: {lam.base} vs {mu.base}")
-    if lam.is_empty:
-        return EmbeddingWitness((), tuple([0] * (0 if mu.is_empty else sum(mu.counts))))
     q = lam.base
     # Max-heap of capacities as (-exponent, original bin).  mu's boxes in
     # canonical order are sorted, so they already form a heap.  Tied entries
     # are equal tuples, so which of them pops first does not matter.
     heap = [(-t, j) for j, t in enumerate(_levels(mu))]
     assignment = []
+    loads = [0] * len(heap)
     for s in _levels(lam):
         if not heap or -heap[0][0] < s:
             return None
         neg_t, origin = heapq.heappop(heap)
         assignment.append(origin)
+        loads[origin] += q**s
         for e in range(s, -neg_t):
             for _ in range(q - 1):
                 heapq.heappush(heap, (-e, origin))
-
-    lam_p, mu_p = from_base_counts(lam), from_base_counts(mu)
-    witness = _make_witness(lam_p, mu_p, assignment)
-    if not witness.validate(lam_p, mu_p):
-        raise AssertionError("greedy witness failed validation")
-    return witness
+    return EmbeddingWitness(tuple(assignment), tuple(loads))

@@ -22,11 +22,12 @@ unstable.
 
 Refutations come from prefilters, each with a re-checkable certificate:
 failed norm dominance, an exactly certified interior norm equality point for
-a pair that is not identical, a top-box-index gap after normalization, and a
-valuation gap under tight packing (equal totals force every product bin to
-be filled exactly, which is impossible when some prime divides every lam
-entry more often than every mu entry), checked on the pair as given and, for
-a power-of-q pair, on the normalized pair.
+a pair that is not identical, and a valuation gap under tight packing (equal
+totals force every product bin to be filled exactly, which is impossible when
+some prime divides every lam entry more often than every mu entry), checked
+on the pair as given and, for a power-of-q pair, on the normalized pair.  A
+top-box-index gap after normalization also refutes, but failed norm dominance
+implies it, so it is never reported; its certificate still verifies.
 
 This module owns the per-pair pipeline: a ``Pair`` computes each fact of a
 pair once, on first use, and every relation (``relations``, ``stable_embeds``,
@@ -182,20 +183,6 @@ def _valuation(n: int, r: int) -> int:
     return v
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def normalize_pair(lam: PowerPartition, mu: PowerPartition) -> tuple[PowerPartition, PowerPartition]:
     """Cancel the common box count at every level.
 
@@ -229,20 +216,32 @@ def prefilter_stable(lam: Partition, mu: Partition) -> StableRefutation | None:
     carry more of that prime than the bin does; for a power-of-q pair where
     the given pair shows no gap, (d) is applied to the normalized pair and
     its certificate records ``base``.
+
+    (a) implies (c), so (c) is never reported: normalization leaves P
+    unchanged and at most one side holding boxes at each level, so when lam's
+    top box outranks mu's, P's leading coefficient is negative and the exact
+    bulk decision fails.
     """
     return Pair(lam, mu).refutation
 
 
 def _valuation_gap(g_lam: int, g_mu: int, base: int | None = None) -> StableRefutation | None:
     """The tight-valuation rule on the entry gcds of a pair of equal totals;
-    ``base`` is set when the gcds are those of the normalized pair."""
-    for r in _prime_factors(g_lam):
-        v_l = _valuation(g_lam, r)
-        v_m = _valuation(g_mu, r)
-        if v_l > v_m:
-            return StableRefutation(TIGHT_VALUATION, base=base, prime=r,
-                                    lam_valuation=v_l, mu_valuation=v_m)
-    return None
+    ``base`` is set when the gcds are those of the normalized pair.
+
+    The rule fires iff d = g_lam / gcd(g_lam, g_mu) > 1.  ``prime`` is the
+    smallest factor r >= 2 of d when trial division up to min(sqrt(d), 2**20)
+    finds one, which is then prime, and otherwise d itself, which is prime
+    whenever d < 2**40.  Either way v_r(g_lam) > v_r(g_mu): for r = d,
+    d**k | g_mu gives d**(k + 1) | g_lam, since every prime of d divides
+    g_lam that much more often than g_mu.
+    """
+    d = g_lam // math.gcd(g_lam, g_mu)
+    if d == 1:
+        return None
+    r = next((k for k in range(2, min(math.isqrt(d), 2**20) + 1) if d % k == 0), d)
+    return StableRefutation(TIGHT_VALUATION, base=base, prime=r,
+                            lam_valuation=_valuation(g_lam, r), mu_valuation=_valuation(g_mu, r))
 
 
 def _lowest_box(pp: PowerPartition) -> int:
@@ -270,7 +269,18 @@ def construct_nu(lam: PowerPartition, mu: PowerPartition,
 
 def _construct_nu(lam: PowerPartition, mu: PowerPartition, lt: PowerPartition,
                   mt: PowerPartition, max_steps: int | None) -> StableVerdict:
-    """``construct_nu`` on a pair whose normalized pair (lt, mt) is known."""
+    """``construct_nu`` on a pair whose normalized pair (lt, mt) is known.
+
+    With bm = mu's top box count and S = ``scale``, the length of the first
+    pass, every ceiling division of the second pass at a step t <= S is
+    exact, by induction on t: c_k is a multiple of bm**(S - k) for k < t and
+    the leftover before step t is a multiple of bm**(S - t + 2).  Both hold
+    at t = 1, as c_0 = bm**S and the first leftover is bm**(S + 1).  Demand
+    and room at step t take only c_k with k < t and q times the leftover, so
+    demand - room is a multiple of bm**(S - t + 1); the new coefficient
+    (demand - room) / bm is a multiple of bm**(S - t), or it is 0 and the
+    new leftover room - demand is a multiple of bm**(S - t + 1).
+    """
     q = lam.base
     if lt.is_empty:
         return StableVerdict(HOLDS, StableWitness(from_entries([1]), embed_powerq(lam, mu)),
@@ -338,11 +348,6 @@ def _construct_nu(lam: PowerPartition, mu: PowerPartition, lt: PowerPartition,
     if second is None:
         return StableVerdict(UNKNOWN, None, None, spent,
                              detail="iteration budget exhausted in the second pass")
-    for k, ck in enumerate(second):
-        e = scale - k
-        if e > 0 and ck % bm**e:
-            raise RuntimeError(
-                f"internal error: divisibility of coefficient {k} by top count^{e} failed")
 
     # second[k] counts boxes of nominal size q^-k.  The scaled pass may stop
     # earlier than the first; its own last index, top, sets the catalyst's
@@ -424,21 +429,14 @@ class Pair:
             for eq in bulk.interior_equalities:
                 if eq.exact:
                     return StableRefutation(NORM_EQUALITY, bulk=bulk, equality=eq, base=base)
-        normalized = self.normalized
-        if normalized is not None and normalized[0].is_empty:
-            # lam cancels away; mu keeps boxes whenever lam does, as bulk holds
-            normalized = None
-        if normalized is not None:
-            lt, mt = normalized
-            if mt.top_index < lt.top_index:
-                return StableRefutation(TOP_INDEX, base=base,
-                                        top_lam=lt.top_index, top_mu=mt.top_index)
         if lam.total != mu.total:
             return None
         ref = _valuation_gap(math.gcd(*lam.entries), math.gcd(*mu.entries))
-        if ref is None and normalized is not None:
+        normalized = self.normalized
+        if ref is None and normalized is not None and not normalized[0].is_empty:
             # Common boxes can hide the gap (a shared unit box makes both
             # gcds 1); the normalized pair is as stable as the given one.
+            # lam keeps boxes here, so mu does too, as bulk holds.
             ref = _valuation_gap(*map(_lowest_box, normalized), base=base)
         return ref
 

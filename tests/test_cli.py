@@ -388,10 +388,15 @@ class TestJsonWriter:
 
 def test_json_answers_leave_no_cyclic_garbage():
     # Twenty ``check bulk --json`` answers, exact (with root refinement) and
-    # numeric, free everything they allocate by reference counting alone.
-    for name in ("bulk-touch-4_20", "bulk-24x4_12x4-48_6x16_3x16"):
-        _, lhs, rhs = GOLDEN_QUERIES[name]
-        argv = ["check", "bulk", "--json", "--lhs", lhs, "--rhs", rhs]
+    # numeric, and twenty of ``check embed``, ``stable`` and ``all`` on a pair
+    # the branch-and-bound search decides, free everything they allocate by
+    # reference counting alone.
+    argvs = [["check", "bulk", "--json", "--lhs", GOLDEN_QUERIES[name][1],
+              "--rhs", GOLDEN_QUERIES[name][2]]
+             for name in ("bulk-touch-4_20", "bulk-24x4_12x4-48_6x16_3x16")]
+    argvs += [["check", relation, "--json", "--lhs", "[3,3,2]", "--rhs", "[6,2]"]
+              for relation in ("embed", "stable", "all")]
+    for argv in argvs:
         with contextlib.redirect_stdout(io.StringIO()):
             cli.main(argv)  # the parser, lazy imports and caches
             gc.collect()
@@ -405,7 +410,7 @@ def test_json_answers_leave_no_cyclic_garbage():
             finally:
                 gc.set_debug(0)
                 gc.garbage.clear()
-        assert left == 0, name
+        assert left == 0, argv
 
 
 class TestJsonRoundTrips:

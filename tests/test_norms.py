@@ -23,7 +23,6 @@ from partembed.norms import (
     _scaled_eval,
     _squarefree_chain,
     _squarefree_part,
-    _sturm_chain,
     _variations,
 )
 from partembed.core import InvalidExponent
@@ -205,6 +204,28 @@ class TestDominatesAllS:
         assert verdict.failure_exponent < 1.01
         assert norm_profile(lam, mu).f_mpf(verdict.failure_exponent) < 0
 
+    def test_failure_found_only_by_refining_a_minimum(self, monkeypatch):
+        # f = 30**s (x**2 - 2x - 4)**2 - 1 with x = 2**s dips to -1 only near
+        # s = log2(1 + sqrt(5)), between grid samples that all stay above the
+        # failure band: the refined minimum is what fails.
+        import mpmath
+
+        lam = from_entries([240] * 4 + [120] * 4 + [1])
+        mu = from_entries([480] + [60] * 16 + [30] * 16)
+        minima = []
+        refine = norms._refine_minimum
+        monkeypatch.setattr(norms, "_refine_minimum",
+                            lambda *args: minima.append(refine(*args)) or minima[-1])
+        verdict = dominates_all_s(lam, mu)
+        assert not verdict.holds and not verdict.tight_at_one
+        assert abs(verdict.failure_exponent - math.log2(1 + math.sqrt(5))) < 1e-6
+        assert minima[-1][1] < -0.5 and float(minima[-1][0]) == verdict.failure_exponent
+        assert all(f > 0 for _, f in minima[:-1])
+        with mpmath.workprec(300):
+            s = mpmath.mpf(verdict.failure_exponent)
+            f = sum(n * mpmath.mpf(v) ** s for v, n in norm_profile(lam, mu).coefficients)
+            assert abs(f + 1) < 1e-3
+
     def test_agrees_with_exact_on_powerq(self):
         rng = random.Random(24)
         for _ in range(60):
@@ -275,14 +296,15 @@ class TestRootIsolation:
 
     def test_isolate_two_roots(self):
         # (x-3)(x-5) = x^2 - 8x + 15
-        exact, intervals = _isolate_roots([15, -8, 1], Fraction(2), Fraction(100))
+        exact, intervals = _isolate_roots(_squarefree_chain([15, -8, 1]), Fraction(2),
+                                          Fraction(100))
         found = sorted([Fraction(r) for r in exact] + [(a + b) / 2 for a, b in intervals])
         assert len(found) == 2
         assert abs(float(found[0]) - 3) < 1.5 and abs(float(found[1]) - 5) < 1.5
 
     def test_isolate_irrational(self):
         # x^2 - 2 on (0, 10): one root at sqrt(2)
-        exact, intervals = _isolate_roots([-2, 0, 1], Fraction(0), Fraction(10))
+        exact, intervals = _isolate_roots(_squarefree_chain([-2, 0, 1]), Fraction(0), Fraction(10))
         assert len(exact) + len(intervals) == 1
         if intervals:
             a, b = intervals[0]
@@ -298,7 +320,7 @@ class TestRootIsolation:
     def test_rational_root_hit(self):
         # root exactly at a bisection midpoint: (x-3)(x^2-2)
         poly = [6, -2, -3, 1]
-        exact, intervals = _isolate_roots(poly, Fraction(1), Fraction(8))
+        exact, intervals = _isolate_roots(_squarefree_chain(poly), Fraction(1), Fraction(8))
         total = len(exact) + len(intervals)
         assert total == 2  # 3 and sqrt(2) both lie in (1, 8)
 
@@ -307,7 +329,7 @@ class TestRootIsolation:
         # exact root, and the interval of sqrt(5) is bisected until its
         # closure is clear of 4.5
         poly = [45, -10, -9, 2]
-        exact, intervals = _isolate_roots(poly, Fraction(1), Fraction(8))
+        exact, intervals = _isolate_roots(_squarefree_chain(poly), Fraction(1), Fraction(8))
         assert exact == [Fraction(9, 2)]
         assert len(intervals) == 1
         a, b = intervals[0]
@@ -399,9 +421,8 @@ class TestIntegerAlgebra:
 
     def test_sturm_chain_matches_rational_reference(self):
         for p, _ in self.POLYS:
-            assert _sturm_chain(p) == _ref_sturm(p), p
             sf = _ref_squarefree(p)
-            assert _sturm_chain(sf) == _ref_sturm(sf), sf
+            assert _squarefree_chain(sf) == _ref_sturm(sf), sf
             assert _squarefree_chain(p) == _ref_sturm(sf), p
 
     # integers, dyadic midpoints and non-dyadic rationals across the roots' range
@@ -461,7 +482,8 @@ def _grid_polys(n, seed=15):
 class TestIsolationSweep:
     """``_isolate_roots`` against the rational reference only."""
 
-    CASES = [(S, lo, hi, *_isolate_roots(S, lo, hi)) for S, lo, hi in _grid_polys(400)]
+    CASES = [(S, lo, hi, *_isolate_roots(_squarefree_chain(S), lo, hi))
+             for S, lo, hi in _grid_polys(400)]
 
     def test_sweep_reaches_midpoint_roots_and_roots_at_lo(self):
         assert sum(len(exact) >= 2 for _, _, _, exact, _ in self.CASES) > 100
@@ -488,12 +510,15 @@ class TestIsolationSweep:
             assert len(exact) + len(intervals) == roots_in(lo, hi), S
 
     def test_one_sturm_chain_per_call(self, monkeypatch):
-        calls = []
-        chain = norms._sturm_chain
-        monkeypatch.setattr(norms, "_sturm_chain", lambda p: calls.append(p) or chain(p))
+        # The isolation bisects over the chain it is given and builds none.
+        def forbidden(*args):
+            raise AssertionError("the isolation built a remainder sequence")
+
         S, lo, hi, exact, intervals = max(self.CASES, key=lambda case: len(case[3]))
-        assert _isolate_roots(S, lo, hi) == (exact, intervals)
-        assert calls == [S]
+        chain = _squarefree_chain(S)
+        for name in ("_squarefree_chain", "_pseudo_remainder"):
+            monkeypatch.setattr(norms, name, forbidden)
+        assert _isolate_roots(chain, lo, hi) == (exact, intervals)
 
     def test_chain_from_the_gcd_remainder_sequence(self):
         # For a square-free p (of either sign, with content) the Sturm chain
@@ -501,24 +526,25 @@ class TestIsolationSweep:
         for S, lo, hi, exact, intervals in self.CASES:
             for p in (S, [-c for c in S], [3 * c for c in S]):
                 chain = _squarefree_chain(p)
-                assert chain == _sturm_chain(S), p
-                assert _isolate_roots(S, lo, hi, chain) == (exact, intervals), p
+                assert chain == _ref_sturm(S), p
+                assert _isolate_roots(chain, lo, hi) == (exact, intervals), p
 
     def test_exact_path_runs_one_remainder_sequence(self, monkeypatch):
         # P = (x-3)(4x-11) is square-free and reaches the root isolation:
         # its chain is the gcd's sequence, so no second chain is built.
-        def forbidden(p):
-            raise AssertionError("a second remainder sequence was built")
-
-        monkeypatch.setattr(norms, "_sturm_chain", forbidden)
+        calls = []
+        chain = norms._squarefree_chain
+        monkeypatch.setattr(norms, "_squarefree_chain", lambda p: calls.append(p) or chain(p))
         verdict = exact_dominates_powerq(PowerPartition(2, (0, 23)), PowerPartition(2, (33, 0, 4)))
         assert not verdict.holds and Fraction(11, 4) < verdict.failure_x < 3
+        assert calls == [[33, -23, 4]]
 
     def test_refine_from_a_root_at_the_left_end(self):
         # (x-2)(10x-21) and its product with (x-20) on the isolating interval
         # (2, 14): S(2) = 0, and S is negative, then positive, just right of 2
         for S in ([42, -41, 10], _poly_mul([42, -41, 10], [-20, 1])):
-            assert _isolate_roots(S, Fraction(2), Fraction(14)) == ([], [(Fraction(2), Fraction(14))])
+            assert _isolate_roots(_squarefree_chain(S), Fraction(2), Fraction(14)) == (
+                [], [(Fraction(2), Fraction(14))])
             a, b = _refine_root_interval(S, Fraction(2), Fraction(14), Fraction(1, 10**10))
             assert a < Fraction(21, 10) < b and b - a <= Fraction(1, 10**10)
             assert _eval_poly(S, a) * _eval_poly(S, b) < 0
@@ -627,14 +653,14 @@ class TestTailSumShortcut:
     def test_reference_isolation_finds_no_root(self):
         for lam, mu, P in self.CASES:
             q = Fraction(lam.base)
-            assert _isolate_roots(_squarefree_part(P), q, _positive_root_bound(P, q)) == ([], [])
+            assert _isolate_roots(_squarefree_chain(P), q, _positive_root_bound(P, q)) == ([], [])
             assert _eval_poly(P, q + 1) > 0
 
     def test_isolation_is_never_reached(self, monkeypatch):
         def forbidden(*args):
             raise AssertionError("a supermajorized pair reached root isolation")
 
-        for name in ("_isolate_roots", "_squarefree_part", "_sturm_chain"):
+        for name in ("_isolate_roots", "_squarefree_part", "_squarefree_chain"):
             monkeypatch.setattr(norms, name, forbidden)
         for lam, mu, _ in self.CASES:
             assert exact_dominates_powerq(lam, mu).holds

@@ -1,9 +1,11 @@
 import itertools
 import random
+import time
 import tracemalloc
 
 import pytest
 
+import partembed.core
 from partembed.core import (
     BaseMismatch,
     PowerPartition,
@@ -331,6 +333,17 @@ class TestWastedSpacePrune:
             assert (None if w is None else w.assignment) == expected
         assert results[0] is not None and results[1] is None
 
+    def test_many_items_search_in_one_loop(self):
+        # 1,501 items, more than Python's default recursion limit: the search
+        # keeps its stack in lists, not in one frame per item.
+        lam, mu = from_entries([1] * 1500 + [3]), from_entries([1503])
+        start = time.monotonic()
+        w = embeds(lam, mu)
+        report = relations(lam, mu)
+        assert time.monotonic() - start < 1
+        assert w.assignment == (0,) * 1501 and w.validate(lam, mu)
+        assert report.embeds and report.stable.status == stablep.HOLDS
+
 
 class TestWitnessValidation:
     def test_rejects_overfull(self):
@@ -375,11 +388,15 @@ class TestEmbedPowerq:
             raise AssertionError("embed_powerq expanded or compared entry lists")
 
         monkeypatch.setattr(orders, "supermajorizes", forbidden)
-        monkeypatch.setattr(orders, "from_base_counts", forbidden)
+        monkeypatch.setattr(partembed.core, "from_base_counts", forbidden)
+        monkeypatch.setattr(EmbeddingWitness, "validate", forbidden)
         # no capacity left for the third 4, then the 8 above every capacity
         assert embed_powerq(PowerPartition(2, (0, 0, 3)), PowerPartition(2, (0, 0, 0, 1))) is None
         assert embed_powerq(PowerPartition(2, (0, 0, 0, 1)), PowerPartition(2, (0, 0, 3))) is None
         assert embed_powerq(to_base_counts(LAM1, 2), to_base_counts(MU1, 2)) is None
+        # loads summed from exponents: 4+2+1+1 fill the 8, 2+1 go into the 4
+        w = embed_powerq(PowerPartition(2, (3, 2, 1)), PowerPartition(2, (0, 0, 1, 1)))
+        assert w == EmbeddingWitness((0, 0, 1, 0, 1, 0), (8, 3))
 
     def test_equivalence_with_supermajorization(self):
         rng = random.Random(34)

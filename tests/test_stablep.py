@@ -1,7 +1,9 @@
+import math
 import random
 import sys
 import time
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +22,7 @@ from partembed.core import (
     product,
     to_base_counts,
 )
+from partembed.norms import exact_dominates_powerq
 from partembed.stablep import (
     BULK_FAILS,
     FAILS,
@@ -35,6 +38,8 @@ from partembed.stablep import (
     prefilter_stable,
     relations,
     stable_embeds,
+    _valuation,
+    _valuation_gap,
 )
 from partembed.oracle import nu_order_compare
 from helpers import LAM1, LAM2, LAM3, MU1, MU3, MU4, random_powerq
@@ -112,6 +117,89 @@ class TestPrefilter:
         assert cert.verify(lam, mu)
         ref = prefilter_stable(lam, mu)
         assert ref is not None and ref.rule == BULK_FAILS
+
+    def test_top_index_gap_implies_bulk_fails(self):
+        # When normalized lam tops mu, P's leading coefficient is negative, so
+        # the exact bulk decision fails and rule (a) fires before rule (c).
+        rng = random.Random(44)
+        gaps = 0
+        for _ in range(400):
+            base = rng.choice([2, 3])
+            u = random_powerq(rng, base=base, levels=4, max_count=3)
+            v = random_powerq(rng, base=base, levels=4, max_count=3)
+            lt, mt = normalize_pair(u, v)
+            if lt.is_empty or (not mt.is_empty and mt.top_index >= lt.top_index):
+                continue
+            gaps += 1
+            lam, mu = from_base_counts(u), from_base_counts(v)
+            assert not exact_dominates_powerq(u, v).holds, (u, v)
+            assert Pair(lam, mu).refutation.rule == BULK_FAILS, (u, v)
+            if not mt.is_empty:
+                cert = StableRefutation(TOP_INDEX, base=base,
+                                        top_lam=lt.top_index, top_mu=mt.top_index)
+                assert cert.verify(lam, mu), (u, v)
+        assert gaps > 100
+
+    def test_norm_equality_point_interval_verifies(self):
+        # P = (x-4)**2: the touch root 4 is a bisection midpoint, so the
+        # certificate's isolating interval is the point 4.
+        lam, mu = from_entries([2] * 8), from_entries([4] + [1] * 16)
+        ref = prefilter_stable(lam, mu)
+        assert ref.rule == NORM_EQUALITY
+        assert ref.equality.x_interval == (Fraction(4), Fraction(4))
+        assert ref.verify(lam, mu)
+        at_five = replace(ref.equality, x_interval=(Fraction(5), Fraction(5)))
+        assert not replace(ref, equality=at_five).verify(lam, mu)
+
+    def test_tight_valuation_on_a_large_prime_gcd(self):
+        P = 2**61 - 1
+        lam, mu = from_entries([P, P]), from_entries([2 * P - 1, 1])
+        start = time.monotonic()
+        verdict = stable_embeds(lam, mu)
+        assert time.monotonic() - start < 1
+        ref = verdict.reason
+        assert verdict.status == FAILS and ref.rule == TIGHT_VALUATION
+        assert (ref.prime, ref.lam_valuation, ref.mu_valuation) == (P, 1, 0)
+        assert ref.verify(lam, mu)
+
+    def test_tight_valuation_on_a_composite_gap(self):
+        # d = g_lam / gcd(g_lam, g_mu) has no prime factor below 2**20, so the
+        # certificate names d itself, which still separates the valuations.
+        d = (2**31 - 1) * (2**61 - 1)
+        g = 6 * d
+        lam, mu = from_entries([g, g]), from_entries([2 * g - 6, 6])
+        ref = prefilter_stable(lam, mu)
+        assert ref.rule == TIGHT_VALUATION
+        assert (ref.prime, ref.lam_valuation, ref.mu_valuation) == (d, 1, 0)
+        assert ref.verify(lam, mu)
+
+    def test_tight_valuation_names_the_smallest_prime_of_the_gap(self):
+        # Against a reference written here: the smallest prime r of g_lam
+        # with v_r(g_lam) > v_r(g_mu), or no certificate.
+        def reference(g_lam, g_mu):
+            n, r = g_lam, 2
+            while n > 1:
+                if n % r == 0:
+                    if _valuation(g_lam, r) > _valuation(g_mu, r):
+                        return r
+                    while n % r == 0:
+                        n //= r
+                r += 1
+            return None
+
+        rng = random.Random(45)
+        fired = 0
+        for _ in range(2000):
+            g_lam, g_mu = (math.prod(rng.choice([1, 2, 3, 5, 7, 11, 13, 1009])
+                                     for _ in range(rng.randint(0, 4))) for _ in "lm")
+            ref = _valuation_gap(g_lam, g_mu)
+            r = reference(g_lam, g_mu)
+            assert (ref and ref.prime) == r, (g_lam, g_mu)
+            if ref is not None:
+                fired += 1
+                assert (ref.lam_valuation, ref.mu_valuation) == (
+                    _valuation(g_lam, r), _valuation(g_mu, r))
+        assert 500 < fired < 1900
 
     def test_certificates_reject_wrong_pairs(self):
         ref = prefilter_stable(LAM3, MU4)

@@ -27,13 +27,22 @@ isolation range, one tight at q whose one isolating interval starts at the
 root q, and two supermajorized count pairs, one of them tight at q and at oo
 and one on 24 levels, one whose bulk failure exponent, 2**66, prints in
 e-notation, one whose numeric bulk failure only the refinement of a grid
-minimum finds, and one refuted by a NormEquality certificate whose isolating
-interval is a point) under every relation, the first 100 ``powerq-mix``
-catalyst-family pairs with one box added at every level up to mu's top on both
-sides (so normalization cancels something) as stable and all,
+minimum finds, one refuted by a NormEquality certificate whose isolating
+interval is a point, one whose profile's second value is 1, one whose two top
+values have the same float logarithm, one tight at s = 1 that fails at
+s = 1.0005, where the step towards 1 is halved, one tight at q whose
+failure_x 9/4 takes a second halving, an identical pair with no common power
+base, a profile of one positive term, and one tight at q and at oo with a
+touch root) under every relation, the first 100
+``powerq-mix`` catalyst-family pairs with one box added at every level up to
+mu's top on both sides (so normalization cancels something) as stable and all,
 ``conjecture-scan`` over ``tools/scan_corpus.ndjson`` with and without
-``--json`` and ``--max-steps 3``, and a few queries with an invalid option,
-among them the removed ``--tol`` and ``--grid``, which are usage errors.
+``--json`` and ``--max-steps 3``, a few queries with an invalid option,
+among them the removed ``--tol`` and ``--grid``, which are usage errors, a
+pair whose direct search runs out of a 1-node budget as embed and as stable,
+every kind of malformed partition document, which exits 65, and the other
+input paths: trailing zero counts, a missing side, unreadable and non-JSON
+input files, and an empty and a missing scan corpus.
 
 The scan corpus is committed: the ``PAIRS`` below, the first 100 seed-1
 ``powerq-mix`` catalyst-family pairs as they are, and 100 pairs of equal
@@ -109,9 +118,45 @@ PAIRS = (
     # P = (x-4)**2: the touch root 4 is a bisection midpoint of (2, 18), so
     # the NormEquality certificate carries the point interval ["4/1", "4/1"].
     (json.dumps([2] * 8), json.dumps([4] + [1] * 16)),
+    # The profile's second value is 1: f(s) = 8**s - 8, so the bound past
+    # which the top term dominates divides by ln 8 alone.
+    (json.dumps([5] + [1] * 8), "[8,5]"),
+    # The two top values 2**60 + 1 and 2**60 have the same float logarithm,
+    # so the gap between them is taken with log1p.
+    (json.dumps([2**60] * 2), json.dumps([2**60 + 1, 2**60 - 1])),
+    # Equal totals, and f decreasing at s = 1: f dips below 0 only before
+    # s = 1.001, so the step towards 1 is halved until f(1.0005) < 0.
+    (json.dumps([2] * 19), json.dumps([10, 3] + [1] * 25)),
+    # P = 2x**2 - 9x + 10 is 0 at q = 2 and decreasing there, and
+    # P(5/2) = 0, so the step above q is halved once more: failure_x = 9/4.
+    ('{"base":2,"counts":[0,9]}', '{"base":2,"counts":[10,0,2]}'),
+    # Identical, with no common power base: the numeric path's empty profile.
+    ("[10,6]", "[10,6]"),
+    # A profile of one positive term, f(s) = 5**s.
+    ("[3]", "[5,3]"),
+    # P = (x-2)(x-4)**2: tight at q and at oo with a touch root at 4.
+    ('{"base":2,"counts":[32,0,10,1]}', '{"base":2,"counts":[0,32,0,2]}'),
 )
-# Option range checks; --tol and --grid are no longer options, so their
-# queries pin that both are usage errors.
+# A pair whose direct search runs out of a 1-node budget and which no
+# refutation rule settles, so its stable detail also names that budget.
+BUDGET_PAIR = ("[5,4,3,3,2,2,2]", "[9,8,4]")
+# Partition documents that exit 65.
+MALFORMED = (
+    "[0]",
+    "[]",
+    '{"counts":[1,2]}',
+    '{"base":1,"counts":[1,2]}',
+    '{"entries":[2],"counts":[1],"base":2}',
+    '"x"',
+    "x",
+    '{"base":2,"counts":[2000000]}',
+    '{"base":2,"counts":5}',
+)
+# Option range checks (--tol and --grid are no longer options, so their
+# queries pin that both are usage errors), a 1-node search budget, the
+# malformed documents, a --base that one side does not fit, trailing zero
+# counts, a missing side, unreadable and non-JSON input files, and an empty
+# and a missing scan corpus.
 EDGE_QUERIES = (
     ["check", "bulk", "--lhs", "[3,3]", "--rhs", "[4,1,1]", "--tol", "1e6"],
     ["check", "all", "--lhs", "[3,3]", "--rhs", "[4,1,1]", "--tol", "1e6", "--json"],
@@ -133,6 +178,19 @@ EDGE_QUERIES = (
     ["check", "bulk", "--lhs", SCALED_TOUCH[0], "--rhs", SCALED_TOUCH[1], "--grid", "200",
      "--json"],
     ["conjecture-scan", "corpus.ndjson", "--max-steps", "-1"],
+    ["check", "embed", "--lhs", BUDGET_PAIR[0], "--rhs", BUDGET_PAIR[1], "--budget", "1"],
+    ["check", "stable", "--lhs", BUDGET_PAIR[0], "--rhs", BUDGET_PAIR[1], "--budget", "1"],
+    ["check", "stable", "--lhs", BUDGET_PAIR[0], "--rhs", BUDGET_PAIR[1], "--budget", "1",
+     "--json"],
+    *(["check", "embed", "--lhs", lhs, "--rhs", "[4]"] for lhs in MALFORMED),
+    ["check", "embed", "--lhs", "[4]", "--rhs", "[3]", "--base", "2"],
+    ["check", "embed", "--lhs", '{"base":2,"counts":[0,1,0]}', "--rhs", "[2]"],
+    ["check", "embed", "--rhs", "[4]"],
+    ["check", "embed", "no-such-file.json", "--rhs", "[4]"],
+    ["check", "embed", SCAN_CORPUS, "--rhs", "[4]"],
+    ["conjecture-scan", "/dev/null"],
+    ["conjecture-scan", "/dev/null", "--json"],
+    ["conjecture-scan", "no-such-corpus.ndjson"],
 )
 
 

@@ -18,7 +18,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import random
 import sys
 import types
@@ -66,14 +65,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _at_least(kind, low):
-    """argparse type: a finite ``kind`` >= ``low``; anything else is a usage error."""
+def _at_least(low):
+    """argparse type: an int >= ``low``; anything else is a usage error."""
     def parse(text: str):
-        value = kind(text)
-        if not low <= value < math.inf:
+        value = int(text)
+        if value < low:
             raise argparse.ArgumentTypeError(f"{text!r} is not a finite number >= {low}")
         return value
-    parse.__name__ = kind.__name__  # argparse names it in "invalid int value: 'x'"
+    parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
     return parse
 
 
@@ -215,7 +214,6 @@ def parse_partition_doc(obj) -> tuple[Partition, str | None]:
         raise _InputError(str(exc)) from exc
     except TypeError as exc:
         raise _InputError(f"malformed partition doc: {exc}") from exc
-
 
 
 # ---------------------------------------------------------------------------
@@ -515,11 +513,11 @@ def build_parser() -> _Parser:
     check.add_argument("rhs_file", nargs="?", help="JSON file with the right partition")
     check.add_argument("--lhs", help="inline JSON for the left partition")
     check.add_argument("--rhs", help="inline JSON for the right partition")
-    check.add_argument("--budget", type=_at_least(int, 0), default=DEFAULT_NODE_BUDGET,
+    check.add_argument("--budget", type=_at_least(0), default=DEFAULT_NODE_BUDGET,
                        help="search node budget for exact embedding")
-    check.add_argument("--max-steps", type=_at_least(int, 0), default=None,
+    check.add_argument("--max-steps", type=_at_least(0), default=None,
                        help="iteration budget for the catalyst construction")
-    check.add_argument("--base", type=_at_least(int, 2), default=None,
+    check.add_argument("--base", type=_at_least(2), default=None,
                        help="require both partitions to be powers of this base")
     check.add_argument("--json", action="store_true", help="machine-readable output")
     check.set_defaults(func=cmd_check)
@@ -532,19 +530,19 @@ def build_parser() -> _Parser:
     gen = sub.add_parser("gen", help="emit reproducible partition documents")
     gen.add_argument("kind", choices=["random", "powerq", "divisible"])
     gen.add_argument("--seed", type=int, default=0, help="RNG seed (echoed in names)")
-    gen.add_argument("--count", type=_at_least(int, 0), default=1)
-    gen.add_argument("--len", dest="length", type=_at_least(int, 1), default=6, help="max length")
-    gen.add_argument("--max", dest="max_value", type=_at_least(int, 1), default=32,
+    gen.add_argument("--count", type=_at_least(0), default=1)
+    gen.add_argument("--len", dest="length", type=_at_least(1), default=6, help="max length")
+    gen.add_argument("--max", dest="max_value", type=_at_least(1), default=32,
                      help="max entry")
-    gen.add_argument("--base", type=_at_least(int, 2), default=2, help="base for powerq docs")
-    gen.add_argument("--levels", type=_at_least(int, 1), default=4, help="levels for powerq docs")
-    gen.add_argument("--max-count", type=_at_least(int, 0), default=6, help="max count per level")
+    gen.add_argument("--base", type=_at_least(2), default=2, help="base for powerq docs")
+    gen.add_argument("--levels", type=_at_least(1), default=4, help="levels for powerq docs")
+    gen.add_argument("--max-count", type=_at_least(0), default=6, help="max count per level")
     gen.set_defaults(func=cmd_gen)
 
     scan = sub.add_parser("conjecture-scan",
                           help="tabulate catalyst construction on tight strictly-dominant pairs")
     scan.add_argument("corpus", help="newline-delimited JSON of {lhs, rhs, name?} pairs")
-    scan.add_argument("--max-steps", type=_at_least(int, 0), default=None)
+    scan.add_argument("--max-steps", type=_at_least(0), default=None)
     scan.add_argument("--json", action="store_true")
     scan.set_defaults(func=cmd_conjecture_scan)
 

@@ -255,15 +255,12 @@ def dominates_all_s(lam: Partition, mu: Partition) -> BulkVerdict:
 
     v2 = profile.coefficients[1][0]
     coeff_mass = sum(abs(n) for _, n in profile.coefficients)
-    if v2 == 1:
-        # Beyond s_max the top term exceeds the constant mass of all others.
-        s_max = 1.0 + math.log(max(2, coeff_mass)) / math.log(top_v)
-    else:
-        gap = math.log(top_v) - math.log(v2)
-        if gap == 0.0:
-            # Close large values whose logarithms round to the same float.
-            gap = math.log1p((top_v - v2) / v2)
-        s_max = 1.0 + math.log(max(2, coeff_mass)) / gap
+    # Beyond s_max, top_v**s exceeds coeff_mass * v2**s, which bounds all other terms.
+    gap = math.log(top_v) - math.log(v2)
+    if gap == 0.0:
+        # Close large values whose logarithms round to the same float.
+        gap = math.log1p((top_v - v2) / v2)
+    s_max = 1.0 + math.log(max(2, coeff_mass)) / gap
 
     tol = _default_tol(profile)
     with mpmath.workprec(_PRECISION_BITS):

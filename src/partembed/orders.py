@@ -3,9 +3,10 @@
 Embedding of lam into mu assigns every entry of lam to an entry of mu so
 that no target is overfilled; deciding it is bin packing, so the exact
 search is a budgeted branch-and-bound.  Supermajorization compares tail
-sums at every threshold.  For power-of-q partitions the two coincide, and
-the witness is built greedily by splitting leftover capacity into base-q
-digits; that greedy works on box exponents read from the count vectors.
+sums at every threshold, read off the signed profile ``norm_profile`` of the
+bulk decision.  For power-of-q partitions the two coincide, and the witness
+is built greedily by splitting leftover capacity into base-q digits; that
+greedy works on box exponents read from the count vectors.
 ``stablep.Pair`` picks the greedy path or the search for a pair.
 """
 
@@ -18,6 +19,7 @@ from itertools import repeat
 from typing import Iterator, NamedTuple, Sequence
 
 from .core import BaseMismatch, Partition, PartitionError, PowerPartition
+from .norms import norm_profile
 
 DEFAULT_NODE_BUDGET = 10**7
 # Most bits the wasted-space prune of ``embeds`` may spend on its subset-sum
@@ -78,29 +80,20 @@ class Supermajorization(NamedTuple):
 def supermajorizes(mu: Partition, lam: Partition) -> Supermajorization:
     """True iff for every threshold x the tail sum of mu dominates lam's.
 
-    The tail sums are step functions that change only at entry values, so one
-    merge of the two decreasing entry lists compares them at every distinct
-    value v of either partition.  A comparison failing at v fails for every x
-    down to just above the next smaller value, so the reported failing x is
-    that value + 1, or 1 below the smallest value: the smallest failing
-    integer.
+    The tail difference at x, the sum of n_v * v over the values v >= x of
+    the signed profile n_v = mult_mu(v) - mult_lam(v), changes only at the
+    profile's values, so one sweep of them from the top compares the tails
+    everywhere.  A comparison failing at v fails for every x down to just
+    above the next value, so the reported failing x is that value + 1, or 1
+    below the smallest value: the smallest failing integer.
     """
-    a, b = mu.entries, lam.entries
-    i = j = mu_tail = lam_tail = 0
+    tail = 0
     failing_x = None
-    failed = False
-    while i < len(a) or j < len(b):
-        v = max(a[i] if i < len(a) else 0, b[j] if j < len(b) else 0)
-        if failed:
+    for v, n in norm_profile(lam, mu).coefficients:
+        if tail < 0:
             failing_x = v + 1
-        while i < len(a) and a[i] == v:
-            mu_tail += v
-            i += 1
-        while j < len(b) and b[j] == v:
-            lam_tail += v
-            j += 1
-        failed = mu_tail < lam_tail
-    if failed:
+        tail += n * v
+    if tail < 0:
         failing_x = 1
     return Supermajorization(failing_x is None, failing_x)
 
@@ -131,12 +124,13 @@ def embeds(lam: Partition, mu: Partition,
            node_budget: int = DEFAULT_NODE_BUDGET) -> EmbeddingWitness | None:
     """Complete branch-and-bound search for an embedding of lam into mu.
 
-    Items are placed largest first.  Pruning: total, max-entry and
-    supermajorization bounds before the search; at each node the remaining
-    items must be supermajorized by the remaining capacities, identical items
-    only move rightward across bins, and bins with equal remaining capacity
-    are tried once per node.  Deterministic: the witness returned is the first
-    under the induced assignment order.
+    Items are placed largest first.  Pruning: supermajorization before the
+    search (at x = 1 and x = lam.max_entry it bounds the total and the
+    largest entry); at each node the remaining items must be supermajorized
+    by the remaining capacities, identical items only move rightward across
+    bins, and bins with equal remaining capacity are tried once per node.
+    Deterministic: the witness returned is the first under the induced
+    assignment order.
 
     The supermajorization prune is checked just above each residual
     capacity c, which is exact: between two capacity values the capacity tail
@@ -176,8 +170,6 @@ def embeds(lam: Partition, mu: Partition,
     Raises BudgetExceeded when ``node_budget`` placements were tried without
     resolving the question.
     """
-    if lam.total > mu.total or lam.max_entry > mu.max_entry:
-        return None
     if not supermajorizes(mu, lam).holds:
         return None
     items = lam.entries

@@ -55,7 +55,7 @@ from .core import (
     to_base_counts,
 )
 from .norms import BulkVerdict, EqualityPoint, dominates_all_s, exact_dominates_powerq, \
-    profile_poly, _eval_poly, _squarefree_part
+    norm_profile, profile_poly, _EXACT_POWER_BITS, _PRECISION_BITS, _eval_poly, _squarefree_part
 from .orders import (
     DEFAULT_NODE_BUDGET,
     BudgetExceeded,
@@ -110,14 +110,28 @@ class StableRefutation:
     mu_valuation: int | None = None
 
     def verify(self, lam: Partition, mu: Partition) -> bool:
-        """Recheck the certificate against the pair it refutes."""
+        """Recheck the certificate against the pair it refutes, without
+        deciding the pair again: BulkFails by the sign of f at its own failure
+        point, in exact arithmetic or in a 240-bit interval enclosure."""
         if self.rule == BULK_FAILS:
             if self.bulk is None or self.bulk.holds:
                 return False
             if self.bulk.failure_x is not None and self.base is not None:
                 P = profile_poly(to_base_counts(lam, self.base), to_base_counts(mu, self.base))
                 return _eval_poly(P, self.bulk.failure_x) < 0
-            return not Pair(lam, mu).bulk.holds
+            s = self.bulk.failure_exponent
+            profile = norm_profile(lam, mu)
+            if s is None or not 1 <= s < math.inf or not profile.coefficients:
+                return False
+            if s == int(s) and s * profile.values[0].bit_length() <= _EXACT_POWER_BITS:
+                return profile.f_exact(int(s)) < 0
+            from mpmath import iv
+
+            prec, iv.prec = iv.prec, 2 * _PRECISION_BITS
+            try:  # f enclosed at the exact binary value of s
+                return sum(n * iv.mpf(v) ** iv.mpf(s) for v, n in profile.coefficients).b < 0
+            finally:
+                iv.prec = prec
         if self.rule == NORM_EQUALITY:
             if lam == mu or self.equality is None or not self.equality.exact:
                 return False
@@ -174,8 +188,6 @@ class StableVerdict:
 
 
 def _valuation(n: int, r: int) -> int:
-    if n == 0:
-        return 0
     v = 0
     while n % r == 0:
         n //= r
@@ -425,11 +437,11 @@ class Pair:
         lam, mu, base, bulk = self.lam, self.mu, self.base, self.bulk
         if not bulk.holds:
             return StableRefutation(BULK_FAILS, bulk=bulk, base=base)
-        if lam != mu:
-            for eq in bulk.interior_equalities:
-                if eq.exact:
-                    return StableRefutation(NORM_EQUALITY, bulk=bulk, equality=eq, base=base)
-        if lam.total != mu.total:
+        # An identical pair has an empty profile and so no interior equality.
+        for eq in bulk.interior_equalities:
+            if eq.exact:
+                return StableRefutation(NORM_EQUALITY, bulk=bulk, equality=eq, base=base)
+        if not bulk.tight_at_one:  # f(1) = total(mu) - total(lam) != 0
             return None
         ref = _valuation_gap(math.gcd(*lam.entries), math.gcd(*mu.entries))
         normalized = self.normalized

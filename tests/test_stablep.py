@@ -22,7 +22,7 @@ from partembed.core import (
     product,
     to_base_counts,
 )
-from partembed.norms import exact_dominates_powerq
+from partembed.norms import BulkVerdict, exact_dominates_powerq
 from partembed.stablep import (
     BULK_FAILS,
     FAILS,
@@ -107,6 +107,29 @@ class TestPrefilter:
         ref = prefilter_stable(from_entries([2]), from_entries([1, 1, 1]))
         assert ref is not None and ref.rule == BULK_FAILS
         assert ref.verify(from_entries([2]), from_entries([1, 1, 1]))
+
+    def test_bulk_failure_is_checked_at_its_own_exponent(self):
+        # [3,3] vs [4,1,1] fails just above s = 1, but f(3) = 64 + 2 - 54 = 12.
+        lam, mu = from_entries([3, 3]), from_entries([4, 1, 1])
+        assert prefilter_stable(lam, mu).verify(lam, mu)
+        at_three = StableRefutation(BULK_FAILS, bulk=BulkVerdict(False, failure_exponent=3.0))
+        assert not at_three.verify(lam, mu)
+
+    def test_bulk_failure_needs_an_exponent(self):
+        lam, mu = from_entries([3, 3]), from_entries([4, 1, 1])
+        assert not StableRefutation(BULK_FAILS, bulk=BulkVerdict(False)).verify(lam, mu)
+
+    @pytest.mark.parametrize("lam, mu, wrong", [
+        # s = 2**66 is an integer, but v**s is far past the exact bits.
+        ([10**20 + 1], [10**20] * 2, 2.0**60),
+        # Tight at s = 1 and failing only before s = 1.001.
+        ([2] * 19, [10, 3] + [1] * 25, 1.5),
+    ])
+    def test_bulk_failure_in_interval_arithmetic(self, lam, mu, wrong):
+        lam, mu = from_entries(lam), from_entries(mu)
+        ref = prefilter_stable(lam, mu)
+        assert ref.rule == BULK_FAILS and ref.verify(lam, mu)
+        assert not replace(ref, bulk=replace(ref.bulk, failure_exponent=wrong)).verify(lam, mu)
 
     def test_top_index_certificate_verifies(self):
         # [8,2] vs [4,4,1,1]: after normalization lam keeps level 3, mu tops at 2.

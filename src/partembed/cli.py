@@ -35,7 +35,7 @@ from .core import (
     product,
     to_base_counts,
 )
-from .orders import DEFAULT_NODE_BUDGET, embeds, supermajorizes
+from .orders import DEFAULT_NODE_BUDGET
 from .stablep import (
     FAILS,
     HOLDS,
@@ -43,7 +43,6 @@ from .stablep import (
     TIGHT_VALUATION,
     UNKNOWN,
     Pair,
-    stable_embeds,
 )
 
 EX_OK = 0
@@ -344,7 +343,8 @@ def cmd_repro_example24(args) -> int:
     def claim(name: str, ok: bool, detail: str = ""):
         claims.append({"claim": name, "ok": bool(ok), "detail": detail})
 
-    v1 = stable_embeds(lam1, mu1)
+    p11, p12, p23, p34 = Pair(lam1, mu1), Pair(lam1, mu2), Pair(lam2, mu3), Pair(lam3, mu4)
+    v1 = p11.stable
     ok1 = (
         v1.status == HOLDS
         and v1.witness is not None
@@ -355,28 +355,28 @@ def cmd_repro_example24(args) -> int:
     claim("lam1 stably embeds into mu1 with validating catalyst [2,1,1]", ok1,
           f"status={v1.status}")
 
-    sup1 = supermajorizes(mu1, lam1)
+    sup1 = p11.sup
     tails = (sum(e for e in lam1 if e >= 2), sum(e for e in mu1 if e >= 2))
     claim("lam1 is not supermajorized by mu1 (threshold 2: 8 > 4)",
           not sup1.holds and sup1.failing_x == 2 and tails == (8, 4),
           f"failing_x={sup1.failing_x}")
 
-    claim("lam1 does not embed into mu1", embeds(lam1, mu1) is None)
-    claim("lam1 is supermajorized by mu2", supermajorizes(mu2, lam1).holds)
-    claim("lam1 does not embed into mu2", embeds(lam1, mu2) is None)
+    claim("lam1 does not embed into mu1", p11.embedding[0] is None)
+    claim("lam1 is supermajorized by mu2", p12.sup.holds)
+    claim("lam1 does not embed into mu2", p12.embedding[0] is None)
 
-    bulk23 = Pair(lam2, mu3).bulk
+    bulk23 = p23.bulk
     claim("lam2 bulk-embeds into mu3", bulk23.holds,
           f"equalities={len(bulk23.interior_equalities)}")
 
-    v7 = stable_embeds(lam2, mu3)
+    v7 = p23.stable
     claim("lam2 does not stably embed into mu3 (norm-equality certificate)",
           v7.status == FAILS and v7.reason is not None
           and v7.reason.rule == NORM_EQUALITY and v7.reason.verify(lam2, mu3),
           f"status={v7.status}")
 
-    sup34 = supermajorizes(mu4, lam3)
-    v8 = stable_embeds(lam3, mu4)
+    sup34 = p34.sup
+    v8 = p34.stable
     claim("lam3 is supermajorized by mu4 yet does not stably embed (valuation certificate)",
           sup34.holds and v8.status == FAILS and v8.reason is not None
           and v8.reason.rule == TIGHT_VALUATION and v8.reason.verify(lam3, mu4),

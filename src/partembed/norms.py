@@ -12,9 +12,11 @@ Two decision paths are provided.  The numeric path samples f in very high
 precision on a provably sufficient interval and refines sign changes and
 near-zero minima.  For partitions whose entries are powers of one base q the
 substitution x = q**s turns f into an integer polynomial P(x), and dominance
-on [q, oo) is decided exactly.  If every tail sum T_i = sum_{j >= i} P_j q**j
-is >= 0 (mu supermajorizes lam), Abel summation against the increasing
-weights (x/q)**j gives P(x) = T_0 + sum_{i >= 1} T_i ((x/q)**i - (x/q)**(i-1)),
+on [q, oo) is decided exactly.  The tail sums T_i = sum_{j >= i} P_j q**j are
+the tail differences of the profile (q**i, P_i), which ``failing_threshold``
+sweeps as it does for ``orders.supermajorizes``.  If every T_i is >= 0 (mu
+supermajorizes lam), Abel summation against the increasing weights (x/q)**j
+gives P(x) = T_0 + sum_{i >= 1} T_i ((x/q)**i - (x/q)**(i-1)),
 which is > 0 for x > q unless every T_i, and so P, is 0: dominance holds with
 no interior equality, and nothing is isolated.  Otherwise the square-free
 part and the Sturm chain are pseudo-remainder sequences in integers (one
@@ -103,10 +105,6 @@ class NormProfile:
 
     coefficients: tuple[tuple[int, int], ...]
 
-    @property
-    def values(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.coefficients)
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.coefficients)
 
@@ -171,6 +169,21 @@ def norm_profile(lam: Partition, mu: Partition) -> NormProfile:
     return NormProfile(items)
 
 
+def failing_threshold(coefficients: Iterable[tuple[int, int]]) -> int | None:
+    """The smallest integer x whose tail difference sum_{v >= x} n * v is
+    negative, or None, for (v, n) pairs in decreasing v; pairs with n = 0 are
+    allowed.  A tail failing at v fails down to just above the next v, or to 1."""
+    tail = 0
+    failing_x = None
+    for v, n in coefficients:
+        if tail < 0:
+            failing_x = v + 1
+        tail += n * v
+    if tail < 0:
+        failing_x = 1
+    return failing_x
+
+
 @dataclass(frozen=True)
 class EqualityPoint:
     """A point s in (1, oo) where the two norms agree.
@@ -207,7 +220,7 @@ _EXACT_POWER_BITS = 2**14
 def _default_tol(profile: NormProfile) -> Fraction:
     """The numeric path's band: f below -tol fails, and a minimum with
     |f| <= tol is reported as an equality hint."""
-    top = profile.values[0] if profile.coefficients else 1
+    top = profile.coefficients[0][0] if profile.coefficients else 1
     scale = abs(profile.f1()) + sum(abs(n) for _, n in profile.coefficients) * top
     return Fraction(1, 10**12) * max(1, scale)
 
@@ -542,9 +555,10 @@ def exact_dominates_powerq(lam: PowerPartition, mu: PowerPartition) -> BulkVerdi
     P(x) = sum_i (b_i - a_i) x^i, to be checked >= 0 on [q, oo).  The check
     is exact: sign at q, leading sign, tail sums, root isolation in (q, oo),
     and gap sign samples between consecutive roots.  Tail sums
-    sum_{j >= i} P_j q**j all >= 0 give P > 0 on (q, oo) by Abel summation,
-    so the pair holds with no touch point.  Roots inside a nonnegative P are
-    touch points and come back as exact interior equalities.
+    sum_{j >= i} P_j q**j all >= 0, swept by ``failing_threshold``, give
+    P > 0 on (q, oo) by Abel summation, so the pair holds with no touch
+    point.  Roots inside a nonnegative P are touch points and come back as
+    exact interior equalities.
     """
     if lam.base != mu.base:
         raise BaseMismatch(f"bases differ: {lam.base} vs {mu.base}")
@@ -566,14 +580,7 @@ def exact_dominates_powerq(lam: PowerPartition, mu: PowerPartition) -> BulkVerdi
             x *= 2
         return BulkVerdict(holds=False, failure_exponent=_s_of(x, q), failure_x=x,
                            tight_at_one=tight_one, tight_at_infinity=tight_inf)
-    # Top-down Horner: after the step at c = P_i, h = T_i / q**i for the tail
-    # sum T_i = sum_{j >= i} P_j q**j.  No T_i < 0 means P > 0 on (q, oo).
-    h = 0
-    for c in reversed(P):
-        h = h * q + c
-        if h < 0:
-            break
-    else:
+    if failing_threshold(reversed([(q**i, c) for i, c in enumerate(P) if c])) is None:
         return BulkVerdict(holds=True, tight_at_one=tight_one, tight_at_infinity=tight_inf)
     if p_at_q == 0:
         # Sign of P just above q from the first nonvanishing derivative.

@@ -3,11 +3,12 @@
 Embedding of lam into mu assigns every entry of lam to an entry of mu so
 that no target is overfilled; deciding it is bin packing, so the exact
 search is a budgeted branch-and-bound.  Supermajorization compares tail
-sums at every threshold, read off the signed profile ``norm_profile`` of the
-bulk decision.  For power-of-q partitions the two coincide, and the witness
-is built greedily by splitting leftover capacity into base-q digits; that
-greedy works on box exponents read from the count vectors.
-``stablep.Pair`` picks the greedy path or the search for a pair.
+sums at every threshold in one sweep of the signed profile ``norm_profile``,
+``norms.failing_threshold``, which the exact bulk path shares.  For power-of-q
+partitions the two coincide, and the witness is built greedily by splitting
+leftover capacity into base-q digits; that greedy works on box exponents read
+from the count vectors.  ``stablep.Pair`` picks the greedy path or the
+search for a pair.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import repeat
 from typing import Iterator, NamedTuple, Sequence
 
 from .core import BaseMismatch, Partition, PartitionError, PowerPartition
-from .norms import norm_profile
+from .norms import failing_threshold, norm_profile
 
 DEFAULT_NODE_BUDGET = 10**7
 # Most bits the wasted-space prune of ``embeds`` may spend on its subset-sum
@@ -78,23 +79,10 @@ class Supermajorization(NamedTuple):
 
 
 def supermajorizes(mu: Partition, lam: Partition) -> Supermajorization:
-    """True iff for every threshold x the tail sum of mu dominates lam's.
-
-    The tail difference at x, the sum of n_v * v over the values v >= x of
-    the signed profile n_v = mult_mu(v) - mult_lam(v), changes only at the
-    profile's values, so one sweep of them from the top compares the tails
-    everywhere.  A comparison failing at v fails for every x down to just
-    above the next value, so the reported failing x is that value + 1, or 1
-    below the smallest value: the smallest failing integer.
-    """
-    tail = 0
-    failing_x = None
-    for v, n in norm_profile(lam, mu).coefficients:
-        if tail < 0:
-            failing_x = v + 1
-        tail += n * v
-    if tail < 0:
-        failing_x = 1
+    """True iff for every threshold x the tail sum of mu dominates lam's, that
+    is no tail difference of the signed profile n_v = mult_mu(v) - mult_lam(v)
+    is negative; ``failing_threshold`` gives the smallest failing x."""
+    failing_x = failing_threshold(norm_profile(lam, mu).coefficients)
     return Supermajorization(failing_x is None, failing_x)
 
 

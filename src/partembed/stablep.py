@@ -54,8 +54,8 @@ from .core import (
     from_entries,
     to_base_counts,
 )
-from .norms import BulkVerdict, EqualityPoint, dominates_all_s, exact_dominates_powerq, \
-    norm_profile, profile_poly, _EXACT_POWER_BITS, _PRECISION_BITS, _eval_poly, _squarefree_part
+from .norms import BulkVerdict, EqualityPoint, _EXACT_POWER_BITS, _PRECISION_BITS, _eval_poly, \
+    _squarefree_part, _trim, dominates_all_s, exact_dominates_powerq, norm_profile, profile_poly
 from .orders import (
     DEFAULT_NODE_BUDGET,
     BudgetExceeded,
@@ -123,7 +123,7 @@ class StableRefutation:
             profile = norm_profile(lam, mu)
             if s is None or not 1 <= s < math.inf or not profile.coefficients:
                 return False
-            if s == int(s) and s * profile.values[0].bit_length() <= _EXACT_POWER_BITS:
+            if s == int(s) and s * profile.coefficients[0][0].bit_length() <= _EXACT_POWER_BITS:
                 return profile.f_exact(int(s)) < 0
             from mpmath import iv
 
@@ -196,25 +196,16 @@ def _valuation(n: int, r: int) -> int:
 
 
 def normalize_pair(lam: PowerPartition, mu: PowerPartition) -> tuple[PowerPartition, PowerPartition]:
-    """Cancel the common box count at every level.
-
-    Afterwards at most one side holds boxes at each level; either side may
-    come out empty (everything cancelled), which downstream logic treats as
-    trivially stable.  Stability of the pair is unchanged by this.
-    """
+    """Cancel the common box count at every level: lam keeps max(-P_i, 0)
+    boxes at level i and mu max(P_i, 0), the sign split of the profile
+    polynomial P = ``profile_poly(lam, mu)``.  Either side may come out empty
+    (everything cancelled), which downstream logic treats as trivially stable.
+    Stability is unchanged by this."""
     if lam.base != mu.base:
         raise BaseMismatch(f"bases differ: {lam.base} vs {mu.base}")
-    a = list(lam.counts)
-    b = list(mu.counts)
-    for i in range(min(len(a), len(b))):
-        d = min(a[i], b[i])
-        a[i] -= d
-        b[i] -= d
-    while a and a[-1] == 0:
-        a.pop()
-    while b and b[-1] == 0:
-        b.pop()
-    return PowerPartition(lam.base, tuple(a)), PowerPartition(lam.base, tuple(b))
+    P = profile_poly(lam, mu)
+    return (PowerPartition(lam.base, _trim([-c if c < 0 else 0 for c in P])),
+            PowerPartition(lam.base, _trim([c if c > 0 else 0 for c in P])))
 
 
 def prefilter_stable(lam: Partition, mu: Partition) -> StableRefutation | None:

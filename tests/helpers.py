@@ -52,3 +52,22 @@ def random_embeddable_pair(rng: random.Random, max_len=6, max_entry=32, lam=None
     if rng.random() < 0.3:
         bins.append(rng.randint(1, max_entry))
     return lam, from_entries(bins)
+
+
+def count_pairs(n: int, seed: int):
+    """n same-base count pairs (lam, mu), bases 2, 3 and 5 in turn, up to 12
+    levels of 0-6 boxes each, so zero levels fall inside the vectors; every
+    fourth mu is lam with one level changed, so that most levels cancel."""
+    rng = random.Random(seed)
+    for k in range(n):
+        q = (2, 3, 5)[k % 3]
+        lam = random_powerq(rng, q, levels=12)
+        if k % 4 == 3:
+            counts = list(lam.counts)
+            counts[rng.randrange(len(counts))] = rng.randint(0, 6)
+            while counts and counts[-1] == 0:
+                counts.pop()
+            mu = PowerPartition(q, tuple(counts)) if counts else lam
+        else:
+            mu = random_powerq(rng, q, levels=12)
+        yield lam, mu

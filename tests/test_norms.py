@@ -12,6 +12,7 @@ from partembed.norms import (
     NormProfile,
     dominates_all_s,
     exact_dominates_powerq,
+    failing_threshold,
     norm_profile,
     p_norm,
     profile_poly,
@@ -26,8 +27,9 @@ from partembed.norms import (
     _variations,
 )
 from partembed.core import InvalidExponent
+from partembed.oracle import brute_supermajorize
 from partembed.orders import supermajorizes
-from helpers import LAM1, LAM2, MU3, random_partition, random_powerq
+from helpers import LAM1, LAM2, MU3, count_pairs, random_partition, random_powerq
 
 S_STAR = math.log(1 + math.sqrt(5)) / math.log(2)  # where the lam2/mu3 norms touch
 
@@ -102,6 +104,57 @@ class TestNormProfile:
                 diff = float(p_norm(mu, s)) - float(p_norm(lam, s))
                 if abs(f) > 1e-9:
                     assert (f > 0) == (diff > 0)
+
+
+def _horner_holds(P, q):
+    """Every tail sum T_i = sum_{j >= i} P_j q**j >= 0, by a top-down Horner
+    pass whose value after P_i is T_i / q**i."""
+    h = 0
+    for c in reversed(P):
+        h = h * q + c
+        if h < 0:
+            return False
+    return True
+
+
+def _brute_failing_x(lam, mu):
+    """The smallest x whose tail sum of mu is below lam's, tried one by one."""
+    top = max(lam.max_entry, mu.max_entry)
+    return next((x for x in range(1, top + 1)
+                 if sum(e for e in mu.entries if e >= x) < sum(e for e in lam.entries if e >= x)),
+                None)
+
+
+class TestFailingThreshold:
+    """The one tail-sum sweep, on sparse profiles and on the dense profile
+    (q**i, P_i) of a count pair, zero levels included."""
+
+    def test_zero_coefficient_inside_a_negative_run(self):
+        assert failing_threshold([(10, -1), (5, 0), (3, 5)]) == 4
+        assert failing_threshold([(10, -1), (3, 5)]) == 4
+
+    def test_empty_and_holding_profiles(self):
+        assert failing_threshold([]) is None
+        assert failing_threshold([(4, 1), (2, -2)]) is None
+        assert failing_threshold([(4, 1), (1, -5)]) == 1
+
+    def test_count_pair_sweep(self):
+        small = 0
+        for lam, mu in count_pairs(2000, seed=31):
+            q, P = lam.base, profile_poly(lam, mu)
+            dense = [(q**i, P[i]) for i in range(len(P) - 1, -1, -1)]
+            x = failing_threshold(dense)
+            assert (x is None) == _horner_holds(P, q), (lam, mu)
+            assert x == failing_threshold([(v, n) for v, n in dense if n]), (lam, mu)
+            if x is None:
+                verdict = exact_dominates_powerq(lam, mu)
+                assert verdict.holds and not verdict.interior_equalities, (lam, mu)
+            l, m = from_base_counts(lam), from_base_counts(mu)
+            if max(l.max_entry, m.max_entry) <= 1024 and len(l) + len(m) <= 80:
+                small += 1
+                assert x == supermajorizes(m, l).failing_x == _brute_failing_x(l, m), (lam, mu)
+                assert (x is None) == brute_supermajorize(m, l), (lam, mu)
+        assert small > 500
 
 
 class TestFMpfBits:

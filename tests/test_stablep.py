@@ -42,7 +42,7 @@ from partembed.stablep import (
     _valuation_gap,
 )
 from partembed.oracle import nu_order_compare
-from helpers import LAM1, LAM2, LAM3, MU1, MU3, MU4, random_powerq
+from helpers import LAM1, LAM2, LAM3, MU1, MU3, MU4, count_pairs, random_powerq
 
 
 class TestNormalizePair:
@@ -63,6 +63,20 @@ class TestNormalizePair:
     def test_base_mismatch(self):
         with pytest.raises(BaseMismatch):
             normalize_pair(PowerPartition(2, (1,)), PowerPartition(3, (1,)))
+
+    def test_sign_split_matches_min_cancellation(self):
+        for lam, mu in count_pairs(2000, seed=32):
+            a, b = list(lam.counts), list(mu.counts)
+            for i in range(min(len(a), len(b))):
+                d = min(a[i], b[i])
+                a[i] -= d
+                b[i] -= d
+            while a and a[-1] == 0:
+                a.pop()
+            while b and b[-1] == 0:
+                b.pop()
+            expected = PowerPartition(lam.base, tuple(a)), PowerPartition(lam.base, tuple(b))
+            assert normalize_pair(lam, mu) == expected, (lam, mu)
 
 
 class TestPrefilter:

@@ -22,11 +22,13 @@ no interior equality, and nothing is isolated.  Otherwise the square-free
 part and the Sturm chain are pseudo-remainder sequences in integers (one
 sequence gives both when P is square-free), and every sign taken at a
 rational point n/d (root isolation, gap sign samples that tell touch roots
-from crossings) is the sign of the integer d**deg * P(n/d).  The roots are isolated by one bisection over one Sturm
-chain: a rational root met at a midpoint is reported exactly, and nothing is
-divided out.  Interior equality points discovered this way are certified by
-isolating intervals; numeric ones are only flagged, never trusted as
-refutations.  ``stablep.Pair`` picks the path for a pair.
+from crossings) is the sign of the integer d**deg * P(n/d).  The roots are
+isolated by one bisection over one Sturm chain: a rational root met at a
+midpoint is reported exactly, and nothing is divided out.  One pass over the
+sorted roots then samples the gap below each root, fails on a negative
+sample, and otherwise certifies the root as an interior equality point by
+its isolating interval; numeric equality points are only flagged, never
+trusted as refutations.  ``stablep.Pair`` picks the path for a pair.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Iterable
 
 from .core import (
@@ -237,14 +239,13 @@ def dominates_all_s(lam: Partition, mu: Partition) -> BulkVerdict:
     is found in exact integer arithmetic, without loading mpmath.
     """
     profile = norm_profile(lam, mu)
-    tight_inf = lam.max_entry == mu.max_entry
-    if not profile.coefficients:
-        return BulkVerdict(holds=True, tight_at_one=True, tight_at_infinity=True)
     f1 = profile.f1()
-    tight_one = f1 == 0
+    verdict = partial(BulkVerdict, tight_at_one=f1 == 0,
+                      tight_at_infinity=lam.max_entry == mu.max_entry)
+    if not profile.coefficients:
+        return verdict(holds=True)
     if f1 < 0:
-        return BulkVerdict(holds=False, failure_exponent=1.0,
-                           tight_at_one=False, tight_at_infinity=tight_inf)
+        return verdict(holds=False, failure_exponent=1.0)
     top_v, top_n = profile.coefficients[0]
     if top_n < 0:
         # mu's largest entry is exceeded or outweighed: f(s) -> -oo, so some
@@ -258,11 +259,10 @@ def dominates_all_s(lam: Partition, mu: Partition) -> BulkVerdict:
             with mpmath.workprec(_PRECISION_BITS):
                 while profile.f_mpf(s) >= 0:
                     s *= 2
-        return BulkVerdict(holds=False, failure_exponent=float(s),
-                           tight_at_one=tight_one, tight_at_infinity=tight_inf)
+        return verdict(holds=False, failure_exponent=float(s))
     if len(profile.coefficients) == 1:
         # Single positive term: f > 0 everywhere.
-        return BulkVerdict(holds=True, tight_at_one=tight_one, tight_at_infinity=tight_inf)
+        return verdict(holds=True)
 
     import mpmath
 
@@ -278,7 +278,7 @@ def dominates_all_s(lam: Partition, mu: Partition) -> BulkVerdict:
     tol = _default_tol(profile)
     with mpmath.workprec(_PRECISION_BITS):
         tol_m = mpmath.mpf(tol.numerator) / tol.denominator
-        if tight_one:
+        if f1 == 0:
             # f(1) = 0 with f decreasing at 1 dips negative before the first
             # grid sample; the derivative settles it without sampling.
             d1 = mpmath.fsum(n * v * mpmath.log(v) for v, n in profile.coefficients)
@@ -286,16 +286,14 @@ def dominates_all_s(lam: Partition, mu: Partition) -> BulkVerdict:
                 s = mpmath.mpf(1) + mpmath.mpf("1e-3")
                 while profile.f_mpf(s) >= 0:
                     s = 1 + (s - 1) / 2
-                return BulkVerdict(holds=False, failure_exponent=float(s),
-                                   tight_at_one=True, tight_at_infinity=tight_inf)
+                return verdict(holds=False, failure_exponent=float(s))
         one, span = mpmath.mpf(1), mpmath.mpf(s_max) - 1
         xs = [one + span * i / (_GRID - 1) for i in range(_GRID)]
         fs = [profile.f_mpf(x) for x in xs]
 
         for x, y in zip(xs, fs):
             if y < -tol_m:
-                return BulkVerdict(holds=False, failure_exponent=float(x),
-                                   tight_at_one=tight_one, tight_at_infinity=tight_inf)
+                return verdict(holds=False, failure_exponent=float(x))
 
         equalities: list[EqualityPoint] = []
         for i in range(len(xs)):
@@ -307,14 +305,11 @@ def dominates_all_s(lam: Partition, mu: Partition) -> BulkVerdict:
             hi = xs[min(len(xs) - 1, i + 1)]
             s_min, f_min = _refine_minimum(profile, lo, hi)
             if f_min < -tol_m:
-                return BulkVerdict(holds=False, failure_exponent=float(s_min),
-                                   tight_at_one=tight_one, tight_at_infinity=tight_inf)
+                return verdict(holds=False, failure_exponent=float(s_min))
             if abs(f_min) <= tol_m and s_min > 1 + 1e-9:
                 equalities.append(EqualityPoint(s=float(s_min), exact=False))
 
-        equalities = _dedupe_equalities(equalities)
-        return BulkVerdict(holds=True, interior_equalities=tuple(equalities),
-                           tight_at_one=tight_one, tight_at_infinity=tight_inf)
+        return verdict(holds=True, interior_equalities=tuple(_dedupe_equalities(equalities)))
 
 
 def _refine_minimum(profile: NormProfile, lo, hi):
@@ -553,35 +548,33 @@ def exact_dominates_powerq(lam: PowerPartition, mu: PowerPartition) -> BulkVerdi
 
     With x = q**s the comparand becomes the integer polynomial
     P(x) = sum_i (b_i - a_i) x^i, to be checked >= 0 on [q, oo).  The check
-    is exact: sign at q, leading sign, tail sums, root isolation in (q, oo),
-    and gap sign samples between consecutive roots.  Tail sums
-    sum_{j >= i} P_j q**j all >= 0, swept by ``failing_threshold``, give
-    P > 0 on (q, oo) by Abel summation, so the pair holds with no touch
-    point.  Roots inside a nonnegative P are touch points and come back as
-    exact interior equalities.
+    is exact: sign at q, tail sums, leading sign, root isolation in (q, oo),
+    then one pass over the sorted roots.  Tail sums sum_{j >= i} P_j q**j all
+    >= 0 (an empty P too), swept by ``failing_threshold``, give P > 0 on
+    (q, oo) by Abel summation, so the pair holds with no touch point.  The
+    pass samples P in the gap below each root, failing at the first negative
+    sample, and refines each root's isolating interval: the roots of a
+    nonnegative P are touch points and come back as exact interior
+    equalities.
     """
     if lam.base != mu.base:
         raise BaseMismatch(f"bases differ: {lam.base} vs {mu.base}")
     q = lam.base
     P = profile_poly(lam, mu)
-    tight_inf = len(lam.counts) == len(mu.counts)  # same top box, or both empty
-    if not P:
-        return BulkVerdict(holds=True, tight_at_one=True, tight_at_infinity=True)
-
     q_f = Fraction(q)
     p_at_q = _scaled_eval(P, q_f)
-    tight_one = p_at_q == 0
+    # tight at oo: the same top box, or both sides empty
+    verdict = partial(BulkVerdict, tight_at_one=p_at_q == 0,
+                      tight_at_infinity=len(lam.counts) == len(mu.counts))
     if p_at_q < 0:
-        return BulkVerdict(holds=False, failure_exponent=1.0, failure_x=q_f,
-                           tight_at_one=False, tight_at_infinity=tight_inf)
+        return verdict(holds=False, failure_exponent=1.0, failure_x=q_f)
+    if failing_threshold(reversed([(q**i, c) for i, c in enumerate(P) if c])) is None:
+        return verdict(holds=True)
     if P[-1] < 0:
         x = q_f + 1
         while _scaled_eval(P, x) >= 0:
             x *= 2
-        return BulkVerdict(holds=False, failure_exponent=_s_of(x, q), failure_x=x,
-                           tight_at_one=tight_one, tight_at_infinity=tight_inf)
-    if failing_threshold(reversed([(q**i, c) for i, c in enumerate(P) if c])) is None:
-        return BulkVerdict(holds=True, tight_at_one=tight_one, tight_at_infinity=tight_inf)
+        return verdict(holds=False, failure_exponent=_s_of(x, q), failure_x=x)
     if p_at_q == 0:
         # Sign of P just above q from the first nonvanishing derivative.
         d = list(P)
@@ -595,59 +588,34 @@ def exact_dominates_powerq(lam: PowerPartition, mu: PowerPartition) -> BulkVerdi
             while _scaled_eval(P, q_f + eps) >= 0:
                 eps /= 2
             x = q_f + eps
-            return BulkVerdict(holds=False, failure_exponent=_s_of(x, q), failure_x=x,
-                               tight_at_one=True, tight_at_infinity=tight_inf)
+            return verdict(holds=False, failure_exponent=_s_of(x, q), failure_x=x)
 
     chain = _squarefree_chain(P)
     S = chain[0]
-    hi = _positive_root_bound(P, q_f)
-    exact_roots, intervals = _isolate_roots(chain, q_f, hi)
+    exact_roots, intervals = _isolate_roots(chain, q_f, _positive_root_bound(P, q_f))
 
-    # Merge roots into (a, b) items sorted by position; exact roots collapse.
-    # Items are pairwise disjoint (endpoints may coincide) and every interval
-    # strictly excludes every exact root.
-    items: list[tuple[Fraction, Fraction]] = [(r, r) for r in exact_roots] + intervals
-    items.sort()
-
-    # Gap sign samples: P's sign is constant between consecutive roots, so one
-    # root-free point per gap classifies every root as touch or crossing.
-    gap_points: list[Fraction] = []
-    prev_hi = q_f
-    for lo_i, hi_i in items:
-        if lo_i == hi_i:
-            # point item: midpoint of the gap before it
-            gap_points.append((prev_hi + lo_i) / 2)
-        elif lo_i == q_f and p_at_q == 0:
-            # first gap starts at a root of P; its sign was already certified
-            # positive by the derivative check above
-            pass
-        else:
-            # interval item: its own lower endpoint (never a root, and past
-            # every earlier root)
-            gap_points.append(lo_i)
-        prev_hi = hi_i
-    gap_points.append(max(hi, prev_hi + 1))
-    for w in gap_points:
-        val = _scaled_eval(P, w)
-        if val == 0:
-            raise AssertionError("gap sample hit a root")
-        if val < 0:
-            return BulkVerdict(holds=False, failure_exponent=_s_of(w, q), failure_x=w,
-                               tight_at_one=tight_one, tight_at_infinity=tight_inf)
-
+    # Exact roots are point intervals.  P's sign is constant between roots, so
+    # one root-free sample of the gap below each root tells touch roots from
+    # crossings: the gap's midpoint below a point, an interval's lower end
+    # (past every earlier root) below an interval.  A sample at q is skipped,
+    # as P(q) > 0 or the derivative check certified the gap above q, and the
+    # gap above the last root is positive, as P[-1] > 0.
     equalities = []
-    for lo_i, hi_i in items:
-        if lo_i == hi_i:
-            interval = (lo_i, hi_i)
-            s_val = _s_of(lo_i, q)
-        else:
-            ra, rb = _refine_root_interval(S, lo_i, hi_i, _EQUALITY_INTERVAL_WIDTH)
-            interval = (ra, rb)
-            s_val = _s_of((ra + rb) / 2, q)
-        equalities.append(EqualityPoint(s=s_val, exact=True, x_interval=interval, base=q))
-
-    return BulkVerdict(holds=True, interior_equalities=tuple(equalities),
-                       tight_at_one=tight_one, tight_at_infinity=tight_inf)
+    gap_lo = q_f
+    for a, b in sorted([(r, r) for r in exact_roots] + intervals):
+        w = (gap_lo + a) / 2 if a == b else a
+        if w > q_f:
+            val = _scaled_eval(P, w)
+            if val == 0:
+                raise AssertionError("gap sample hit a root")
+            if val < 0:
+                return verdict(holds=False, failure_exponent=_s_of(w, q), failure_x=w)
+        gap_lo = b
+        if a < b:
+            a, b = _refine_root_interval(S, a, b, _EQUALITY_INTERVAL_WIDTH)
+        equalities.append(EqualityPoint(s=_s_of((a + b) / 2, q), exact=True,
+                                        x_interval=(a, b), base=q))
+    return verdict(holds=True, interior_equalities=tuple(equalities))
 
 
 def _s_of(x: Fraction, q: int) -> float:

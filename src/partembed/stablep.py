@@ -41,6 +41,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .core import (
     BaseMismatch,
@@ -112,13 +113,15 @@ class StableRefutation:
     def verify(self, lam: Partition, mu: Partition) -> bool:
         """Recheck the certificate against the pair it refutes, without
         deciding the pair again: BulkFails by the sign of f at its own failure
-        point, in exact arithmetic or in a 240-bit interval enclosure."""
+        point, in exact arithmetic or in a 240-bit interval enclosure.  A rule
+        that names ``base`` reads the pair's profile polynomial in it, and is
+        False for a pair outside that base."""
         if self.rule == BULK_FAILS:
             if self.bulk is None or self.bulk.holds:
                 return False
             if self.bulk.failure_x is not None and self.base is not None:
-                P = profile_poly(to_base_counts(lam, self.base), to_base_counts(mu, self.base))
-                return _eval_poly(P, self.bulk.failure_x) < 0
+                P = self._profile(lam, mu)
+                return P is not None and _eval_poly(P, self.bulk.failure_x) < 0
             s = self.bulk.failure_exponent
             profile = norm_profile(lam, mu)
             if s is None or not 1 <= s < math.inf or not profile.coefficients:
@@ -135,47 +138,48 @@ class StableRefutation:
         if self.rule == NORM_EQUALITY:
             if lam == mu or self.equality is None or not self.equality.exact:
                 return False
-            if self.equality.x_interval is None or self.base is None:
+            if self.equality.x_interval is None:
                 return False
             xa, xb = self.equality.x_interval
             q = self.base
-            if xa < q or xb < xa:
+            P = self._profile(lam, mu)
+            if P is None or xa < q or xb < xa:
                 return False
-            P = profile_poly(to_base_counts(lam, q), to_base_counts(mu, q))
             if xa == xb:
                 return _eval_poly(P, xa) == 0
             S = _squarefree_part(P)
             if xa == q and _eval_poly(S, Fraction(q)) == 0:
                 return False
             return _eval_poly(S, xa) * _eval_poly(S, xb) < 0
+        # The normalized lam keeps the levels where P < 0, the normalized mu
+        # those where P > 0.
         if self.rule == TOP_INDEX:
-            normalized = self._normalized(lam, mu)
-            return normalized is not None and normalized[1].top_index < normalized[0].top_index
+            P = self._profile(lam, mu)
+            return bool(P) and P[-1] < 0 < max(P)
         if self.rule == TIGHT_VALUATION:
             if self.prime is None or self.prime < 2 or lam.total != mu.total:
                 return False
             if self.base is None:
                 g_lam, g_mu = math.gcd(*lam.entries), math.gcd(*mu.entries)
             else:
-                normalized = self._normalized(lam, mu)
-                if normalized is None:
+                P = self._profile(lam, mu)
+                if not P or not min(P) < 0 < max(P):
                     return False
-                g_lam, g_mu = map(_lowest_box, normalized)
+                g_lam = self.base ** next(i for i, c in enumerate(P) if c < 0)
+                g_mu = self.base ** next(i for i, c in enumerate(P) if c > 0)
             v_l = _valuation(g_lam, self.prime)
             v_m = _valuation(g_mu, self.prime)
             return v_l == self.lam_valuation and v_m == self.mu_valuation and v_l > v_m
         return False
 
-    def _normalized(self, lam: Partition, mu: Partition):
-        """The pair normalized in ``base``, or None when there is no base, a
-        side is not a power-of-base partition or a side cancels away."""
-        if self.base is None:
-            return None
+    def _profile(self, lam: Partition, mu: Partition) -> list[int] | None:
+        """The profile polynomial P of the pair in ``base``, or None when there
+        is no base (``to_base_counts`` rejects None) or a side is not a
+        power-of-base partition."""
         try:
-            lt, mt = normalize_pair(to_base_counts(lam, self.base), to_base_counts(mu, self.base))
+            return profile_poly(to_base_counts(lam, self.base), to_base_counts(mu, self.base))
         except PartitionError:
             return None
-        return None if lt.is_empty or mt.is_empty else (lt, mt)
 
 
 @dataclass(frozen=True)
@@ -274,11 +278,11 @@ def _construct_nu(lam: PowerPartition, mu: PowerPartition, lt: PowerPartition,
                   mt: PowerPartition, max_steps: int | None) -> StableVerdict:
     """``construct_nu`` on a pair whose normalized pair (lt, mt) is known.
 
-    With bm = mu's top box count and S = ``scale``, the length of the first
-    pass, every ceiling division of the second pass at a step t <= S is
-    exact, by induction on t: c_k is a multiple of bm**(S - k) for k < t and
-    the leftover before step t is a multiple of bm**(S - t + 2).  Both hold
-    at t = 1, as c_0 = bm**S and the first leftover is bm**(S + 1).  Demand
+    With bm = mu's top box count and S the first pass's length, every
+    ceiling division of the second pass at a step t <= S is exact, by
+    induction on t: c_k is a multiple of bm**(S - k) for k < t and the
+    leftover before step t is a multiple of bm**(S - t + 2).  Both hold at
+    t = 1, as c_0 = bm**S and the first leftover is bm**(S + 1).  Demand
     and room at step t take only c_k with k < t and q times the leftover, so
     demand - room is a multiple of bm**(S - t + 1); the new coefficient
     (demand - room) / bm is a multiple of bm**(S - t), or it is 0 and the
@@ -304,28 +308,23 @@ def _construct_nu(lam: PowerPartition, mu: PowerPartition, lt: PowerPartition,
     # so a zero run of that length can never wake up again.
     run_stop = max(n, m - i_min, 1)
     log: list[StepRecord] = []
-
-    def run_pass(c0: int, pass_index: int):
-        c = [c0]
-        leftover = bm * c0  # unused top boxes, in units of the level just below them
+    spent = 0
+    c: list[int] = []
+    for pass_index, pass_name in enumerate(("first", "second"), 1):
+        c = [bm ** len(c)]  # 1, then bm**S
+        leftover = bm * c[0]  # unused top boxes, in units of the level just below them
         zeros = 0
         steps = 0
         while zeros < run_stop:
             if steps >= max_steps:
-                return None, steps
+                return StableVerdict(UNKNOWN, None, None, spent + steps,
+                                     detail=f"iteration budget exhausted in the {pass_name} pass")
             steps += 1
             t = len(c)
-            level = m - t
-            demand = 0
-            for i in range(n + 1):
-                k = i - level
-                if 0 <= k < t:
-                    demand += a[i] * c[k]
-            room = q * leftover
-            for j in range(m):
-                k = j - level
-                if 0 <= k < t:
-                    room += b[j] * c[k]
+            # Step t meets c_k at the level m - t + k, for the levels 0 .. m - 1.
+            low = max(m - t, 0)
+            demand = sum(map(mul, a[low:m], c[low - m + t:]))
+            room = q * leftover + sum(map(mul, b[low:m], c[low - m + t:]))
             if demand > room:
                 ct = -((room - demand) // bm)  # ceil((demand - room) / bm)
                 leftover = 0
@@ -335,28 +334,15 @@ def _construct_nu(lam: PowerPartition, mu: PowerPartition, lt: PowerPartition,
             c.append(ct)
             zeros = zeros + 1 if ct == 0 else 0
             log.append(StepRecord(pass_index, t, demand, room, ct, leftover))
-        while c and c[-1] == 0:
+        spent += steps
+        while c[-1] == 0:
             c.pop()
-        return c, steps
 
-    spent = 0
-    first, steps1 = run_pass(1, 1)
-    spent += steps1
-    if first is None:
-        return StableVerdict(UNKNOWN, None, None, spent,
-                             detail="iteration budget exhausted in the first pass")
-    scale = len(first)
-    second, steps2 = run_pass(bm**scale, 2)
-    spent += steps2
-    if second is None:
-        return StableVerdict(UNKNOWN, None, None, spent,
-                             detail="iteration budget exhausted in the second pass")
-
-    # second[k] counts boxes of nominal size q^-k.  The scaled pass may stop
+    # The second pass's c[k] counts boxes of nominal size q^-k.  It may stop
     # earlier than the first; its own last index, top, sets the catalyst's
     # span, and scaling by q^top makes the boxes integral: counts[i] boxes of
-    # size q^i with counts[i] = second[top - i].
-    nu_pp = PowerPartition(q, tuple(second[::-1]))
+    # size q^i with counts[i] = c[top - i].
+    nu_pp = PowerPartition(q, tuple(c[::-1]))
     w = embed_powerq(count_product(lam, nu_pp), count_product(mu, nu_pp))
     if w is None:
         raise RuntimeError("internal error: stop rule fired without product dominance")

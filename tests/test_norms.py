@@ -798,3 +798,41 @@ class TestExactPathMixedRoots:
         x = verdict.failure_x
         assert x is not None and 3 < x < Fraction(3317, 1000)
         assert _eval_poly(coeffs, x) < 0
+
+    def test_one_pass_classifies_the_roots(self, monkeypatch):
+        # Every sweep polynomial as a base-2 pair, against the rational
+        # reference: a failure point is negative, and a pair that holds after
+        # root isolation reports each root of P in (2, oo) once, with P > 0
+        # in every gap between the reported roots.
+        isolated = []
+        isolate = norms._isolate_roots
+        monkeypatch.setattr(norms, "_isolate_roots",
+                            lambda *args: isolated.append(args) or isolate(*args))
+        reached = gap_failures = 0
+        for P, _ in _integer_polys(300):
+            isolated.clear()
+            verdict = exact_dominates_powerq(*self._pair_for_poly(P))
+            if not verdict.holds:
+                assert _eval_poly(P, verdict.failure_x) < 0, P
+            if not isolated:
+                continue
+            reached += 1
+            if not verdict.holds:
+                gap_failures += 1
+                continue
+            S = _ref_squarefree(P)
+            roots_in = _ref_root_counter(S)
+            above_every_root = 1 + max(abs(Fraction(c, S[-1])) for c in S)
+            spans = [e.x_interval for e in verdict.interior_equalities]
+            assert len(spans) == roots_in(Fraction(2), above_every_root), P
+            for (_, b), (c, _) in zip(spans, spans[1:]):
+                assert b <= c, P
+            for a, b in spans:
+                if a == b:
+                    assert a > 2 and _eval_poly(P, a) == 0, P
+                else:
+                    assert roots_in(a, b) == 1 and _eval_poly(S, b) != 0, (P, a, b)
+            ends = [Fraction(2), *(x for span in spans for x in span), above_every_root]
+            for lo, hi in zip(ends[::2], ends[1::2]):
+                assert _eval_poly(P, (lo + hi) / 2) > 0, (P, lo, hi)
+        assert reached > 50 and gap_failures > 10

@@ -238,9 +238,16 @@ class TestPrefilter:
                     _valuation(g_lam, r), _valuation(g_mu, r))
         assert 500 < fired < 1900
 
-    def test_certificates_reject_wrong_pairs(self):
-        ref = prefilter_stable(LAM3, MU4)
-        assert not ref.verify(from_entries([2, 2]), from_entries([4]))
+    @pytest.mark.parametrize("rule, lam, mu, wrong_lam, wrong_mu", [
+        (TIGHT_VALUATION, LAM3, MU4, [2, 2], [4]),
+        # base-2 certificates against pairs that are not power-of-2 pairs
+        (NORM_EQUALITY, LAM2, MU3, [3, 3], [5, 1]),
+        (BULK_FAILS, from_entries([4]), from_entries([2, 2]), [5], [3, 3]),
+    ], ids=[TIGHT_VALUATION, NORM_EQUALITY, BULK_FAILS])
+    def test_certificates_reject_wrong_pairs(self, rule, lam, mu, wrong_lam, wrong_mu):
+        ref = prefilter_stable(lam, mu)
+        assert ref.rule == rule and ref.verify(lam, mu)
+        assert not ref.verify(from_entries(wrong_lam), from_entries(wrong_mu))
 
 
 class TestConstructNu:

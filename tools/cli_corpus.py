@@ -33,24 +33,32 @@ values have the same float logarithm, one tight at s = 1 that fails at
 s = 1.0005, where the step towards 1 is halved, one tight at q whose
 failure_x 9/4 takes a second halving, an identical pair with no common power
 base, a profile of one positive term, and one tight at q and at oo with a
-touch root) under every relation, the first 100
-``powerq-mix`` catalyst-family pairs with one box added at every level up to
-mu's top on both sides (so normalization cancels something) as stable and all,
-``conjecture-scan`` over ``tools/scan_corpus.ndjson`` with and without
-``--json`` and ``--max-steps 3``, a few queries with an invalid option,
-among them the removed ``--tol`` and ``--grid``, which are usage errors, a
-pair whose direct search runs out of a 1-node budget as embed and as stable,
-every kind of malformed partition document, which exits 65, and the other
-input paths: trailing zero counts, a missing side, unreadable and non-JSON
-input files, and an empty and a missing scan corpus.
+touch root, and the count documents the base rule must read: bases 4, 8
+and 9, base 2 against base 4 and against base 8, base 4 against base 8,
+base 2 against base 3 with boxes above 1 on both sides, which has no base,
+a side of unit boxes only against base 2 and against another such side, and
+a count document against an entries document) under every relation, the
+first 100 ``powerq-mix`` catalyst-family pairs with one box added at every
+level up to mu's top on both sides (so normalization cancels something) as
+stable and all, ``conjecture-scan`` over ``tools/scan_corpus.ndjson`` with
+and without ``--json`` and ``--max-steps 3``, a few queries with an invalid
+option, among them the removed ``--tol`` and ``--grid``, which are usage
+errors, a pair whose direct search runs out of a 1-node budget as embed and
+as stable,
+every kind of malformed partition document, all-zero counts among them,
+which exits 65, ``check bulk`` on a base-4 count pair with ``--base`` 2, 3
+and 16, and the other input paths: trailing zero counts, a missing side,
+unreadable and non-JSON input files, and an empty and a missing scan corpus.
 
-The scan corpus is committed: the ``PAIRS`` below, the first 100 seed-1
-``powerq-mix`` catalyst-family pairs as they are, and 100 pairs of equal
-totals and equal top box, 25 from each of four groups (base 2 or 3, scan
-status holds or fails) of the count vectors with up to four levels and
-counts up to 4, every k-th in enumeration order.  Queries name it by a path
-relative to this checkout, which is the working directory while they run, so
-the argv is the same whichever tree ``--tree`` points at.
+The scan corpus is committed: the ``PAIRS`` below up to the base-rule ones,
+the first 100 seed-1 ``powerq-mix`` catalyst-family pairs as they are, 100
+pairs of equal totals and equal top box, 25 from each of four groups (base
+2 or 3, scan status holds or fails) of the count vectors with up to four
+levels and counts up to 4, every k-th in enumeration order, then the
+base-rule ``PAIRS``, a base-4 document against the equal base-2 one, and two
+tight pairs, in base 4 and in base 2 against base 4.  Queries name it by a
+path relative to this checkout, which is the working directory while they
+run, so the argv is the same whichever tree ``--tree`` points at.
 The workload streams come from this checkout's ``bench/workloads.py``, which
 is only read.
 """
@@ -74,6 +82,8 @@ RELATIONS = ("embed", "supermajorize", "bulk", "stable", "all")
 # LAM2/MU3 of the tests scaled by 3: no common power base, so the numeric bulk
 # path decides it and reports one touch hint.
 SCALED_TOUCH = ("[24,24,24,24,12,12,12,12]", json.dumps([48] + [6] * 16 + [3] * 16))
+# A base-4 count pair, which the base rule reads in base 2.
+BASE4 = ('{"base":4,"counts":[0,5]}', '{"base":4,"counts":[6,0,1]}')
 PAIRS = (
     ("[2,2,2,2]", "[4,1,1,1,1,1,1,1,1]"),
     ("[8,8,8,8,4,4,4,4]", json.dumps([16] + [2] * 16 + [1] * 16)),
@@ -136,6 +146,27 @@ PAIRS = (
     ("[3]", "[5,3]"),
     # P = (x-2)(x-4)**2: tight at q and at oo with a touch root at 4.
     ('{"base":2,"counts":[32,0,10,1]}', '{"base":2,"counts":[0,32,0,2]}'),
+    # Count documents whose base is a perfect power, decided in its root:
+    # catalysts in base 4 and 9, and base 8 with P = (x**3 - 16)**2 in base 2,
+    # an irrational touch root refuted by NormEquality.
+    BASE4,
+    ('{"base":9,"counts":[0,10]}', '{"base":9,"counts":[11,0,1]}'),
+    ('{"base":8,"counts":[0,32]}', '{"base":8,"counts":[256,0,1]}'),
+    # Base 4 against base 2, P = (x**2 - 4)**2: tight at q, refuted by
+    # TightValuation; base 8 against base 2, and base 4 against base 8.
+    ('{"base":4,"counts":[0,8]}', '{"base":2,"counts":[16,0,0,0,1]}'),
+    ('{"base":8,"counts":[0,1]}', '{"base":2,"counts":[0,2,1]}'),
+    ('{"base":4,"counts":[0,1]}', '{"base":8,"counts":[0,1]}'),
+    # Base 3 against base 2 with boxes above 1 on both sides, [3,3] / [4,1,1]:
+    # no common base, so the numeric path decides.
+    ('{"base":3,"counts":[0,2]}', '{"base":2,"counts":[2,0,1]}'),
+    # Unit boxes only on one side, either way round, and on both sides.
+    ('{"base":3,"counts":[5]}', '{"base":2,"counts":[1,2]}'),
+    ('{"base":2,"counts":[1,2]}', '{"base":3,"counts":[5]}'),
+    ('{"base":3,"counts":[5]}', '{"base":7,"counts":[6]}'),
+    # A count document against an entries document, either way round.
+    ('{"base":2,"counts":[0,4]}', json.dumps([4] + [1] * 8)),
+    ("[8,2]", '{"base":16,"counts":[0,1]}'),
 )
 # A pair whose direct search runs out of a 1-node budget and which no
 # refutation rule settles, so its stable detail also names that budget.
@@ -151,6 +182,8 @@ MALFORMED = (
     "x",
     '{"base":2,"counts":[2000000]}',
     '{"base":2,"counts":5}',
+    '{"base":2,"counts":[0,0]}',
+    '{"base":9,"counts":[]}',
 )
 # Option range checks (--tol and --grid are no longer options, so their
 # queries pin that both are usage errors), a 1-node search budget, the
@@ -184,6 +217,8 @@ EDGE_QUERIES = (
      "--json"],
     *(["check", "embed", "--lhs", lhs, "--rhs", "[4]"] for lhs in MALFORMED),
     ["check", "embed", "--lhs", "[4]", "--rhs", "[3]", "--base", "2"],
+    *(["check", "bulk", "--lhs", BASE4[0], "--rhs", BASE4[1], "--base", base]
+      for base in ("2", "3", "16")),
     ["check", "embed", "--lhs", '{"base":2,"counts":[0,1,0]}', "--rhs", "[2]"],
     ["check", "embed", "--rhs", "[4]"],
     ["check", "embed", "no-such-file.json", "--rhs", "[4]"],

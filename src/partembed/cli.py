@@ -8,6 +8,10 @@ Partitions travel as JSON documents with exactly one of ``entries`` (a list
 of positive integers, any order) or ``counts`` plus ``base`` (the power
 count-vector form), and an optional ``name``.  Quick queries can pass a bare
 array inline: ``--lhs '[2,2,2,2]'``.  Corpora are newline-delimited JSON.
+A ``counts`` document parses to its PowerPartition and is decided on its
+counts (``stablep.Pair``); it is expanded into entries only where a path
+reads them: against an ``entries`` document, without a common base, for
+``check --base`` and for ``conjecture-scan``'s identical-pair test.
 Reports print as ``json.dumps(to_doc(x), indent=2)``, written in one pass
 over the report objects by ``_write``, and ``from_doc(type(x), to_doc(x)) == x``.
 """
@@ -30,7 +34,6 @@ from .core import (
     Partition,
     PartitionError,
     PowerPartition,
-    from_base_counts,
     from_entries,
     product,
     to_base_counts,
@@ -51,7 +54,7 @@ EX_UNKNOWN = 2
 EX_USAGE = 64
 EX_DATA = 65
 
-# Largest box total a count-form document may expand to.
+# Largest box total of a count-form document.
 MAX_COUNT_BOXES = 10**6
 
 
@@ -186,7 +189,9 @@ def _write(obj) -> None:
     print(_encode(obj, "\n"))
 
 
-def parse_partition_doc(obj) -> tuple[Partition, str | None]:
+def parse_partition_doc(obj) -> tuple[Partition | PowerPartition, str | None]:
+    """The partition of a document and its name: a Partition from
+    ``entries``, the trimmed PowerPartition from ``counts``."""
     if isinstance(obj, list):
         obj = {"entries": obj}
     if not isinstance(obj, dict):
@@ -208,7 +213,9 @@ def parse_partition_doc(obj) -> tuple[Partition, str | None]:
         if pp.box_count > MAX_COUNT_BOXES:
             raise _InputError(f"'counts' form holds {pp.box_count} boxes, "
                               f"more than the limit of {MAX_COUNT_BOXES}")
-        return from_base_counts(pp), obj.get("name")
+        if pp.is_empty:
+            raise _InputError("cannot expand an empty count vector")
+        return pp, obj.get("name")
     except PartitionError as exc:
         raise _InputError(str(exc)) from exc
     except TypeError as exc:
@@ -242,14 +249,13 @@ def _load_doc(inline: str | None, path: str | None, side: str):
 def cmd_check(args) -> int:
     lam, _ = _load_doc(args.lhs, args.lhs_file, "lhs")
     mu, _ = _load_doc(args.rhs, args.rhs_file, "rhs")
+    pair = Pair(lam, mu, args.budget, args.max_steps)
     if args.base is not None:
         try:
-            to_base_counts(lam, args.base)
-            to_base_counts(mu, args.base)
+            for side in pair.partitions:
+                to_base_counts(side, args.base)
         except PartitionError as exc:
             raise _InputError(f"--base {args.base}: {exc}") from exc
-
-    pair = Pair(lam, mu, args.budget, args.max_steps)
     if args.relation == "embed":
         witness, undecided = pair.embedding
         if args.json:
@@ -431,12 +437,14 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _scan_pair(name: str, lam: Partition, mu: Partition, max_steps: int | None) -> dict:
+def _scan_pair(name: str, lam: Partition | PowerPartition, mu: Partition | PowerPartition,
+               max_steps: int | None) -> dict:
     """One corpus row: only pairs with norm equality at s=1 and s=oo but strict
     dominance in between are interesting; everything else is excluded."""
+    pair = Pair(lam, mu, max_steps=max_steps)
+    lam, mu = pair.partitions  # documents in different bases can be equal
     if lam == mu:
         return {"name": name, "status": "excluded", "detail": "identical partitions"}
-    pair = Pair(lam, mu, max_steps=max_steps)
     if pair.base is None:
         return {"name": name, "status": "excluded", "detail": "no common power base"}
     bulk = pair.bulk

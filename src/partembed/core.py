@@ -270,28 +270,36 @@ def _primes_upto(n: int) -> list[int]:
     return [i for i, is_prime in enumerate(sieve) if is_prime]
 
 
+def minimal_root(m: int) -> int:
+    """The smallest r with a power equal to m >= 2, found by taking
+    prime-degree roots of m while there are any.  Every q with a power equal
+    to m is itself a power of r.  The cost is one ``integer_root`` per prime
+    up to the bit length of m: about a second for a 10,000-bit m that is not
+    a perfect power."""
+    r = m
+    for p in _primes_upto(r.bit_length() - 1):
+        if p >= r.bit_length():  # r < 2**p: no p-th root >= 2
+            break
+        while (root := integer_root(r, p)) ** p == r:
+            r = root
+    return r
+
+
 def common_power_base(a: Partition, b: Partition) -> int | None:
     """Smallest base q >= 2 such that every entry of both partitions is a power of q.
 
     Only one candidate is tested: the minimal root r of the smallest entry m
-    above 1, found by taking prime-degree roots of m while there are any.  A
-    valid base q has m = q**k, and every q with a power equal to m is itself a
-    power of r, so r is valid whenever any base is, and it is the smallest.
-    Returns None when no base exists.  The cost is one ``integer_root`` per
-    prime up to the bit length of m: about a second for a 10,000-bit m that is
-    not a perfect power.
+    above 1.  A valid base q has m = q**k, so q is a power of r, and r is
+    valid whenever any base is, and it is the smallest.  Returns None when no
+    base exists.  ``stablep.Pair`` reads the base of two count vectors off
+    their own bases with the same ``minimal_root``, never calling this.
     """
     values = set(a.entries) | set(b.entries)
     values.discard(1)
     if not values:
         # All entries are 1; any base works, report the smallest.
         return 2
-    r = min(values)
-    for p in _primes_upto(r.bit_length() - 1):
-        if p >= r.bit_length():  # r < 2**p: no p-th root >= 2
-            break
-        while (root := integer_root(r, p)) ** p == r:
-            r = root
+    r = minimal_root(min(values))
     if all(_power_exponent(v, r) is not None for v in values):
         return r
     return None

@@ -186,6 +186,12 @@ def failing_threshold(coefficients: Iterable[tuple[int, int]]) -> int | None:
     return failing_x
 
 
+def tail_threshold(P: list[int], q: int) -> int | None:
+    """``failing_threshold`` of the profile (q**i, P_i) of a power-of-q pair
+    whose profile polynomial is P."""
+    return failing_threshold(reversed([(q**i, c) for i, c in enumerate(P) if c]))
+
+
 @dataclass(frozen=True)
 class EqualityPoint:
     """A point s in (1, oo) where the two norms agree.
@@ -425,11 +431,6 @@ def _exact_quotient(num: list[int], den: list[int]) -> list[int] | None:
     return None if any(num) else quot
 
 
-def _squarefree_part(p: list[int]) -> list[int]:
-    """p / gcd(p, p'), primitive with positive leading coefficient."""
-    return _squarefree_chain(p)[0]
-
-
 def _squarefree_chain(p: list[int]) -> list[list[int]]:
     """The Sturm chain of S = p / gcd(p, p'), whose first member is S,
     primitive with positive leading coefficient.
@@ -568,7 +569,7 @@ def exact_dominates_powerq(lam: PowerPartition, mu: PowerPartition) -> BulkVerdi
                       tight_at_infinity=len(lam.counts) == len(mu.counts))
     if p_at_q < 0:
         return verdict(holds=False, failure_exponent=1.0, failure_x=q_f)
-    if failing_threshold(reversed([(q**i, c) for i, c in enumerate(P) if c])) is None:
+    if tail_threshold(P, q) is None:
         return verdict(holds=True)
     if P[-1] < 0:
         x = q_f + 1

@@ -46,17 +46,21 @@ from operator import mul
 from .core import (
     BaseMismatch,
     ContractViolation,
+    EmptyPartition,
     Partition,
     PartitionError,
     PowerPartition,
+    _power_exponent,
     common_power_base,
     count_product,
     from_base_counts,
     from_entries,
+    minimal_root,
     to_base_counts,
 )
 from .norms import BulkVerdict, EqualityPoint, _EXACT_POWER_BITS, _PRECISION_BITS, _eval_poly, \
-    _squarefree_part, _trim, dominates_all_s, exact_dominates_powerq, norm_profile, profile_poly
+    _trim, dominates_all_s, exact_dominates_powerq, norm_profile, profile_poly, \
+    tail_threshold
 from .orders import (
     DEFAULT_NODE_BUDGET,
     BudgetExceeded,
@@ -147,7 +151,7 @@ class StableRefutation:
                 return False
             if xa == xb:
                 return _eval_poly(P, xa) == 0
-            S = _squarefree_part(P)
+            S = _squarefree(P)
             if xa == q and _eval_poly(S, Fraction(q)) == 0:
                 return False
             return _eval_poly(S, xa) * _eval_poly(S, xb) < 0
@@ -191,6 +195,29 @@ class StableVerdict:
     detail: str | None = None
 
 
+def _divmod_poly(num: list, den: list) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of num by the nonzero den, over the rationals."""
+    num = [Fraction(c) for c in num]
+    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
+    while len(num) >= len(den):
+        shift = len(num) - len(den)
+        f = quot[shift] = num[-1] / den[-1]
+        for i, c in enumerate(den):
+            num[shift + i] -= f * c
+        _trim(num)
+    return quot, num
+
+
+def _squarefree(P: list[int]) -> list[Fraction]:
+    """A rational multiple of P / gcd(P, P') for a nonzero P, by Euclid's
+    algorithm over the rationals: the NormEquality check shares no code with
+    the integer pseudo-remainder sequences that the exact path decides with."""
+    a, b = P, [i * c for i, c in enumerate(P)][1:]
+    while b:
+        a, b = b, _divmod_poly(a, b)[1]
+    return _divmod_poly(P, a)[0]
+
+
 def _valuation(n: int, r: int) -> int:
     v = 0
     while n % r == 0:
@@ -212,7 +239,8 @@ def normalize_pair(lam: PowerPartition, mu: PowerPartition) -> tuple[PowerPartit
             PowerPartition(lam.base, _trim([c if c > 0 else 0 for c in P])))
 
 
-def prefilter_stable(lam: Partition, mu: Partition) -> StableRefutation | None:
+def prefilter_stable(lam: Partition | PowerPartition,
+                     mu: Partition | PowerPartition) -> StableRefutation | None:
     """Refutation rules, applied in order; None when no rule fires.
 
     (a) stability needs full norm dominance; (b) an exactly certified interior
@@ -255,6 +283,24 @@ def _lowest_box(pp: PowerPartition) -> int:
     """The smallest box of a nonempty power partition, which is also the gcd
     of its entries."""
     return pp.base ** next(i for i, c in enumerate(pp.counts) if c)
+
+
+def _entries(side: Partition | PowerPartition) -> Partition:
+    """A side of a pair as its entry list, a count vector expanded."""
+    return from_base_counts(side) if isinstance(side, PowerPartition) else side
+
+
+def _spread(pp: PowerPartition, r: int) -> PowerPartition:
+    """``pp`` in base r, for a base r**k: level i moves to level i*k.  A
+    vector of unit boxes only is the same in every base."""
+    if pp.base == r:
+        return pp
+    if len(pp.counts) == 1:
+        return PowerPartition(r, pp.counts)
+    k = _power_exponent(pp.base, r)
+    counts = [0] * (k * (len(pp.counts) - 1) + 1)
+    counts[::k] = pp.counts
+    return PowerPartition(r, tuple(counts))
 
 
 def construct_nu(lam: PowerPartition, mu: PowerPartition,
@@ -349,10 +395,11 @@ def _construct_nu(lam: PowerPartition, mu: PowerPartition, lt: PowerPartition,
     return StableVerdict(HOLDS, StableWitness(from_base_counts(nu_pp), w, tuple(log)), None, spent)
 
 
-def stable_embeds(lam: Partition, mu: Partition, *,
+def stable_embeds(lam: Partition | PowerPartition, mu: Partition | PowerPartition, *,
                   node_budget: int = DEFAULT_NODE_BUDGET,
                   max_steps: int | None = None) -> StableVerdict:
-    """Tri-state stable-embeddability decision (see ``Pair.stable``)."""
+    """Tri-state stable-embeddability decision (see ``Pair.stable``); either
+    side may be a Partition or a count vector."""
     return Pair(lam, mu, node_budget, max_steps).stable
 
 
@@ -362,24 +409,51 @@ class Pair:
     first use and kept.  A pair with a common power base takes the exact paths
     on its count vectors: the greedy embedding, the exact bulk decision and
     the catalyst construction; any other pair the budgeted search and the
-    numeric bulk path."""
+    numeric bulk path.
 
-    lam: Partition
-    mu: Partition
+    Each side is a Partition or a nonempty PowerPartition.  Two count vectors
+    are decided on their counts: ``base`` and ``counts`` come from their own
+    bases, and supermajorization and the valuation gcds from the counts.
+    Entries are expanded, once, only for a path that reads them: a side
+    against an entry list, a pair with no common base."""
+
+    lam: Partition | PowerPartition
+    mu: Partition | PowerPartition
     node_budget: int = DEFAULT_NODE_BUDGET
     max_steps: int | None = None
 
+    @property
+    def _counted(self) -> bool:
+        """Both sides are count vectors."""
+        return isinstance(self.lam, PowerPartition) and isinstance(self.mu, PowerPartition)
+
+    @cached_property
+    def partitions(self) -> tuple[Partition, Partition]:
+        """Both sides as entry lists, a count vector expanded on first use."""
+        return _entries(self.lam), _entries(self.mu)
+
     @cached_property
     def base(self) -> int | None:
-        """The smallest common power base, or None."""
-        return common_power_base(self.lam, self.mu)
+        """The smallest common power base, or None.  For two count vectors it
+        is the minimal root of the base of every side with a box above 1, if
+        these agree, and 2 if no side has one; their entries are never read."""
+        if not self._counted:
+            return common_power_base(*self.partitions)
+        if self.lam.is_empty or self.mu.is_empty:
+            raise EmptyPartition("a pair's count vectors need at least one box")
+        roots = {minimal_root(side.base) for side in (self.lam, self.mu) if len(side.counts) > 1}
+        if len(roots) > 1:
+            return None
+        return roots.pop() if roots else 2
 
     @cached_property
     def counts(self) -> tuple[PowerPartition, PowerPartition] | None:
         """Both sides as count vectors in ``base``, or None without a base."""
         if self.base is None:
             return None
-        return to_base_counts(self.lam, self.base), to_base_counts(self.mu, self.base)
+        if self._counted:
+            return _spread(self.lam, self.base), _spread(self.mu, self.base)
+        return tuple(to_base_counts(side, self.base) for side in self.partitions)
 
     @cached_property
     def normalized(self) -> tuple[PowerPartition, PowerPartition] | None:
@@ -394,24 +468,30 @@ class Pair:
         if self.counts is not None:
             return embed_powerq(*self.counts), False
         try:
-            return embeds(self.lam, self.mu, self.node_budget), False
+            return embeds(*self.partitions, self.node_budget), False
         except BudgetExceeded:
             return None, True
 
     @cached_property
     def sup(self) -> Supermajorization:
-        return supermajorizes(self.mu, self.lam)
+        """mu supermajorizes lam; for two count vectors with a base, by one
+        tail-sum sweep of the profile (q**i, P_i)."""
+        if self._counted and self.counts is not None:
+            failing_x = tail_threshold(profile_poly(*self.counts), self.base)
+            return Supermajorization(failing_x is None, failing_x)
+        lam, mu = self.partitions
+        return supermajorizes(mu, lam)
 
     @cached_property
     def bulk(self) -> BulkVerdict:
         if self.counts is not None:
             return exact_dominates_powerq(*self.counts)
-        return dominates_all_s(self.lam, self.mu)
+        return dominates_all_s(*self.partitions)
 
     @cached_property
     def refutation(self) -> StableRefutation | None:
         """The first rule of ``prefilter_stable`` that fires, or None."""
-        lam, mu, base, bulk = self.lam, self.mu, self.base, self.bulk
+        base, bulk = self.base, self.bulk
         if not bulk.holds:
             return StableRefutation(BULK_FAILS, bulk=bulk, base=base)
         # An identical pair has an empty profile and so no interior equality.
@@ -420,7 +500,10 @@ class Pair:
                 return StableRefutation(NORM_EQUALITY, bulk=bulk, equality=eq, base=base)
         if not bulk.tight_at_one:  # f(1) = total(mu) - total(lam) != 0
             return None
-        ref = _valuation_gap(math.gcd(*lam.entries), math.gcd(*mu.entries))
+        if self.counts is not None:
+            ref = _valuation_gap(*map(_lowest_box, self.counts))
+        else:
+            ref = _valuation_gap(*(math.gcd(*side.entries) for side in self.partitions))
         normalized = self.normalized
         if ref is None and normalized is not None and not normalized[0].is_empty:
             # Common boxes can hide the gap (a shared unit box makes both
@@ -502,9 +585,9 @@ class RelationReport:
     base: int | None = None
 
 
-def relations(lam: Partition, mu: Partition, *,
+def relations(lam: Partition | PowerPartition, mu: Partition | PowerPartition, *,
               node_budget: int = DEFAULT_NODE_BUDGET,
               max_steps: int | None = None) -> RelationReport:
     """Compute all four relations and enforce the implication diagram (see
-    ``Pair.report``)."""
+    ``Pair.report``); either side may be a Partition or a count vector."""
     return Pair(lam, mu, node_budget, max_steps).report()

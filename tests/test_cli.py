@@ -6,11 +6,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import partembed.norms
 from partembed import cli
 from partembed.core import (
     Partition,
@@ -24,6 +26,7 @@ from partembed.orders import EmbeddingWitness
 from partembed.stablep import (
     FAILS,
     HOLDS,
+    NORM_EQUALITY,
     TIGHT_VALUATION,
     UNKNOWN,
     Pair,
@@ -327,6 +330,28 @@ def _golden_pair(name):
                 cli.parse_partition_doc(json.loads(rhs))[0])
 
 
+class TestNormEqualityOracle:
+    """``StableRefutation.verify`` checks a NormEquality certificate with its
+    own rational square-free part, sharing no code with the exact path."""
+
+    @pytest.mark.parametrize("name", ["all-8x4_4x4-16_2x16_1x16", "all-touch-4_20",
+                                      "all-touch-10by3_8"])
+    def test_pinned_certificates_verify_without_the_exact_path(self, monkeypatch, name):
+        def forbidden(*args):
+            raise AssertionError("verify called the exact path's square-free chain")
+
+        monkeypatch.setattr(partembed.norms, "_squarefree_chain", forbidden)
+        doc = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+        ref = cli.from_doc(RelationReport, doc).stable.reason
+        xa, xb = ref.equality.x_interval
+        assert ref.rule == NORM_EQUALITY and xa < xb
+        lam, mu = _golden_pair(name).partitions
+        assert ref.verify(lam, mu)
+        # The same interval moved just past the root isolates nothing.
+        moved = replace(ref, equality=replace(ref.equality, x_interval=(xb, 2 * xb - xa)))
+        assert not moved.verify(lam, mu)
+
+
 class TestJsonWriter:
     """``cli._write`` against its oracle, the standard library's
     ``json.dumps(to_doc(x), indent=2)``."""
@@ -445,6 +470,9 @@ class TestJsonRoundTrips:
         doc = json.loads(json.dumps(cli.to_doc(MU3)))
         assert cli.from_doc(Partition, doc) == MU3
         assert cli.parse_partition_doc(doc)[0] == MU3
+        # A counts document parses to its trimmed count vector, unexpanded.
+        counts = {"base": 4, "counts": [1, 0, 2, 0, 0], "name": "c"}
+        assert cli.parse_partition_doc(counts) == (PowerPartition(4, (1, 0, 2)), "c")
 
 
 LAZY_MPMATH_SCRIPT = """

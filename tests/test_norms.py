@@ -23,7 +23,6 @@ from partembed.norms import (
     _refine_root_interval,
     _scaled_eval,
     _squarefree_chain,
-    _squarefree_part,
     _variations,
 )
 from partembed.core import InvalidExponent
@@ -365,7 +364,7 @@ class TestRootIsolation:
 
     def test_squarefree_part(self):
         # (x-1)^2 (x-2) = x^3 - 4x^2 + 5x - 2 -> squarefree (x-1)(x-2)
-        sf = _squarefree_part([-2, 5, -4, 1])
+        sf = _squarefree_chain([-2, 5, -4, 1])[0]
         assert _eval_poly(sf, Fraction(1)) == 0
         assert _eval_poly(sf, Fraction(2)) == 0
         assert len(sf) == 3
@@ -470,7 +469,7 @@ class TestIntegerAlgebra:
 
     def test_squarefree_part_matches_rational_reference(self):
         for p, _ in self.POLYS:
-            assert _squarefree_part(p) == _ref_squarefree(p), p
+            assert _squarefree_chain(p)[0] == _ref_squarefree(p), p
 
     def test_sturm_chain_matches_rational_reference(self):
         for p, _ in self.POLYS:
@@ -713,7 +712,7 @@ class TestTailSumShortcut:
         def forbidden(*args):
             raise AssertionError("a supermajorized pair reached root isolation")
 
-        for name in ("_isolate_roots", "_squarefree_part", "_squarefree_chain"):
+        for name in ("_isolate_roots", "_squarefree_chain"):
             monkeypatch.setattr(norms, name, forbidden)
         for lam, mu, _ in self.CASES:
             assert exact_dominates_powerq(lam, mu).holds

@@ -5,13 +5,16 @@ examples run every time.  General pairs go through ``relations``; count-form
 power-of-2/3 pairs go through the embedding, bulk and refutation decisions
 (the catalyst construction is left out: its catalysts can outgrow memory).
 Smaller power-of-2/3 pairs, padded on both sides with the same boxes, go
-through the full stable decision, catalyst construction included.
+through the full stable decision, catalyst construction included.  Count
+vectors in bases 2-9, one base or two, give the same pair, and the same
+report, as their expanded entries.
 """
 
 from itertools import zip_longest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from partembed import cli
 from partembed.core import PowerPartition, from_base_counts, from_entries, product
 from partembed.oracle import brute_embed, brute_supermajorize
 from partembed.orders import supermajorizes
@@ -126,3 +129,32 @@ def test_stable_status_survives_common_boxes(case):
     assert plain.status == padded.status, (base, u, v, pad)
     assert_certified(plain, lam, mu)
     assert_certified(padded, lam_p, mu_p)
+
+
+@st.composite
+def count_vector_pairs(draw):
+    """Two count vectors of levels 0-6 in one base of 2-9 or in two: bases 4,
+    8 and 9 are read in their roots, and a vector of one level holds unit
+    boxes only."""
+    bases = st.integers(2, 9)
+    base = draw(bases)
+    other = base if draw(st.booleans()) else draw(bases)
+    counts = st.lists(st.integers(0, 3), min_size=1, max_size=7).filter(lambda c: c[-1])
+    return PowerPartition(base, tuple(draw(counts))), PowerPartition(other, tuple(draw(counts)))
+
+
+@SWEEP
+@given(count_vector_pairs())
+@example((PowerPartition(4, (0, 5)), PowerPartition(4, (6, 0, 1))))
+@example((PowerPartition(8, (0, 1)), PowerPartition(2, (0, 2, 1))))
+@example((PowerPartition(9, (0, 10)), PowerPartition(3, (11, 0, 1))))
+@example((PowerPartition(4, (0, 1)), PowerPartition(8, (0, 1))))
+@example((PowerPartition(3, (5,)), PowerPartition(4, (1, 2))))
+@example((PowerPartition(3, (5,)), PowerPartition(7, (6,))))
+@example((PowerPartition(2, (1, 1)), PowerPartition(3, (0, 1))))
+def test_count_vectors_decide_as_their_entries(sides):
+    counted = Pair(*sides, node_budget=10**4, max_steps=30)
+    expanded = Pair(*map(from_base_counts, sides), node_budget=10**4, max_steps=30)
+    assert counted.base == expanded.base
+    assert counted.counts == expanded.counts
+    assert cli._encode(counted.report(), "\n") == cli._encode(expanded.report(), "\n")

@@ -576,6 +576,30 @@ class TestOneDecisionPerPair:
         cli.main(["check", "all", "--lhs", lhs, "--rhs", rhs, "--json"])
         assert len(built) == 1
 
+    @pytest.mark.parametrize("relation, code", [
+        ("embed", 1), ("supermajorize", 1), ("bulk", 0), ("stable", 1), ("all", 0)])
+    def test_count_documents_are_decided_on_their_counts(self, monkeypatch, capsys,
+                                                         relation, code):
+        # Base 4 against base 2, refuted by TightValuation: no relation
+        # expands a side, detects a base on entries or re-counts entries.
+        calls = [count_calls(monkeypatch, fn) for fn in (
+            partembed.core.from_base_counts, partembed.core.common_power_base,
+            partembed.core.to_base_counts, partembed.orders.supermajorizes)]
+        assert cli.main(["check", relation, "--lhs", '{"base":4,"counts":[0,8]}',
+                         "--rhs", '{"base":2,"counts":[16,0,0,0,1]}', "--json"]) == code
+        assert [c.n for c in calls] == [0, 0, 0, 0]
+
+    def test_library_takes_count_vectors(self):
+        lam, mu = PowerPartition(4, (0, 5)), PowerPartition(4, (6, 0, 1))
+        expanded = from_base_counts(lam), from_base_counts(mu)
+        assert relations(lam, mu) == relations(*expanded)
+        assert stable_embeds(lam, mu) == stable_embeds(*expanded)
+        assert prefilter_stable(lam, mu) == prefilter_stable(*expanded)
+        assert Pair(lam, mu).counts == (PowerPartition(2, (0, 0, 5)),
+                                        PowerPartition(2, (6, 0, 0, 0, 1)))
+        with pytest.raises(EmptyPartition):
+            relations(lam, PowerPartition(2, ()))
+
     @pytest.mark.parametrize("relation", ["embed", "supermajorize", "bulk", "stable", "all"])
     @pytest.mark.parametrize("lhs, rhs", CHECK_PAIRS)
     def test_check_finds_the_base_at_most_once(self, monkeypatch, capsys, relation, lhs, rhs):

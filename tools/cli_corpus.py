@@ -36,8 +36,11 @@ base, a profile of one positive term, and one tight at q and at oo with a
 touch root, and the count documents the base rule must read: bases 4, 8
 and 9, base 2 against base 4 and against base 8, base 4 against base 8,
 base 2 against base 3 with boxes above 1 on both sides, which has no base,
-a side of unit boxes only against base 2 and against another such side, and
-a count document against an entries document) under every relation, the
+a side of unit boxes only against base 2 and against another such side,
+a count document against an entries document, and two numeric touch hints
+next to grid intervals whose lower bound is close to 0: ``SCALED_TOUCH``
+with a shared 5 added on both sides, and ``[10]*8`` / ``[20]+[5]*16``, which
+touches 0 at s = 2) under every relation, the
 first 100 ``powerq-mix`` catalyst-family pairs with one box added at every
 level up to mu's top on both sides (so normalization cancels something) as
 stable and all, ``conjecture-scan`` over ``tools/scan_corpus.ndjson`` with
@@ -167,6 +170,11 @@ PAIRS = (
     # A count document against an entries document, either way round.
     ('{"base":2,"counts":[0,4]}', json.dumps([4] + [1] * 8)),
     ("[8,2]", '{"base":16,"counts":[0,1]}'),
+    # No common power base, and f dips to a numeric touch hint next to grid
+    # intervals whose lower bound is close to 0: SCALED_TOUCH with a shared 5
+    # (hint at s = 1.6942...), and f = 5**s (2**s - 4)**2 (hint at s = 2).
+    (json.dumps([24] * 4 + [12] * 4 + [5]), json.dumps([48] + [6] * 16 + [5] + [3] * 16)),
+    (json.dumps([10] * 8), json.dumps([20] + [5] * 16)),
 )
 # A pair whose direct search runs out of a 1-node budget and which no
 # refutation rule settles, so its stable detail also names that budget.

@@ -10,9 +10,15 @@ all of [1, oo] therefore reduces to f >= 0 on [1, oo).
 
 Two decision paths are provided.  The numeric path samples f in very high
 precision on a provably sufficient interval and refines sign changes and
-near-zero minima.  For partitions whose entries are powers of one base q the
-substitution x = q**s turns f into an integer polynomial P(x), and dominance
-on [q, oo) is decided exactly.  The tail sums T_i = sum_{j >= i} P_j q**j are
+near-zero minima.  Its grid is stepped by multiplication (v**(s + h) =
+v**s * v**h), and the same pass bounds f from below on each grid interval by
+Abel summation of the prefix sums W_i = sum_{j <= i} n_j v_j**s against the
+weights v**(s' - s), the partial-sum form of Laguerre's rule of signs; a grid
+minimum whose bracket is bounded above twice the failure band is not
+refined, as its refinement could neither fail nor report a hint.  For
+partitions whose entries are powers of one base q the substitution x = q**s
+turns f into an integer polynomial P(x), and dominance on [q, oo) is decided
+exactly.  The tail sums T_i = sum_{j >= i} P_j q**j are
 the tail differences of the profile (q**i, P_i), which ``failing_threshold``
 sweeps as it does for ``orders.supermajorizes``.  If every T_i is >= 0 (mu
 supermajorizes lam), Abel summation against the increasing weights (x/q)**j
@@ -159,6 +165,53 @@ class NormProfile:
                      for _, ln_v, n in self._log_terms]
         return mpmath.mp.make_mpf(lib.mpf_sum(terms, prec, rnd))
 
+    def stepped_grid(self, h, points: int) -> tuple[list, list]:
+        """f(s_k) at s_k = 1 + k*h for k < points, and a lower bound L_k of f
+        on each interval [s_k, s_{k+1}].
+
+        Each v**h is one exp, and each term n v**s_{k+1} is n v**s_k * v**h,
+        carried at ``_PRECISION_BITS + 10`` bits.  With v_1 > ... > v_m the
+        values and W_i = sum_{j <= i} n_j v_j**s_k the prefix sums, Abel
+        summation against the weights w_j = v_j**(s - s_k), which are >= 1
+        and do not increase with j, gives
+        f(s) = W_m + sum_{i <= m} W_i (w_i - w_{i+1}) with w_{m+1} = 1.  On
+        the interval each w_i - w_{i+1} lies in [0, v_i**h - v_{i+1}**h], so
+        L_k = W_m + sum_{W_i < 0} W_i (v_i**h - v_{i+1}**h) - margin, with
+        v_{m+1}**h = 1.  The margin, 2**-_PRECISION_BITS * sum |n| *
+        v_1**s_{k+1} * (2**10 + m * (1 + s*ln v_1)) with s the last grid
+        point, covers the rounding of the steps, of the sums and of ``f_mpf``
+        on the interval (each ln v has 130 bits).  L_k > 0 forces
+        W_m = f(s_k) > 0.
+        """
+        import mpmath
+
+        lib, make = mpmath.libmp, mpmath.mp.make_mpf
+        prec, rnd = _PRECISION_BITS + 10, lib.round_nearest
+        add, mul = lib.mpf_add, lib.mpf_mul
+        steps = [lib.mpf_exp(mul(h._mpf_, ln_v), prec, rnd) for _, ln_v, _ in self._log_terms]
+        drops = [lib.mpf_sub(a, b, prec, rnd) for a, b in zip(steps, steps[1:] + [lib.fone])]
+        terms = [lib.from_int(n * v) for v, n in self.coefficients]
+        v_1 = self.coefficients[0][0]
+        reach = math.ceil((1 + (points - 1) * float(h)) * math.log(v_1))
+        mass = sum(abs(n) for _, n in self.coefficients)
+        margin = lib.from_man_exp(mass * (2**10 + len(terms) * (1 + reach)), -_PRECISION_BITS)
+        top = lib.from_int(v_1)  # v_1**s_{k+1}
+        fs, lows = [], []
+        for k in range(points):
+            total = low = lib.fzero
+            for term, drop in zip(terms, drops):
+                total = add(total, term, prec, rnd)
+                if total[0]:  # a negative prefix sum
+                    low = add(low, mul(total, drop, prec, rnd), prec, rnd)
+            fs.append(make(total))
+            if k == points - 1:
+                break
+            terms = [mul(term, r, prec, rnd) for term, r in zip(terms, steps)]
+            top = mul(top, steps[0], prec, rnd)
+            low = lib.mpf_sub(add(total, low, prec, rnd), mul(margin, top, prec, rnd), prec, rnd)
+            lows.append(make(low))
+        return fs, lows
+
 
 def norm_profile(lam: Partition, mu: Partition) -> NormProfile:
     """Coefficient extraction for f(s); identical partitions give an empty map."""
@@ -238,8 +291,12 @@ def dominates_all_s(lam: Partition, mu: Partition) -> BulkVerdict:
 
     s = 1 and the top-coefficient sign (the s -> oo behaviour) are checked
     exactly; the search interval is then capped at the point beyond which the
-    top term provably dominates, sampled on ``_GRID`` points, and local minima
-    are refined.  Near-zero minima are reported as interior equalities with
+    top term provably dominates, sampled on ``_GRID`` points by
+    ``NormProfile.stepped_grid``, and local minima are refined by
+    ``_refine_minimum``, except where the grid's lower bound on each interval
+    of the minimum's bracket exceeds 2 tol: there every value the refinement
+    would see is above tol, so it could neither fail nor report a hint, and
+    it is skipped.  Near-zero minima are reported as interior equalities with
     ``exact=False``; they are hints, not certificates.  A failure at s = 1,
     or as s -> oo at an s where v**s stays under ``_EXACT_POWER_BITS`` bits,
     is found in exact integer arithmetic, without loading mpmath.
@@ -294,22 +351,26 @@ def dominates_all_s(lam: Partition, mu: Partition) -> BulkVerdict:
                     s = 1 + (s - 1) / 2
                 return verdict(holds=False, failure_exponent=float(s))
         one, span = mpmath.mpf(1), mpmath.mpf(s_max) - 1
-        xs = [one + span * i / (_GRID - 1) for i in range(_GRID)]
-        fs = [profile.f_mpf(x) for x in xs]
+        fs, lows = profile.stepped_grid(span / (_GRID - 1), _GRID)
 
-        for x, y in zip(xs, fs):
+        def grid(i):
+            # Formed only where a point is printed or bounds a refinement.
+            return one + span * i / (_GRID - 1)
+
+        for i, y in enumerate(fs):
             if y < -tol_m:
-                return verdict(holds=False, failure_exponent=float(x))
+                return verdict(holds=False, failure_exponent=float(grid(i)))
 
+        last = _GRID - 1
         equalities: list[EqualityPoint] = []
-        for i in range(len(xs)):
+        for i in range(_GRID):
             left_ok = i == 0 or fs[i] <= fs[i - 1]
-            right_ok = i == len(xs) - 1 or fs[i] <= fs[i + 1]
+            right_ok = i == last or fs[i] <= fs[i + 1]
             if not (left_ok and right_ok):
                 continue
-            lo = xs[max(0, i - 1)]
-            hi = xs[min(len(xs) - 1, i + 1)]
-            s_min, f_min = _refine_minimum(profile, lo, hi)
+            if all(low > 2 * tol_m for low in lows[max(0, i - 1):i + 1]):
+                continue  # f > 2 tol on the bracket: no failure, no hint
+            s_min, f_min = _refine_minimum(profile, grid(max(0, i - 1)), grid(min(last, i + 1)))
             if f_min < -tol_m:
                 return verdict(holds=False, failure_exponent=float(s_min))
             if abs(f_min) <= tol_m and s_min > 1 + 1e-9:

@@ -1,14 +1,21 @@
+import importlib.util
+import json
 import math
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import partial
+from pathlib import Path
 
 import pytest
 
 from partembed import norms
 from partembed.core import BaseMismatch, PowerPartition, from_base_counts, from_entries, power, to_base_counts
+from partembed.cli import parse_partition_doc
 from partembed.norms import (
     INF,
+    BulkVerdict,
+    EqualityPoint,
     NormProfile,
     dominates_all_s,
     exact_dominates_powerq,
@@ -28,7 +35,8 @@ from partembed.norms import (
 from partembed.core import InvalidExponent
 from partembed.oracle import brute_supermajorize
 from partembed.orders import supermajorizes
-from helpers import LAM1, LAM2, MU3, count_pairs, random_partition, random_powerq
+from partembed.stablep import Pair
+from helpers import LAM1, LAM2, MU3, count_pairs, random_embeddable_pair, random_partition, random_powerq
 
 S_STAR = math.log(1 + math.sqrt(5)) / math.log(2)  # where the lam2/mu3 norms touch
 
@@ -157,8 +165,10 @@ class TestFailingThreshold:
 
 
 class TestFMpfBits:
-    # f_mpf keeps each ln v from one sample to the next; it must still return
-    # the very bits of the plain mpmath sum, or numeric verdicts and hints move.
+    # f_mpf keeps each ln v from one call to the next.  The refinements and
+    # the failure searches evaluate f through it (the grid samples come from
+    # stepped_grid), so it must still return the very bits of the plain mpmath
+    # sum, or numeric verdicts, failure exponents and hints move.
     @staticmethod
     def reference(prof, s):
         import mpmath
@@ -199,6 +209,183 @@ class TestFMpfBits:
         prof.f_mpf(1.5)
         assert (repr(prof), hash(prof)) == before
         assert prof == norm_profile(LAM2, MU3)
+
+
+def _grid_profiles(n, seed=41):
+    """n profiles of 2-8 values, up to 64 and up to 10**6 in turn, with
+    counts of either sign and size 1-5, each with the grid step h that
+    ``dominates_all_s`` takes for it."""
+    import mpmath
+
+    rng = random.Random(seed)
+    for k in range(n):
+        values = sorted(rng.sample(range(1, (64, 10**6)[k % 2] + 1), rng.randint(2, 8)), reverse=True)
+        prof = NormProfile(tuple((v, rng.choice((-1, 1)) * rng.randint(1, 5)) for v in values))
+        mass = sum(abs(c) for _, c in prof.coefficients)
+        s_max = 1.0 + math.log(max(2, mass)) / (math.log(values[0]) - math.log(values[1]))
+        with mpmath.workprec(120):
+            yield prof, (mpmath.mpf(s_max) - 1) / 63
+
+
+class TestSteppedGrid:
+    def test_each_lower_bound_holds_on_its_interval(self):
+        import mpmath
+
+        positive = 0
+        for prof, h in _grid_profiles(12):
+            fs, lows = prof.stepped_grid(h, 64)
+            assert len(fs) == 64 and len(lows) == 63
+            with mpmath.workprec(200):
+                for k, low in enumerate(lows):
+                    for j in range(33):
+                        s = 1 + (k + mpmath.mpf(j) / 32) * h
+                        f = mpmath.fsum(c * mpmath.power(v, s) for v, c in prof.coefficients)
+                        assert low <= f, (prof, k, j)
+                    positive += low > 0
+        # The bounds are not vacuous: many intervals are proven positive.
+        assert positive > 200
+
+    def test_steps_stay_close_to_f_mpf(self):
+        import mpmath
+
+        for prof, h in _grid_profiles(40, seed=42):
+            fs, _ = prof.stepped_grid(h, 64)
+            mass = sum(abs(c) for _, c in prof.coefficients)
+            with mpmath.workprec(200):
+                for k, y in enumerate(fs):
+                    s = 1 + k * h
+                    band = mpmath.ldexp(mass * mpmath.power(prof.coefficients[0][0], s), -110)
+                    assert abs(y - prof.f_mpf(s)) <= band, (prof, k)
+
+    def test_exact_at_one(self):
+        # f(1) = 0 must stay exactly 0, as f_mpf(1) is: the grid minimum at
+        # s = 1 of a pair tight at 1 is found by comparing against it.
+        import mpmath
+
+        prof = norm_profile(from_entries([3, 3]), from_entries([4, 1, 1]))
+        with mpmath.workprec(120):
+            fs, _ = prof.stepped_grid(mpmath.mpf(1) / 8, 2)
+        assert prof.f1() == 0 and fs[0] == 0 and fs[0]._mpf_ == prof.f_mpf(1)._mpf_
+
+
+def _reference_dominates_all_s(lam, mu):
+    """The numeric bulk path before grid stepping: ``f_mpf`` at each of the
+    64 grid points, and ``_refine_minimum`` at every grid minimum."""
+    import mpmath
+
+    profile = norm_profile(lam, mu)
+    f1 = profile.f1()
+    verdict = partial(BulkVerdict, tight_at_one=f1 == 0,
+                      tight_at_infinity=lam.max_entry == mu.max_entry)
+    if not profile.coefficients:
+        return verdict(holds=True)
+    if f1 < 0:
+        return verdict(holds=False, failure_exponent=1.0)
+    top_v, top_n = profile.coefficients[0]
+    if top_n < 0:
+        s = 2
+        while s * top_v.bit_length() <= norms._EXACT_POWER_BITS and profile.f_exact(s) >= 0:
+            s *= 2
+        if s * top_v.bit_length() > norms._EXACT_POWER_BITS:
+            with mpmath.workprec(120):
+                while profile.f_mpf(s) >= 0:
+                    s *= 2
+        return verdict(holds=False, failure_exponent=float(s))
+    if len(profile.coefficients) == 1:
+        return verdict(holds=True)
+    v2 = profile.coefficients[1][0]
+    coeff_mass = sum(abs(n) for _, n in profile.coefficients)
+    gap = math.log(top_v) - math.log(v2)
+    if gap == 0.0:
+        gap = math.log1p((top_v - v2) / v2)
+    s_max = 1.0 + math.log(max(2, coeff_mass)) / gap
+    tol = norms._default_tol(profile)
+    with mpmath.workprec(120):
+        tol_m = mpmath.mpf(tol.numerator) / tol.denominator
+        if f1 == 0:
+            d1 = mpmath.fsum(n * v * mpmath.log(v) for v, n in profile.coefficients)
+            if d1 < -tol_m:
+                s = mpmath.mpf(1) + mpmath.mpf("1e-3")
+                while profile.f_mpf(s) >= 0:
+                    s = 1 + (s - 1) / 2
+                return verdict(holds=False, failure_exponent=float(s))
+        one, span = mpmath.mpf(1), mpmath.mpf(s_max) - 1
+        xs = [one + span * i / 63 for i in range(64)]
+        fs = [profile.f_mpf(x) for x in xs]
+        for x, y in zip(xs, fs):
+            if y < -tol_m:
+                return verdict(holds=False, failure_exponent=float(x))
+        equalities = []
+        for i in range(64):
+            if (i > 0 and fs[i] > fs[i - 1]) or (i < 63 and fs[i] > fs[i + 1]):
+                continue
+            s_min, f_min = norms._refine_minimum(profile, xs[max(0, i - 1)], xs[min(63, i + 1)])
+            if f_min < -tol_m:
+                return verdict(holds=False, failure_exponent=float(s_min))
+            if abs(f_min) <= tol_m and s_min > 1 + 1e-9:
+                equalities.append(EqualityPoint(s=float(s_min), exact=False))
+        return verdict(holds=True, interior_equalities=tuple(norms._dedupe_equalities(equalities)))
+
+
+def _stress_pairs(n, seed=23):
+    """n pairs of three kinds in turn: random lists of up to 8 entries up to
+    32, 1000 or 10**6; pairs that embed by construction; and LAM2/MU3 scaled
+    by c with a shared extra box, and a box of 1 or 2 on one side or none, so
+    that f touches or nearly touches 0 near S_STAR."""
+    rng = random.Random(seed)
+    for k in range(n):
+        top = rng.choice((32, 1000, 10**6))
+        if k % 3 == 0:
+            yield random_partition(rng, 8, top), random_partition(rng, 8, top)
+        elif k % 3 == 1:
+            yield random_embeddable_pair(rng, 8, top)
+        else:
+            c, shared, extra = rng.randint(1, 60), rng.randint(1, 1000), rng.choice(([], [1], [2]))
+            lam = [8 * c] * 4 + [4 * c] * 4 + [shared]
+            mu = [16 * c] + [2 * c] * 16 + [c] * 16 + [shared]
+            if rng.random() < 0.5:
+                lam += extra
+            else:
+                mu += extra
+            yield from_entries(lam), from_entries(mu)
+
+
+def _corpus_numeric_pairs():
+    """The pairs of ``tools/cli_corpus.py`` that the numeric path decides."""
+    spec = importlib.util.spec_from_file_location(
+        "cli_corpus", Path(__file__).resolve().parents[1] / "tools" / "cli_corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    for lhs, rhs in corpus.PAIRS:
+        pair = Pair(*(parse_partition_doc(json.loads(doc))[0] for doc in (lhs, rhs)))
+        if pair.base is None:
+            yield pair.partitions
+
+
+class TestSteppedGridKeepsVerdicts:
+    def test_stress_pairs_match_the_reference(self, monkeypatch):
+        refine, calls = norms._refine_minimum, []
+        monkeypatch.setattr(norms, "_refine_minimum",
+                            lambda *args: calls.append(args) or refine(*args))
+        new_calls = hints = fails = 0
+        for lam, mu in _stress_pairs(2001):
+            start = len(calls)
+            new = dominates_all_s(lam, mu)
+            new_calls += len(calls) - start
+            reference = _reference_dominates_all_s(lam, mu)
+            assert repr(new) == repr(reference), (lam, mu)
+            hints += bool(new.interior_equalities)
+            fails += not new.holds
+        # Refinements are both skipped and run, and hints and failures are
+        # both reached.
+        assert 300 < new_calls < len(calls) - new_calls - 1000
+        assert hints > 100 and fails > 300
+
+    def test_corpus_pairs_match_the_reference(self):
+        pairs = list(_corpus_numeric_pairs())
+        assert len(pairs) >= 12
+        for lam, mu in pairs:
+            assert repr(dominates_all_s(lam, mu)) == repr(_reference_dominates_all_s(lam, mu)), (lam, mu)
 
 
 class TestDominatesAllS:

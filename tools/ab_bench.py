@@ -14,8 +14,11 @@ better, the gap between the medians as a multiple of the parent's
 interquartile range, and the ratio change/parent of the medians against the
 metric's bound: ``over`` marks a change that is worse than the parent by more
 than the bound.  Each run's ``correct`` and ``failed`` counts are printed as
-it ends.  The script only reads ``bench/`` and ``BENCHMARK.json``; the bench
-itself writes its traces under ``bench/out/`` of the tree it runs in.
+it ends, with its ``attempted`` query count next to ``queries_per_s``: the
+bench keeps a little memory per query, so a ``peak_rss_mb`` move is read
+against the number of queries each run held.  The script only reads
+``bench/`` and ``BENCHMARK.json``; the bench itself writes its traces under
+``bench/out/`` of the tree it runs in.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ def main(argv=None) -> int:
             result = run_bench(trees[side], spec["command"], bench_args)
             runs[side].append(result["metrics"])
             print(f"pair {i + 1}/{args.pairs} {side:<6} correct={result['correct']} "
-                  f"failed={result['failed']} queries_per_s="
+                  f"failed={result['failed']} attempted={result['attempted']} queries_per_s="
                   f"{result['metrics']['queries_per_s']['value']:.1f}", flush=True)
 
     seed = "default" if args.seed is None else args.seed

@@ -64,6 +64,8 @@ INF = math.inf
 # Working precision for the numeric path; the tangential cases need well over
 # double precision to stay resolvable.
 _PRECISION_BITS = 120
+# Samples of f on the capped search interval; local minima among them are refined.
+_GRID = 64
 
 
 def power_sum(a: Partition, s: int) -> int:
@@ -165,9 +167,9 @@ class NormProfile:
                      for _, ln_v, n in self._log_terms]
         return mpmath.mp.make_mpf(lib.mpf_sum(terms, prec, rnd))
 
-    def stepped_grid(self, h, points: int) -> tuple[list, list]:
-        """f(s_k) at s_k = 1 + k*h for k < points, and a lower bound L_k of f
-        on each interval [s_k, s_{k+1}].
+    def stepped_grid(self, span) -> tuple[list, list]:
+        """f(s_k) at the ``_GRID`` points s_k = 1 + k*h, h = span / (_GRID - 1),
+        and a lower bound L_k of f on each interval [s_k, s_{k+1}].
 
         Each v**h is one exp, and each term n v**s_{k+1} is n v**s_k * v**h,
         carried at ``_PRECISION_BITS + 10`` bits.  With v_1 > ... > v_m the
@@ -178,33 +180,36 @@ class NormProfile:
         the interval each w_i - w_{i+1} lies in [0, v_i**h - v_{i+1}**h], so
         L_k = W_m + sum_{W_i < 0} W_i (v_i**h - v_{i+1}**h) - margin, with
         v_{m+1}**h = 1.  The margin, 2**-_PRECISION_BITS * sum |n| *
-        v_1**s_{k+1} * (2**10 + m * (1 + s*ln v_1)) with s the last grid
-        point, covers the rounding of the steps, of the sums and of ``f_mpf``
-        on the interval (each ln v has 130 bits).  L_k > 0 forces
+        v_1**s_{k+1} * (2**10 + m * (1 + (1 + span) ln v_1)), covers the
+        rounding of the steps, of the sums and of ``f_mpf`` on the interval
+        (each ln v has 130 bits); it is formed in mpf, rounded up, as
+        (1 + span) ln v_1 can pass the float range.  L_k > 0 forces
         W_m = f(s_k) > 0.
         """
         import mpmath
 
         lib, make = mpmath.libmp, mpmath.mp.make_mpf
-        prec, rnd = _PRECISION_BITS + 10, lib.round_nearest
+        prec, rnd, up = _PRECISION_BITS + 10, lib.round_nearest, lib.round_up
         add, mul = lib.mpf_add, lib.mpf_mul
-        steps = [lib.mpf_exp(mul(h._mpf_, ln_v), prec, rnd) for _, ln_v, _ in self._log_terms]
+        h = lib.mpf_div(span._mpf_, lib.from_int(_GRID - 1), _PRECISION_BITS, rnd)
+        steps = [lib.mpf_exp(mul(h, ln_v), prec, rnd) for _, ln_v, _ in self._log_terms]
         drops = [lib.mpf_sub(a, b, prec, rnd) for a, b in zip(steps, steps[1:] + [lib.fone])]
         terms = [lib.from_int(n * v) for v, n in self.coefficients]
-        v_1 = self.coefficients[0][0]
-        reach = math.ceil((1 + (points - 1) * float(h)) * math.log(v_1))
+        reach = mul(add(span._mpf_, lib.fone, 53, up), self._log_terms[0][1], 53, up)
         mass = sum(abs(n) for _, n in self.coefficients)
-        margin = lib.from_man_exp(mass * (2**10 + len(terms) * (1 + reach)), -_PRECISION_BITS)
-        top = lib.from_int(v_1)  # v_1**s_{k+1}
+        slack = lib.mpf_mul_int(add(reach, lib.fone, 53, up), len(terms), 53, up)
+        slack = add(slack, lib.from_int(2**10), 53, up)
+        margin = lib.mpf_shift(lib.mpf_mul_int(slack, mass, 53, up), -_PRECISION_BITS)
+        top = lib.from_int(self.coefficients[0][0])  # v_1**s_{k+1}
         fs, lows = [], []
-        for k in range(points):
+        for k in range(_GRID):
             total = low = lib.fzero
             for term, drop in zip(terms, drops):
                 total = add(total, term, prec, rnd)
                 if total[0]:  # a negative prefix sum
                     low = add(low, mul(total, drop, prec, rnd), prec, rnd)
             fs.append(make(total))
-            if k == points - 1:
+            if k == _GRID - 1:
                 break
             terms = [mul(term, r, prec, rnd) for term, r in zip(terms, steps)]
             top = mul(top, steps[0], prec, rnd)
@@ -271,8 +276,11 @@ class BulkVerdict:
     tight_at_infinity: bool = False
 
 
-# Samples of f on the capped search interval; local minima among them are refined.
-_GRID = 64
+# Bound on m * s_max * ln v_1 under which the stepped grid keeps f to within
+# 2**-60 of its scale.  Past it the grid is sampled by ``f_mpf`` and every
+# minimum is refined, as the steps would stray from ``f_mpf``'s samples (which
+# turn to exact powering once the grid points pass 2**119).
+_STEPPED_REACH = 2**60
 # Bits of the largest power v**s the s -> oo failure search takes exactly;
 # past it the search goes on at _PRECISION_BITS.
 _EXACT_POWER_BITS = 2**14
@@ -296,7 +304,9 @@ def dominates_all_s(lam: Partition, mu: Partition) -> BulkVerdict:
     ``_refine_minimum``, except where the grid's lower bound on each interval
     of the minimum's bracket exceeds 2 tol: there every value the refinement
     would see is above tol, so it could neither fail nor report a hint, and
-    it is skipped.  Near-zero minima are reported as interior equalities with
+    it is skipped.  Close values so large that the steps would lose f
+    (``_STEPPED_REACH``) are sampled by ``f_mpf`` and refined everywhere.
+    Near-zero minima are reported as interior equalities with
     ``exact=False``; they are hints, not certificates.  A failure at s = 1,
     or as s -> oo at an s where v**s stays under ``_EXACT_POWER_BITS`` bits,
     is found in exact integer arithmetic, without loading mpmath.
@@ -351,11 +361,15 @@ def dominates_all_s(lam: Partition, mu: Partition) -> BulkVerdict:
                     s = 1 + (s - 1) / 2
                 return verdict(holds=False, failure_exponent=float(s))
         one, span = mpmath.mpf(1), mpmath.mpf(s_max) - 1
-        fs, lows = profile.stepped_grid(span / (_GRID - 1), _GRID)
 
         def grid(i):
             # Formed only where a point is printed or bounds a refinement.
             return one + span * i / (_GRID - 1)
+
+        if s_max * math.log(top_v) * len(profile.coefficients) < _STEPPED_REACH:
+            fs, lows = profile.stepped_grid(span)
+        else:
+            fs, lows = [profile.f_mpf(grid(i)) for i in range(_GRID)], [-one] * (_GRID - 1)
 
         for i, y in enumerate(fs):
             if y < -tol_m:

@@ -103,10 +103,12 @@ class TestCheckCommand:
         ("bulk", [2**60], [2**60 + 1]),
         ("stable", [2**60] * 2, [2**60 + 1, 2**60 - 1]),
         ("all", [2**60] * 2, [2**60 + 1, 2**60 - 1]),
+        ("bulk", [2**1017] * 2, [2**1017 + 1, 2**1017 - 1]),
     ])
     def test_close_large_entries(self, capsys, relation, lhs, rhs):
         # The logarithms of the two largest values round to the same float;
-        # bulk holds, and stable fails by the valuation rule.
+        # bulk holds, and stable fails by the valuation rule.  At 2**1017 the
+        # grid's s_max * ln v_1 passes the float range.
         code, out, _ = run(capsys, "check", relation, "--lhs", json.dumps(lhs),
                            "--rhs", json.dumps(rhs), "--json")
         doc = json.loads(out)

@@ -213,7 +213,7 @@ class TestFMpfBits:
 
 def _grid_profiles(n, seed=41):
     """n profiles of 2-8 values, up to 64 and up to 10**6 in turn, with
-    counts of either sign and size 1-5, each with the grid step h that
+    counts of either sign and size 1-5, each with the grid span that
     ``dominates_all_s`` takes for it."""
     import mpmath
 
@@ -224,7 +224,7 @@ def _grid_profiles(n, seed=41):
         mass = sum(abs(c) for _, c in prof.coefficients)
         s_max = 1.0 + math.log(max(2, mass)) / (math.log(values[0]) - math.log(values[1]))
         with mpmath.workprec(120):
-            yield prof, (mpmath.mpf(s_max) - 1) / 63
+            yield prof, mpmath.mpf(s_max) - 1
 
 
 class TestSteppedGrid:
@@ -232,9 +232,11 @@ class TestSteppedGrid:
         import mpmath
 
         positive = 0
-        for prof, h in _grid_profiles(12):
-            fs, lows = prof.stepped_grid(h, 64)
+        for prof, span in _grid_profiles(12):
+            fs, lows = prof.stepped_grid(span)
             assert len(fs) == 64 and len(lows) == 63
+            with mpmath.workprec(120):
+                h = span / 63  # the step stepped_grid takes
             with mpmath.workprec(200):
                 for k, low in enumerate(lows):
                     for j in range(33):
@@ -248,9 +250,11 @@ class TestSteppedGrid:
     def test_steps_stay_close_to_f_mpf(self):
         import mpmath
 
-        for prof, h in _grid_profiles(40, seed=42):
-            fs, _ = prof.stepped_grid(h, 64)
+        for prof, span in _grid_profiles(40, seed=42):
+            fs, _ = prof.stepped_grid(span)
             mass = sum(abs(c) for _, c in prof.coefficients)
+            with mpmath.workprec(120):
+                h = span / 63
             with mpmath.workprec(200):
                 for k, y in enumerate(fs):
                     s = 1 + k * h
@@ -264,8 +268,20 @@ class TestSteppedGrid:
 
         prof = norm_profile(from_entries([3, 3]), from_entries([4, 1, 1]))
         with mpmath.workprec(120):
-            fs, _ = prof.stepped_grid(mpmath.mpf(1) / 8, 2)
+            fs, _ = prof.stepped_grid(mpmath.mpf(63) / 8)
         assert prof.f1() == 0 and fs[0] == 0 and fs[0]._mpf_ == prof.f_mpf(1)._mpf_
+
+    def test_close_values_past_the_float_range(self):
+        # (N+1)**s - 2 N**s + (N-1)**s with N = 2**1017 takes a span near
+        # 2e306, so the margin's (1 + span) ln v_1 passes the float range:
+        # the bound gives up on every interval and nothing overflows.
+        import mpmath
+
+        big = 2**1017
+        prof = norm_profile(from_entries([big] * 2), from_entries([big + 1, big - 1]))
+        with mpmath.workprec(120):
+            fs, lows = prof.stepped_grid(mpmath.mpf(1 + math.log(4) / math.log1p(1 / big)) - 1)
+        assert len(fs) == 64 and len(lows) == 63 and all(low < 0 for low in lows)
 
 
 def _reference_dominates_all_s(lam, mu):
@@ -362,6 +378,9 @@ def _corpus_numeric_pairs():
             yield pair.partitions
 
 
+_BIG = 345217350318977185375237309378926972062  # about 2**128
+
+
 class TestSteppedGridKeepsVerdicts:
     def test_stress_pairs_match_the_reference(self, monkeypatch):
         refine, calls = norms._refine_minimum, []
@@ -380,6 +399,22 @@ class TestSteppedGridKeepsVerdicts:
         # both reached.
         assert 300 < new_calls < len(calls) - new_calls - 1000
         assert hints > 100 and fails > 300
+
+    @pytest.mark.parametrize("lam, mu", [
+        ([2**20] * 2, [2**20 + 1, 2**20 - 1]),
+        ([2**40] * 2, [2**40 + 1, 2**40 - 1]),
+        ([2**60] * 2, [2**60 + 1, 2**60 - 1]),
+        ([2**200] * 2, [2**200 + 1, 2**200 - 1]),
+        ([_BIG + 3, _BIG, _BIG - 2], [_BIG + 4, _BIG, _BIG - 3]),
+    ])
+    def test_close_large_values_match_the_reference(self, lam, mu):
+        # s_max * ln v_1 grows with the entries: the stepped grid below
+        # _STEPPED_REACH (2**20, 2**40), f_mpf samples past it.  mu
+        # majorizes lam in the last pair, so bulk holds; a grid stepped at
+        # that size loses f and reports a failure near s = 6e37.
+        lam, mu = from_entries(lam), from_entries(mu)
+        assert repr(dominates_all_s(lam, mu)) == repr(_reference_dominates_all_s(lam, mu))
+        assert dominates_all_s(lam, mu).holds
 
     def test_corpus_pairs_match_the_reference(self):
         pairs = list(_corpus_numeric_pairs())

@@ -40,7 +40,9 @@ a side of unit boxes only against base 2 and against another such side,
 a count document against an entries document, and two numeric touch hints
 next to grid intervals whose lower bound is close to 0: ``SCALED_TOUCH``
 with a shared 5 added on both sides, and ``[10]*8`` / ``[20]+[5]*16``, which
-touches 0 at s = 2) under every relation, the
+touches 0 at s = 2, and two pairs of close values whose grid reaches past
+m * s_max * ln v_1 = 2**60: ``[N+3,N,N-2]`` / ``[N+4,N,N-3]`` with N about
+2**128, and ``[N,N]`` / ``[N+1,N-1]`` with N = 2**200) under every relation, the
 first 100 ``powerq-mix`` catalyst-family pairs with one box added at every
 level up to mu's top on both sides (so normalization cancels something) as
 stable and all, ``conjecture-scan`` over ``tools/scan_corpus.ndjson`` with
@@ -87,6 +89,8 @@ RELATIONS = ("embed", "supermajorize", "bulk", "stable", "all")
 SCALED_TOUCH = ("[24,24,24,24,12,12,12,12]", json.dumps([48] + [6] * 16 + [3] * 16))
 # A base-4 count pair, which the base rule reads in base 2.
 BASE4 = ('{"base":4,"counts":[0,5]}', '{"base":4,"counts":[6,0,1]}')
+# About 2**128.
+BIG = 345217350318977185375237309378926972062
 PAIRS = (
     ("[2,2,2,2]", "[4,1,1,1,1,1,1,1,1]"),
     ("[8,8,8,8,4,4,4,4]", json.dumps([16] + [2] * 16 + [1] * 16)),
@@ -175,6 +179,11 @@ PAIRS = (
     # (hint at s = 1.6942...), and f = 5**s (2**s - 4)**2 (hint at s = 2).
     (json.dumps([24] * 4 + [12] * 4 + [5]), json.dumps([48] + [6] * 16 + [5] + [3] * 16)),
     (json.dumps([10] * 8), json.dumps([20] + [5] * 16)),
+    # Close values so large that m * s_max * ln v_1 passes 2**60, where a
+    # grid stepped at 130 bits loses f: N ~ 2**128, which mu majorizes, and
+    # N = 2**200, which reports a numeric equality hint.
+    (json.dumps([BIG + 3, BIG, BIG - 2]), json.dumps([BIG + 4, BIG, BIG - 3])),
+    (json.dumps([2**200] * 2), json.dumps([2**200 + 1, 2**200 - 1])),
 )
 # A pair whose direct search runs out of a 1-node budget and which no
 # refutation rule settles, so its stable detail also names that budget.

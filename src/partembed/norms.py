@@ -11,11 +11,12 @@ all of [1, oo] therefore reduces to f >= 0 on [1, oo).
 Two decision paths are provided.  The numeric path samples f in very high
 precision on a provably sufficient interval and refines sign changes and
 near-zero minima.  Its grid is stepped by multiplication (v**(s + h) =
-v**s * v**h), and the same pass bounds f from below on each grid interval by
-Abel summation of the prefix sums W_i = sum_{j <= i} n_j v_j**s against the
-weights v**(s' - s), the partial-sum form of Laguerre's rule of signs; a grid
-minimum whose bracket is bounded above twice the failure band is not
-refined, as its refinement could neither fail nor report a hint.  For
+v**s * v**h) at a precision sized from the grid's reach in s * ln v, and the
+same pass bounds f from below on each grid interval by Abel summation of the
+prefix sums W_i = sum_{j <= i} n_j v_j**s against the weights v**(s' - s),
+the partial-sum form of Laguerre's rule of signs; a grid minimum whose
+bracket is bounded above twice the failure band is not refined, as its
+refinement could neither fail nor report a hint.  For
 partitions whose entries are powers of one base q the substitution x = q**s
 turns f into an integer polynomial P(x), and dominance on [q, oo) is decided
 exactly.  The tail sums T_i = sum_{j >= i} P_j q**j are
@@ -171,36 +172,43 @@ class NormProfile:
         """f(s_k) at the ``_GRID`` points s_k = 1 + k*h, h = span / (_GRID - 1),
         and a lower bound L_k of f on each interval [s_k, s_{k+1}].
 
-        Each v**h is one exp, and each term n v**s_{k+1} is n v**s_k * v**h,
-        carried at ``_PRECISION_BITS + 10`` bits.  With v_1 > ... > v_m the
-        values and W_i = sum_{j <= i} n_j v_j**s_k the prefix sums, Abel
-        summation against the weights w_j = v_j**(s - s_k), which are >= 1
-        and do not increase with j, gives
+        Each v**h is one exp, and each term n v**s_{k+1} is n v**s_k * v**h.
+        The relative error of a stepped v**s_k is about s_k times the error
+        of ln v, so everything is carried at prec = ``_PRECISION_BITS`` + 10 +
+        max(0, bits(m (1 + span) ln v_1) - 60) bits, each ln v taken at prec:
+        the stepped values stay within 2**-60 sum |n| v_1**s_k of f, and
+        while m (1 + span) ln v_1 < 2**60 prec is 130 bits, the precision of
+        ``f_mpf``'s ln v.  With v_1 > ... > v_m the values and
+        W_i = sum_{j <= i} n_j v_j**s_k the prefix sums, Abel summation
+        against the weights w_j = v_j**(s - s_k), which are >= 1 and do not
+        increase with j, gives
         f(s) = W_m + sum_{i <= m} W_i (w_i - w_{i+1}) with w_{m+1} = 1.  On
         the interval each w_i - w_{i+1} lies in [0, v_i**h - v_{i+1}**h], so
         L_k = W_m + sum_{W_i < 0} W_i (v_i**h - v_{i+1}**h) - margin, with
         v_{m+1}**h = 1.  The margin, 2**-_PRECISION_BITS * sum |n| *
         v_1**s_{k+1} * (2**10 + m * (1 + (1 + span) ln v_1)), covers the
         rounding of the steps, of the sums and of ``f_mpf`` on the interval
-        (each ln v has 130 bits); it is formed in mpf, rounded up, as
+        (each of its ln v has 130 bits); it is formed in mpf, rounded up, as
         (1 + span) ln v_1 can pass the float range.  L_k > 0 forces
         W_m = f(s_k) > 0.
         """
         import mpmath
 
         lib, make = mpmath.libmp, mpmath.mp.make_mpf
-        prec, rnd, up = _PRECISION_BITS + 10, lib.round_nearest, lib.round_up
+        rnd, up = lib.round_nearest, lib.round_up
         add, mul = lib.mpf_add, lib.mpf_mul
+        values = [lib.from_int(v) for v, _ in self.coefficients]
+        reach = mul(add(span._mpf_, lib.fone, 53, up), lib.mpf_log(values[0], 53, up), 53, up)
+        spread = lib.mpf_mul_int(reach, len(values), 53, up)  # m (1 + span) ln v_1
+        prec = _PRECISION_BITS + 10 + max(0, spread[2] + spread[3] - 60)
         h = lib.mpf_div(span._mpf_, lib.from_int(_GRID - 1), _PRECISION_BITS, rnd)
-        steps = [lib.mpf_exp(mul(h, ln_v), prec, rnd) for _, ln_v, _ in self._log_terms]
+        steps = [lib.mpf_exp(mul(h, lib.mpf_log(v, prec, rnd)), prec, rnd) for v in values]
         drops = [lib.mpf_sub(a, b, prec, rnd) for a, b in zip(steps, steps[1:] + [lib.fone])]
         terms = [lib.from_int(n * v) for v, n in self.coefficients]
-        reach = mul(add(span._mpf_, lib.fone, 53, up), self._log_terms[0][1], 53, up)
         mass = sum(abs(n) for _, n in self.coefficients)
-        slack = lib.mpf_mul_int(add(reach, lib.fone, 53, up), len(terms), 53, up)
-        slack = add(slack, lib.from_int(2**10), 53, up)
+        slack = add(spread, lib.from_int(len(values) + 2**10), 53, up)
         margin = lib.mpf_shift(lib.mpf_mul_int(slack, mass, 53, up), -_PRECISION_BITS)
-        top = lib.from_int(self.coefficients[0][0])  # v_1**s_{k+1}
+        top = values[0]  # v_1**s_{k+1}
         fs, lows = [], []
         for k in range(_GRID):
             total = low = lib.fzero
@@ -276,11 +284,6 @@ class BulkVerdict:
     tight_at_infinity: bool = False
 
 
-# Bound on m * s_max * ln v_1 under which the stepped grid keeps f to within
-# 2**-60 of its scale.  Past it the grid is sampled by ``f_mpf`` and every
-# minimum is refined, as the steps would stray from ``f_mpf``'s samples (which
-# turn to exact powering once the grid points pass 2**119).
-_STEPPED_REACH = 2**60
 # Bits of the largest power v**s the s -> oo failure search takes exactly;
 # past it the search goes on at _PRECISION_BITS.
 _EXACT_POWER_BITS = 2**14
@@ -304,9 +307,7 @@ def dominates_all_s(lam: Partition, mu: Partition) -> BulkVerdict:
     ``_refine_minimum``, except where the grid's lower bound on each interval
     of the minimum's bracket exceeds 2 tol: there every value the refinement
     would see is above tol, so it could neither fail nor report a hint, and
-    it is skipped.  Close values so large that the steps would lose f
-    (``_STEPPED_REACH``) are sampled by ``f_mpf`` and refined everywhere.
-    Near-zero minima are reported as interior equalities with
+    it is skipped.  Near-zero minima are reported as interior equalities with
     ``exact=False``; they are hints, not certificates.  A failure at s = 1,
     or as s -> oo at an s where v**s stays under ``_EXACT_POWER_BITS`` bits,
     is found in exact integer arithmetic, without loading mpmath.
@@ -351,11 +352,12 @@ def dominates_all_s(lam: Partition, mu: Partition) -> BulkVerdict:
     tol = _default_tol(profile)
     with mpmath.workprec(_PRECISION_BITS):
         tol_m = mpmath.mpf(tol.numerator) / tol.denominator
+        fail_below, skip_above = -tol_m, 2 * tol_m
         if f1 == 0:
             # f(1) = 0 with f decreasing at 1 dips negative before the first
             # grid sample; the derivative settles it without sampling.
             d1 = mpmath.fsum(n * v * mpmath.log(v) for v, n in profile.coefficients)
-            if d1 < -tol_m:
+            if d1 < fail_below:
                 s = mpmath.mpf(1) + mpmath.mpf("1e-3")
                 while profile.f_mpf(s) >= 0:
                     s = 1 + (s - 1) / 2
@@ -366,13 +368,9 @@ def dominates_all_s(lam: Partition, mu: Partition) -> BulkVerdict:
             # Formed only where a point is printed or bounds a refinement.
             return one + span * i / (_GRID - 1)
 
-        if s_max * math.log(top_v) * len(profile.coefficients) < _STEPPED_REACH:
-            fs, lows = profile.stepped_grid(span)
-        else:
-            fs, lows = [profile.f_mpf(grid(i)) for i in range(_GRID)], [-one] * (_GRID - 1)
-
+        fs, lows = profile.stepped_grid(span)
         for i, y in enumerate(fs):
-            if y < -tol_m:
+            if y < fail_below:
                 return verdict(holds=False, failure_exponent=float(grid(i)))
 
         last = _GRID - 1
@@ -382,10 +380,10 @@ def dominates_all_s(lam: Partition, mu: Partition) -> BulkVerdict:
             right_ok = i == last or fs[i] <= fs[i + 1]
             if not (left_ok and right_ok):
                 continue
-            if all(low > 2 * tol_m for low in lows[max(0, i - 1):i + 1]):
+            if all(low > skip_above for low in lows[max(0, i - 1):i + 1]):
                 continue  # f > 2 tol on the bracket: no failure, no hint
             s_min, f_min = _refine_minimum(profile, grid(max(0, i - 1)), grid(min(last, i + 1)))
-            if f_min < -tol_m:
+            if f_min < fail_below:
                 return verdict(holds=False, failure_exponent=float(s_min))
             if abs(f_min) <= tol_m and s_min > 1 + 1e-9:
                 equalities.append(EqualityPoint(s=float(s_min), exact=False))

@@ -211,20 +211,28 @@ class TestFMpfBits:
         assert prof == norm_profile(LAM2, MU3)
 
 
-def _grid_profiles(n, seed=41):
-    """n profiles of 2-8 values, up to 64 and up to 10**6 in turn, with
-    counts of either sign and size 1-5, each with the grid span that
-    ``dominates_all_s`` takes for it."""
+def _grid_span(prof):
+    """The grid span that ``dominates_all_s`` takes for a profile."""
     import mpmath
 
+    (v_1, _), (v_2, _) = prof.coefficients[:2]
+    mass = sum(abs(c) for _, c in prof.coefficients)
+    gap = math.log(v_1) - math.log(v_2) or math.log1p((v_1 - v_2) / v_2)
+    with mpmath.workprec(120):
+        return mpmath.mpf(1.0 + math.log(max(2, mass)) / gap) - 1
+
+
+def _grid_profiles(n, seed=41):
+    """n profiles of 2-8 values, up to 64 and up to 10**6 in turn, with
+    counts of either sign and size 1-5, each with its grid span."""
     rng = random.Random(seed)
     for k in range(n):
         values = sorted(rng.sample(range(1, (64, 10**6)[k % 2] + 1), rng.randint(2, 8)), reverse=True)
         prof = NormProfile(tuple((v, rng.choice((-1, 1)) * rng.randint(1, 5)) for v in values))
-        mass = sum(abs(c) for _, c in prof.coefficients)
-        s_max = 1.0 + math.log(max(2, mass)) / (math.log(values[0]) - math.log(values[1]))
-        with mpmath.workprec(120):
-            yield prof, mpmath.mpf(s_max) - 1
+        yield prof, _grid_span(prof)
+
+
+_BIG = 345217350318977185375237309378926972062  # about 2**128
 
 
 class TestSteppedGrid:
@@ -282,6 +290,35 @@ class TestSteppedGrid:
         with mpmath.workprec(120):
             fs, lows = prof.stepped_grid(mpmath.mpf(1 + math.log(4) / math.log1p(1 / big)) - 1)
         assert len(fs) == 64 and len(lows) == 63 and all(low < 0 for low in lows)
+
+    @pytest.mark.parametrize("lam, mu", [
+        ([2**61] * 2, [2**61 + 1, 2**61 - 1]),
+        ([_BIG + 3, _BIG, _BIG - 2], [_BIG + 4, _BIG, _BIG - 3]),
+        ([2**200] * 2, [2**200 + 1, 2**200 - 1]),
+        ([2**1017] * 2, [2**1017 + 1, 2**1017 - 1]),
+    ])
+    def test_close_large_values_stay_close_to_f(self, lam, mu):
+        # m (1 + span) ln v_1 passes 2**60 on these close values, where a
+        # grid stepped at 130 bits loses f.  Each stepped value is checked
+        # against f at the very point s_k = 1 + k*h the steps reach, taken
+        # with 64 more bits than the grid's precision rule gives.
+        import mpmath
+
+        prof = norm_profile(from_entries(lam), from_entries(mu))
+        span = _grid_span(prof)
+        fs, _ = prof.stepped_grid(span)
+        v_1, m = prof.coefficients[0][0], len(prof.coefficients)
+        mass = sum(abs(c) for _, c in prof.coefficients)
+        with mpmath.workprec(53):
+            reach = m * (1 + span) * mpmath.log(v_1)
+        assert reach >= 2**60
+        with mpmath.workprec(120):
+            h = span / 63  # the step stepped_grid takes
+        with mpmath.workprec(130 + int(mpmath.log(reach, 2)) + 1 - 60 + 64):
+            for k, y in enumerate(fs):
+                s = 1 + k * h
+                f = mpmath.fsum(c * mpmath.power(v, s) for v, c in prof.coefficients)
+                assert abs(y - f) <= mpmath.ldexp(mass * mpmath.power(v_1, s), -60), (lam, k)
 
 
 def _reference_dominates_all_s(lam, mu):
@@ -378,9 +415,6 @@ def _corpus_numeric_pairs():
             yield pair.partitions
 
 
-_BIG = 345217350318977185375237309378926972062  # about 2**128
-
-
 class TestSteppedGridKeepsVerdicts:
     def test_stress_pairs_match_the_reference(self, monkeypatch):
         refine, calls = norms._refine_minimum, []
@@ -406,12 +440,14 @@ class TestSteppedGridKeepsVerdicts:
         ([2**60] * 2, [2**60 + 1, 2**60 - 1]),
         ([2**200] * 2, [2**200 + 1, 2**200 - 1]),
         ([_BIG + 3, _BIG, _BIG - 2], [_BIG + 4, _BIG, _BIG - 3]),
+        ([2**500] * 2, [2**500 + 1, 2**500 - 1]),
     ])
     def test_close_large_values_match_the_reference(self, lam, mu):
-        # s_max * ln v_1 grows with the entries: the stepped grid below
-        # _STEPPED_REACH (2**20, 2**40), f_mpf samples past it.  mu
-        # majorizes lam in the last pair, so bulk holds; a grid stepped at
-        # that size loses f and reports a failure near s = 6e37.
+        # m * s_max * ln v_1 grows with the entries: below 2**60 at 2**20 and
+        # 2**40, past it from 2**60 on, where the grid is stepped at more
+        # than 130 bits.  mu majorizes lam in the 2**128 pair, so bulk holds;
+        # a grid stepped there at 130 bits loses f and reports a failure
+        # near s = 6e37.
         lam, mu = from_entries(lam), from_entries(mu)
         assert repr(dominates_all_s(lam, mu)) == repr(_reference_dominates_all_s(lam, mu))
         assert dominates_all_s(lam, mu).holds

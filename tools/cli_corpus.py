@@ -42,10 +42,16 @@ next to grid intervals whose lower bound is close to 0: ``SCALED_TOUCH``
 with a shared 5 added on both sides, and ``[10]*8`` / ``[20]+[5]*16``, which
 touches 0 at s = 2, and two pairs of close values whose grid reaches past
 m * s_max * ln v_1 = 2**60: ``[N+3,N,N-2]`` / ``[N+4,N,N-3]`` with N about
-2**128, and ``[N,N]`` / ``[N+1,N-1]`` with N = 2**200) under every relation, the
+2**128, and ``[N,N]`` / ``[N+1,N-1]`` with N = 2**200, and four count
+documents against an entries document: base 4 with level 1 empty against
+``[2]``, unit boxes only against ``[4,2,1]``, base 9 against ``[27,3]`` and
+base 2 against ``[3]``, which has no common base) under every relation, the
 first 100 ``powerq-mix`` catalyst-family pairs with one box added at every
 level up to mu's top on both sides (so normalization cancels something) as
-stable and all, ``conjecture-scan`` over ``tools/scan_corpus.ndjson`` with
+stable and all, an 800,000-box count document against ``[8,8,4,2,1]`` as
+supermajorize and all, ``[1]`` / ``[1000003]``, whose greedy embedding holds
+1000002 unit pieces, as embed, stable and all, ``gen random``, ``powerq`` and
+``divisible`` with ``--seed 3 --count 5``, ``conjecture-scan`` over ``tools/scan_corpus.ndjson`` with
 and without ``--json`` and ``--max-steps 3``, a few queries with an invalid
 option, among them the removed ``--tol`` and ``--grid``, which are usage
 errors, a pair whose direct search runs out of a 1-node budget as embed and
@@ -184,7 +190,21 @@ PAIRS = (
     # N = 2**200, which reports a numeric equality hint.
     (json.dumps([BIG + 3, BIG, BIG - 2]), json.dumps([BIG + 4, BIG, BIG - 3])),
     (json.dumps([2**200] * 2), json.dumps([2**200 + 1, 2**200 - 1])),
+    # A count document against an entries document, each read in the base
+    # of both: base 4 with its level 1 empty against [2], base 6 with unit
+    # boxes only against base 2, base 9 against base 27's root 3, and base 2
+    # against [3], which has no common base.
+    ('{"base":4,"counts":[0,0,1]}', "[2]"),
+    ('{"base":6,"counts":[3]}', "[4,2,1]"),
+    ('{"base":9,"counts":[1,2]}', "[27,3]"),
+    ('{"base":2,"counts":[1,1]}', "[3]"),
 )
+# An 800,000-box count document against an entries document: decided on its
+# counts, never expanded.
+MANY_BOXES = ('{"base":2,"counts":[500000,200000,100000]}', "[8,8,4,2,1]")
+# Base 1000003, a prime: placing the one box of [1] in the bin 1000003 leaves
+# 1000002 unit pieces for the greedy embedding to hold.
+BIG_BASE = ("[1]", "[1000003]")
 # A pair whose direct search runs out of a 1-node budget and which no
 # refutation rule settles, so its stable detail also names that budget.
 BUDGET_PAIR = ("[5,4,3,3,2,2,2]", "[9,8,4]")
@@ -283,6 +303,13 @@ def queries() -> list[list[str]]:
         query = replace(query, lhs=dict(query.lhs, counts=[c + 1 for c in lam]),
                         rhs=dict(query.rhs, counts=[c + 1 for c in mu]))
         out += ask(query, ("stable", "all"))
+    for (lhs, rhs), relations in ((MANY_BOXES, ("supermajorize", "all")),
+                                  (BIG_BASE, ("embed", "stable", "all"))):
+        for relation in relations:
+            argv = ["check", relation, "--lhs", lhs, "--rhs", rhs]
+            out += [argv + ["--json"], argv]
+    out += [["gen", kind, "--seed", "3", "--count", "5"]
+            for kind in ("random", "powerq", "divisible")]
     for extra in ((), ("--max-steps", "3")):
         argv = ["conjecture-scan", SCAN_CORPUS, *extra]
         out += [argv + ["--json"], argv]

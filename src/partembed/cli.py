@@ -10,8 +10,8 @@ count-vector form), and an optional ``name``.  Quick queries can pass a bare
 array inline: ``--lhs '[2,2,2,2]'``.  Corpora are newline-delimited JSON.
 A ``counts`` document parses to its PowerPartition and is decided on its
 counts (``stablep.Pair``); it is expanded into entries only where a path
-reads them: against an ``entries`` document, without a common base, for
-``check --base`` and for ``conjecture-scan``'s identical-pair test.
+reads them: without a common base, for ``check --base`` and for
+``conjecture-scan``'s identical-pair test.
 Reports print as ``json.dumps(to_doc(x), indent=2)``, written in one pass
 over the report objects by ``_write``, and ``from_doc(type(x), to_doc(x)) == x``.
 """

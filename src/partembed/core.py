@@ -285,16 +285,27 @@ def minimal_root(m: int) -> int:
     return r
 
 
-def common_power_base(a: Partition, b: Partition) -> int | None:
-    """Smallest base q >= 2 such that every entry of both partitions is a power of q.
+def common_power_base(a: Partition | PowerPartition,
+                      b: Partition | PowerPartition) -> int | None:
+    """Smallest base q >= 2 such that every entry of both sides is a power of q.
 
-    Only one candidate is tested: the minimal root r of the smallest entry m
-    above 1.  A valid base q has m = q**k, so q is a power of r, and r is
-    valid whenever any base is, and it is the smallest.  Returns None when no
-    base exists.  ``stablep.Pair`` reads the base of two count vectors off
-    their own bases with the same ``minimal_root``, never calling this.
+    Either side may be an entry list or a nonempty count vector.  Only one
+    candidate is tested: the minimal root r of the smallest value m above 1.
+    A valid base q has m = q**k, so q is a power of r, and r is valid
+    whenever any base is, and it is the smallest.  Returns None when no base
+    exists.  A count vector stands for its boxes by its base alone: r is
+    never a perfect power, so a box base**i with i >= 1 is a power of r
+    exactly when base is, and base is its smallest box above 1; unit boxes
+    are powers of every r.
     """
-    values = set(a.entries) | set(b.entries)
+    values: set[int] = set()
+    for side in (a, b):
+        if isinstance(side, Partition):
+            values.update(side.entries)
+        elif side.is_empty:
+            raise EmptyPartition("a pair's count vectors need at least one box")
+        elif len(side.counts) > 1:
+            values.add(side.base)
     values.discard(1)
     if not values:
         # All entries are 1; any base works, report the smallest.

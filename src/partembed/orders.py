@@ -257,10 +257,12 @@ def embed_powerq(lam: PowerPartition, mu: PowerPartition) -> EmbeddingWitness | 
     capacity and split the leftover into base-q digit pieces (every piece is
     at least as large as the box just placed, so nothing is stranded).  It
     answers None when no capacity is left or the largest is below the box.
-    Capacities live in a heap tagged with their original bin, and the
-    emitted witness maps back to the original mu indices; each bin's load is
-    summed from the exponents of the boxes placed in it, so neither side is
-    expanded into its entries.
+    Capacities live in a heap of runs, each a number of equal pieces tagged
+    with their level and original bin: a placement splits its leftover into
+    one run of q - 1 pieces per level, so a large base costs no more than a
+    small one.  The emitted witness maps back to the original mu indices;
+    each bin's load is summed from the exponents of the boxes placed in it,
+    so neither side is expanded into its entries.
 
     Supermajorization is decisive here, and the greedy decides it: when mu
     supermajorizes lam, then at every level x = q**e up to the current box
@@ -273,19 +275,24 @@ def embed_powerq(lam: PowerPartition, mu: PowerPartition) -> EmbeddingWitness | 
     if lam.base != mu.base:
         raise BaseMismatch(f"bases differ: {lam.base} vs {mu.base}")
     q = lam.base
-    # Max-heap of capacities as (-exponent, original bin).  mu's boxes in
-    # canonical order are sorted, so they already form a heap.  Tied entries
-    # are equal tuples, so which of them pops first does not matter.
-    heap = [(-t, j) for j, t in enumerate(_levels(mu))]
+    # Max-heap of capacity runs as (-exponent, original bin, pieces).  mu's
+    # boxes in canonical order are sorted, so they already form a heap.  Runs
+    # of the same level and bin are interchangeable, so a placement takes one
+    # piece of the top run, and pieces leave in the same (level, bin) order
+    # as they would one tuple each.
+    heap = [(-t, j, 1) for j, t in enumerate(_levels(mu))]
     assignment = []
     loads = [0] * len(heap)
     for s in _levels(lam):
         if not heap or -heap[0][0] < s:
             return None
-        neg_t, origin = heapq.heappop(heap)
+        neg_t, origin, run = heap[0]
+        if run > 1:
+            heapq.heapreplace(heap, (neg_t, origin, run - 1))
+        else:
+            heapq.heappop(heap)
         assignment.append(origin)
         loads[origin] += q**s
         for e in range(s, -neg_t):
-            for _ in range(q - 1):
-                heapq.heappush(heap, (-e, origin))
+            heapq.heappush(heap, (-e, origin, q - 1))
     return EmbeddingWitness(tuple(assignment), tuple(loads))

@@ -46,7 +46,6 @@ from operator import mul
 from .core import (
     BaseMismatch,
     ContractViolation,
-    EmptyPartition,
     Partition,
     PartitionError,
     PowerPartition,
@@ -55,7 +54,6 @@ from .core import (
     count_product,
     from_base_counts,
     from_entries,
-    minimal_root,
     to_base_counts,
 )
 from .norms import BulkVerdict, EqualityPoint, _EXACT_POWER_BITS, _PRECISION_BITS, _eval_poly, \
@@ -411,21 +409,19 @@ class Pair:
     the catalyst construction; any other pair the budgeted search and the
     numeric bulk path.
 
-    Each side is a Partition or a nonempty PowerPartition.  Two count vectors
-    are decided on their counts: ``base`` and ``counts`` come from their own
-    bases, and supermajorization and the valuation gcds from the counts.
-    Entries are expanded, once, only for a path that reads them: a side
-    against an entry list, a pair with no common base."""
+    Each side is a Partition or a nonempty PowerPartition.  A pair with a base
+    is decided on its count vectors and reads entries only from its entry-list
+    sides: ``common_power_base`` reads a count vector's base, ``counts``
+    spreads a count vector into the pair's base and counts an entry list, and
+    supermajorization and the valuation gcds come from the counts.  A count
+    vector is expanded, once, only by a path that reads ``partitions``: a
+    pair with no common base, ``check --base`` and the scan's identical-pair
+    test."""
 
     lam: Partition | PowerPartition
     mu: Partition | PowerPartition
     node_budget: int = DEFAULT_NODE_BUDGET
     max_steps: int | None = None
-
-    @property
-    def _counted(self) -> bool:
-        """Both sides are count vectors."""
-        return isinstance(self.lam, PowerPartition) and isinstance(self.mu, PowerPartition)
 
     @cached_property
     def partitions(self) -> tuple[Partition, Partition]:
@@ -434,26 +430,16 @@ class Pair:
 
     @cached_property
     def base(self) -> int | None:
-        """The smallest common power base, or None.  For two count vectors it
-        is the minimal root of the base of every side with a box above 1, if
-        these agree, and 2 if no side has one; their entries are never read."""
-        if not self._counted:
-            return common_power_base(*self.partitions)
-        if self.lam.is_empty or self.mu.is_empty:
-            raise EmptyPartition("a pair's count vectors need at least one box")
-        roots = {minimal_root(side.base) for side in (self.lam, self.mu) if len(side.counts) > 1}
-        if len(roots) > 1:
-            return None
-        return roots.pop() if roots else 2
+        """The smallest common power base, or None."""
+        return common_power_base(self.lam, self.mu)
 
     @cached_property
     def counts(self) -> tuple[PowerPartition, PowerPartition] | None:
         """Both sides as count vectors in ``base``, or None without a base."""
         if self.base is None:
             return None
-        if self._counted:
-            return _spread(self.lam, self.base), _spread(self.mu, self.base)
-        return tuple(to_base_counts(side, self.base) for side in self.partitions)
+        return tuple([_spread(side, self.base) if isinstance(side, PowerPartition)
+                      else to_base_counts(side, self.base) for side in (self.lam, self.mu)])
 
     @cached_property
     def normalized(self) -> tuple[PowerPartition, PowerPartition] | None:
@@ -474,9 +460,9 @@ class Pair:
 
     @cached_property
     def sup(self) -> Supermajorization:
-        """mu supermajorizes lam; for two count vectors with a base, by one
-        tail-sum sweep of the profile (q**i, P_i)."""
-        if self._counted and self.counts is not None:
+        """mu supermajorizes lam; for a pair with a base, by one tail-sum
+        sweep of the profile (q**i, P_i)."""
+        if self.counts is not None:
             failing_x = tail_threshold(profile_poly(*self.counts), self.base)
             return Supermajorization(failing_x is None, failing_x)
         lam, mu = self.partitions

@@ -207,31 +207,53 @@ class TestBaseCounts:
 
 
 class TestCommonBase:
+    # Each test also takes count vectors, alone or against entry lists: a
+    # count vector stands for its boxes by its base.
     def test_powers_of_two(self):
         assert common_power_base(from_entries([4, 2]), from_entries([8])) == 2
+        # level 1 empty, base 8, and unit boxes only, against entry lists
+        assert common_power_base(PowerPartition(4, (0, 0, 1)), from_entries([2])) == 2
+        assert common_power_base(from_entries([4, 2]), PowerPartition(8, (1, 1))) == 2
+        assert common_power_base(PowerPartition(6, (3,)), from_entries([4, 2, 1])) == 2
 
     def test_powers_of_three(self):
         assert common_power_base(from_entries([9, 3]), from_entries([27])) == 3
+        assert common_power_base(PowerPartition(9, (1, 2)), from_entries([27, 3])) == 3
+        assert common_power_base(PowerPartition(9, (0, 1)), PowerPartition(27, (0, 0, 1))) == 3
 
     def test_smallest_base_wins(self):
         assert common_power_base(from_entries([4, 16]), from_entries([64])) == 2
+        assert common_power_base(PowerPartition(4, (0, 1)), PowerPartition(8, (0, 1))) == 2
+        assert common_power_base(PowerPartition(16, (2, 0, 1)), from_entries([64])) == 2
 
     def test_no_common_base(self):
         assert common_power_base(from_entries([5]), from_entries([3])) is None
+        assert common_power_base(PowerPartition(2, (1, 1)), from_entries([3])) is None
+        assert common_power_base(PowerPartition(3, (0, 2)), PowerPartition(2, (2, 0, 1))) is None
 
     def test_all_ones(self):
         assert common_power_base(from_entries([1, 1]), from_entries([1])) == 2
+        assert common_power_base(PowerPartition(6, (3,)), from_entries([1])) == 2
+        assert common_power_base(PowerPartition(3, (5,)), PowerPartition(7, (6,))) == 2
+        # An empty count vector has no boxes to stand for.
+        with pytest.raises(EmptyPartition):
+            common_power_base(PowerPartition(2, ()), from_entries([1]))
 
     def test_prime_base_from_entry(self):
         assert common_power_base(from_entries([5]), from_entries([25])) == 5
+        assert common_power_base(from_entries([5]), PowerPartition(25, (0, 1))) == 5
+        assert common_power_base(PowerPartition(6, (1,)), PowerPartition(5, (0, 3))) == 5
 
     def test_mixed_not_powers(self):
         assert common_power_base(from_entries([6, 4]), from_entries([2])) is None
+        assert common_power_base(PowerPartition(4, (0, 1)), from_entries([6, 2])) is None
+        assert common_power_base(PowerPartition(8, (0, 1)), from_entries([9, 1])) is None
 
     def test_matches_an_upward_scan(self):
         # The reference scans q = 2, 3, ... up to the smallest entry above 1,
         # which bounds every base; the sets mix powers of bases that are
-        # themselves powers (4, 8, 9, 16, 27).
+        # themselves powers (4, 8, 9, 16, 27).  A side that is all powers of
+        # q is passed as its count vector in base q half the time.
         def is_power(v, q):
             p = 1
             while p < v:
@@ -247,12 +269,21 @@ class TestCommonBase:
                     return q
             return None
 
+        def form(side, q):
+            if rng.random() < 0.5 and all(is_power(v, q) for v in side):
+                return to_base_counts(from_entries(side), q)
+            return from_entries(side)
+
         rng = random.Random(11)
+        counted = 0
         for _ in range(1500):
             q = rng.choice([2, 3, 4, 5, 6, 8, 9, 16, 27])
             sides = [[q ** rng.randint(0, 4) if rng.random() < 0.9 else rng.randint(1, 300)
                       for _ in range(rng.randint(1, 4))] for _ in range(2)]
-            assert common_power_base(*map(from_entries, sides)) == scan(sides[0] + sides[1]), sides
+            a, b = (form(side, q) for side in sides)
+            counted += isinstance(a, PowerPartition) + isinstance(b, PowerPartition)
+            assert common_power_base(a, b) == scan(sides[0] + sides[1]), sides
+        assert counted > 1000
 
     def test_huge_power_of_three(self):
         # One candidate root per prime degree: 3**6309 (about 10,000 bits)

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import random
 import time
@@ -397,6 +398,29 @@ class TestEmbedPowerq:
         # loads summed from exponents: 4+2+1+1 fill the 8, 2+1 go into the 4
         w = embed_powerq(PowerPartition(2, (3, 2, 1)), PowerPartition(2, (0, 0, 1, 1)))
         assert w == EmbeddingWitness((0, 0, 1, 0, 1, 0), (8, 3))
+
+    def test_large_base_keeps_runs_of_pieces(self, monkeypatch):
+        # Placing [1] in [q] leaves q - 1 unit pieces; they go on the heap as
+        # one run, not q - 1 tuples.
+        push, pushes = heapq.heappush, []
+
+        def counted(heap, item):
+            pushes.append(item)
+            if len(pushes) > 1000:
+                raise AssertionError("embed_powerq pushed one tuple per piece")
+            push(heap, item)
+
+        monkeypatch.setattr(heapq, "heappush", counted)
+        q = 10**18 + 9
+        w = embed_powerq(PowerPartition(q, (1,)), PowerPartition(q, (0, 1)))
+        assert w == EmbeddingWitness((0,), (1,))
+        assert len(pushes) == 1
+        # [q, 1, 1] into [q**2, q]: all three go into q**2.  The q leaves a
+        # run of q - 1 pieces at level 1, and each 1 takes one of them and
+        # leaves a run of q - 1 unit pieces.
+        w = embed_powerq(PowerPartition(q, (2, 1)), PowerPartition(q, (0, 1, 1)))
+        assert w == EmbeddingWitness((0, 0, 0), (q + 2, 0))
+        assert pushes[1:] == [(-1, 0, q - 1), (0, 0, q - 1), (0, 0, q - 1)]
 
     def test_equivalence_with_supermajorization(self):
         rng = random.Random(34)

@@ -470,14 +470,14 @@ class TestStableEmbeds:
 class _Calls:
     def __init__(self, fn):
         self.fn = fn
-        self.kwargs = []
+        self.args = []
 
     @property
     def n(self):
-        return len(self.kwargs)
+        return len(self.args)
 
     def __call__(self, *args, **kwargs):
-        self.kwargs.append(kwargs)
+        self.args.append(args)
         return self.fn(*args, **kwargs)
 
 
@@ -581,13 +581,26 @@ class TestOneDecisionPerPair:
     def test_count_documents_are_decided_on_their_counts(self, monkeypatch, capsys,
                                                          relation, code):
         # Base 4 against base 2, refuted by TightValuation: no relation
-        # expands a side, detects a base on entries or re-counts entries.
+        # expands a side or re-counts entries, and the base is read off the
+        # two count vectors.
+        base = count_calls(monkeypatch, partembed.core.common_power_base)
         calls = [count_calls(monkeypatch, fn) for fn in (
-            partembed.core.from_base_counts, partembed.core.common_power_base,
-            partembed.core.to_base_counts, partembed.orders.supermajorizes)]
+            partembed.core.from_base_counts, partembed.core.to_base_counts,
+            partembed.orders.supermajorizes)]
         assert cli.main(["check", relation, "--lhs", '{"base":4,"counts":[0,8]}',
                          "--rhs", '{"base":2,"counts":[16,0,0,0,1]}', "--json"]) == code
-        assert [c.n for c in calls] == [0, 0, 0, 0]
+        assert [c.n for c in calls] == [0, 0, 0]
+        assert base.args == [(PowerPartition(4, (0, 8)), PowerPartition(2, (16, 0, 0, 0, 1)))]
+
+    @pytest.mark.parametrize("relation", ["embed", "supermajorize", "bulk", "stable", "all"])
+    def test_mixed_pair_never_expands_its_count_vector(self, monkeypatch, capsys, relation):
+        # Base 9 against the entries [27, 3]: the count document is spread
+        # into base 3, and only the entries side is counted.
+        expansions = count_calls(monkeypatch, partembed.core.from_base_counts)
+        conversions = count_calls(monkeypatch, partembed.core.to_base_counts)
+        cli.main(["check", relation, "--lhs", '{"base":9,"counts":[1,2]}', "--rhs", "[27,3]"])
+        assert expansions.n == 0
+        assert conversions.args == [(from_entries([27, 3]), 3)]
 
     def test_library_takes_count_vectors(self):
         lam, mu = PowerPartition(4, (0, 5)), PowerPartition(4, (6, 0, 1))

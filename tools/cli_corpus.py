@@ -50,12 +50,12 @@ first 100 ``powerq-mix`` catalyst-family pairs with one box added at every
 level up to mu's top on both sides (so normalization cancels something) as
 stable and all, an 800,000-box count document against ``[8,8,4,2,1]`` as
 supermajorize and all, ``[1]`` / ``[1000003]``, whose greedy embedding holds
-1000002 unit pieces, as embed, stable and all, ``gen random``, ``powerq`` and
-``divisible`` with ``--seed 3 --count 5``, ``conjecture-scan`` over ``tools/scan_corpus.ndjson`` with
-and without ``--json`` and ``--max-steps 3``, a few queries with an invalid
-option, among them the removed ``--tol`` and ``--grid``, which are usage
-errors, a pair whose direct search runs out of a 1-node budget as embed and
-as stable,
+1000002 unit pieces, as embed, stable and all, ``gen random``, ``powerq``
+and ``divisible`` with ``--seed 3 --count 5``, ``conjecture-scan`` over
+``tools/scan_corpus.ndjson`` with and without ``--json`` and
+``--max-steps 3``, a few queries with an invalid option, among them the
+removed ``--tol`` and ``--grid``, which are usage errors, a pair whose
+direct search runs out of a 1-node budget as embed and as stable,
 every kind of malformed partition document, all-zero counts among them,
 which exits 65, ``check bulk`` on a base-4 count pair with ``--base`` 2, 3
 and 16, and the other input paths: trailing zero counts, a missing side,

@@ -50,16 +50,20 @@ first 100 ``powerq-mix`` catalyst-family pairs with one box added at every
 level up to mu's top on both sides (so normalization cancels something) as
 stable and all, an 800,000-box count document against ``[8,8,4,2,1]`` as
 supermajorize and all, ``[1]`` / ``[1000003]``, whose greedy embedding holds
-1000002 unit pieces, as embed, stable and all, ``gen random``, ``powerq``
+1000002 unit pieces, as embed, stable and all, two base-2 count pairs whose
+catalysts hold more than 2**63 boxes at one level, as stable and all,
+``gen random``, ``powerq``
 and ``divisible`` with ``--seed 3 --count 5``, ``conjecture-scan`` over
 ``tools/scan_corpus.ndjson`` with and without ``--json`` and
 ``--max-steps 3``, a few queries with an invalid option, among them the
 removed ``--tol`` and ``--grid``, which are usage errors, a pair whose
 direct search runs out of a 1-node budget as embed and as stable,
 every kind of malformed partition document, all-zero counts among them,
-which exits 65, ``check bulk`` on a base-4 count pair with ``--base`` 2, 3
-and 16, and the other input paths: trailing zero counts, a missing side,
-unreadable and non-JSON input files, and an empty and a missing scan corpus.
+which exits 65, ``check embed`` on an entry of 5,001 digits, past the
+digit limit of Python's int parsing, ``check bulk`` on a base-4 count pair
+with ``--base`` 2, 3 and 16, and the other input paths: trailing zero
+counts, a missing side, unreadable and non-JSON input files, and an empty
+and a missing scan corpus.
 
 The scan corpus is committed: the ``PAIRS`` below up to the base-rule ones,
 the first 100 seed-1 ``powerq-mix`` catalyst-family pairs as they are, 100
@@ -205,6 +209,14 @@ MANY_BOXES = ('{"base":2,"counts":[500000,200000,100000]}', "[8,8,4,2,1]")
 # Base 1000003, a prime: placing the one box of [1] in the bin 1000003 leaves
 # 1000002 unit pieces for the greedy embedding to hold.
 BIG_BASE = ("[1]", "[1000003]")
+# Base-2 count pairs that pass every refutation rule, whose catalysts have
+# more than 2**63 boxes at one level.
+HUGE_CATALYSTS = (
+    ('{"base":2,"counts":[2,1,1,5,3,6]}', '{"base":2,"counts":[5,6,3,5,2,2,2]}'),
+    ('{"base":2,"counts":[6,0,3,1,6]}', '{"base":2,"counts":[6,5,3,2,1,2]}'),
+)
+# 10**5000, one digit past the 4,300-digit limit of Python's int parsing.
+LONG_ENTRY = "[1" + "0" * 5000 + "]"
 # A pair whose direct search runs out of a 1-node budget and which no
 # refutation rule settles, so its stable detail also names that budget.
 BUDGET_PAIR = ("[5,4,3,3,2,2,2]", "[9,8,4]")
@@ -254,6 +266,7 @@ EDGE_QUERIES = (
      "--json"],
     *(["check", "embed", "--lhs", lhs, "--rhs", "[4]"] for lhs in MALFORMED),
     ["check", "embed", "--lhs", "[4]", "--rhs", "[3]", "--base", "2"],
+    ["check", "embed", "--lhs", LONG_ENTRY, "--rhs", LONG_ENTRY],
     *(["check", "bulk", "--lhs", BASE4[0], "--rhs", BASE4[1], "--base", base]
       for base in ("2", "3", "16")),
     ["check", "embed", "--lhs", '{"base":2,"counts":[0,1,0]}', "--rhs", "[2]"],
@@ -304,7 +317,8 @@ def queries() -> list[list[str]]:
                         rhs=dict(query.rhs, counts=[c + 1 for c in mu]))
         out += ask(query, ("stable", "all"))
     for (lhs, rhs), relations in ((MANY_BOXES, ("supermajorize", "all")),
-                                  (BIG_BASE, ("embed", "stable", "all"))):
+                                  (BIG_BASE, ("embed", "stable", "all")),
+                                  *((pair, ("stable", "all")) for pair in HUGE_CATALYSTS)):
         for relation in relations:
             argv = ["check", relation, "--lhs", lhs, "--rhs", rhs]
             out += [argv + ["--json"], argv]

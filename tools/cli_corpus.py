@@ -59,11 +59,12 @@ and ``divisible`` with ``--seed 3 --count 5``, ``conjecture-scan`` over
 removed ``--tol`` and ``--grid``, which are usage errors, a pair whose
 direct search runs out of a 1-node budget as embed and as stable,
 every kind of malformed partition document, all-zero counts among them,
-which exits 65, ``check embed`` on an entry of 5,001 digits, past the
-digit limit of Python's int parsing, ``check bulk`` on a base-4 count pair
-with ``--base`` 2, 3 and 16, and the other input paths: trailing zero
-counts, a missing side, unreadable and non-JSON input files, and an empty
-and a missing scan corpus.
+which exits 65, an entry of 5,001 digits, past the digit limit of
+Python's int parsing, inline and in ``tools/long_entry.ndjson``, read by
+``check embed`` and by ``conjecture-scan``, ``check bulk`` on a base-4
+count pair with ``--base`` 2, 3 and 16, and the other input paths:
+trailing zero counts, a missing side, unreadable and non-JSON input files,
+and an empty and a missing scan corpus.
 
 The scan corpus is committed: the ``PAIRS`` below up to the base-rule ones,
 the first 100 seed-1 ``powerq-mix`` catalyst-family pairs as they are, 100
@@ -93,6 +94,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SCAN_CORPUS = "tools/scan_corpus.ndjson"
+# One scan line whose lhs entry has 5,001 digits, also read as a partition
+# document file.
+LONG_ENTRY_FILE = "tools/long_entry.ndjson"
 RELATIONS = ("embed", "supermajorize", "bulk", "stable", "all")
 # LAM2/MU3 of the tests scaled by 3: no common power base, so the numeric bulk
 # path decides it and reports one touch hint.
@@ -267,6 +271,8 @@ EDGE_QUERIES = (
     *(["check", "embed", "--lhs", lhs, "--rhs", "[4]"] for lhs in MALFORMED),
     ["check", "embed", "--lhs", "[4]", "--rhs", "[3]", "--base", "2"],
     ["check", "embed", "--lhs", LONG_ENTRY, "--rhs", LONG_ENTRY],
+    ["check", "embed", LONG_ENTRY_FILE, "--rhs", "[4]"],
+    ["conjecture-scan", LONG_ENTRY_FILE],
     *(["check", "bulk", "--lhs", BASE4[0], "--rhs", BASE4[1], "--base", base]
       for base in ("2", "3", "16")),
     ["check", "embed", "--lhs", '{"base":2,"counts":[0,1,0]}', "--rhs", "[2]"],

@@ -227,20 +227,32 @@ def parse_partition_doc(obj) -> tuple[Partition | PowerPartition, str | None]:
 # ---------------------------------------------------------------------------
 
 
+def _too_many_digits(where: str) -> _InputError:
+    """The error for a JSON integer longer than ``int`` parses: past
+    ``sys.get_int_max_str_digits()`` digits ``json.loads`` raises a plain
+    ValueError, not a JSONDecodeError."""
+    return _InputError(f"{where}: an integer has more digits than the limit of "
+                       f"{sys.get_int_max_str_digits()}")
+
+
 def _load_doc(inline: str | None, path: str | None, side: str):
     if inline is not None:
         try:
             obj = json.loads(inline)
         except json.JSONDecodeError as exc:
             raise _InputError(f"--{side}: not valid JSON: {exc}") from exc
+        except ValueError as exc:
+            raise _too_many_digits(f"--{side}") from exc
     elif path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
                 obj = json.load(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _InputError(f"cannot read {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise _InputError(f"{path}: not valid JSON: {exc}") from exc
+        except ValueError as exc:
+            raise _too_many_digits(path) from exc
     else:
         raise _InputError(f"missing {side} partition: give a file or --{side}")
     return parse_partition_doc(obj)
@@ -481,9 +493,11 @@ def cmd_conjecture_scan(args) -> int:
                     mu, _ = parse_partition_doc(obj["rhs"])
                 except (KeyError, TypeError, json.JSONDecodeError) as exc:
                     raise _InputError(f"{args.corpus}:{line_no + 1}: {exc}") from exc
+                except ValueError as exc:
+                    raise _too_many_digits(f"{args.corpus}:{line_no + 1}") from exc
                 name = obj.get("name") or lname or f"pair-{line_no}"
                 rows.append(_scan_pair(name, lam, mu, args.max_steps))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(f"cannot read {args.corpus}: {exc}") from exc
 
     counts = Counter(r["status"] for r in rows)

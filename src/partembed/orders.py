@@ -7,8 +7,8 @@ sums at every threshold in one sweep of the signed profile ``norm_profile``,
 ``norms.failing_threshold``, which the exact bulk path shares.  For power-of-q
 partitions the two coincide, and the witness is built greedily by splitting
 leftover capacity into base-q digits; that greedy works on box exponents read
-from the count vectors.  ``stablep.Pair`` picks the greedy path or the
-search for a pair.
+from the count vectors and places the boxes of one level a run of bins at a
+time.  ``stablep.Pair`` picks the greedy path or the search for a pair.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .core import BaseMismatch, Partition, PartitionError, PowerPartition
 from .norms import failing_threshold, norm_profile
@@ -244,12 +244,6 @@ def embeds(lam: Partition, mu: Partition,
     return None
 
 
-def _levels(pp: PowerPartition) -> Iterator[int]:
-    """The exponent of each box of ``pp``, in canonical (nonincreasing) order."""
-    for i in range(len(pp.counts) - 1, -1, -1):
-        yield from repeat(i, pp.counts[i])
-
-
 def embed_powerq(lam: PowerPartition, mu: PowerPartition) -> EmbeddingWitness | None:
     """Embedding decision and witness for same-base power partitions.
 
@@ -257,12 +251,23 @@ def embed_powerq(lam: PowerPartition, mu: PowerPartition) -> EmbeddingWitness | 
     capacity and split the leftover into base-q digit pieces (every piece is
     at least as large as the box just placed, so nothing is stranded).  It
     answers None when no capacity is left or the largest is below the box.
-    Capacities live in a heap of runs, each a number of equal pieces tagged
-    with their level and original bin: a placement splits its leftover into
-    one run of q - 1 pieces per level, so a large base costs no more than a
-    small one.  The emitted witness maps back to the original mu indices;
-    each bin's load is summed from the exponents of the boxes placed in it,
-    so neither side is expanded into its entries.
+
+    Capacities live in a heap of runs (-level, first bin, bins, pieces): each
+    of the bins from the first on holds that many pieces of size q**level.
+    mu enters as one run of one piece per bin for each nonzero level.  lam's
+    boxes of one level are placed a batch at a time: whole bins of the top
+    run while enough boxes are left, else the part of one bin that the
+    level's last boxes fill.  A batch stops at the first bin of the next run
+    of the same level, and two runs of one level that begin at the same bin
+    first merge over their common bins, so pieces leave in the order of
+    (level, bin), the order in which one box at a time would take them, and
+    the witness is the same.  Placing a batch of boxes below the run's level
+    splits its leftover into one run per lower level, with q - 1 pieces in a
+    bin for each box it took, so neither a large base nor a large count costs
+    a heap entry per piece or per box.  The witness maps back to the
+    original mu indices; each bin's load is summed from the levels of the
+    boxes placed in it, so neither side is expanded into its entries, though
+    the assignment holds one index per box.
 
     Supermajorization is decisive here, and the greedy decides it: when mu
     supermajorizes lam, then at every level x = q**e up to the current box
@@ -275,24 +280,60 @@ def embed_powerq(lam: PowerPartition, mu: PowerPartition) -> EmbeddingWitness | 
     if lam.base != mu.base:
         raise BaseMismatch(f"bases differ: {lam.base} vs {mu.base}")
     q = lam.base
-    # Max-heap of capacity runs as (-exponent, original bin, pieces).  mu's
-    # boxes in canonical order are sorted, so they already form a heap.  Runs
-    # of the same level and bin are interchangeable, so a placement takes one
-    # piece of the top run, and pieces leave in the same (level, bin) order
-    # as they would one tuple each.
-    heap = [(-t, j, 1) for j, t in enumerate(_levels(mu))]
-    assignment = []
-    loads = [0] * len(heap)
-    for s in _levels(lam):
-        if not heap or -heap[0][0] < s:
-            return None
-        neg_t, origin, run = heap[0]
-        if run > 1:
-            heapq.heapreplace(heap, (neg_t, origin, run - 1))
-        else:
-            heapq.heappop(heap)
-        assignment.append(origin)
-        loads[origin] += q**s
-        for e in range(s, -neg_t):
-            heapq.heappush(heap, (-e, origin, q - 1))
+    # mu's runs in canonical order are sorted, so they already form a heap.
+    heap = []
+    n_bins = 0
+    for t in range(len(mu.counts) - 1, -1, -1):
+        if mu.counts[t]:
+            heap.append((-t, n_bins, mu.counts[t], 1))
+            n_bins += mu.counts[t]
+    assignment: list[int] = []
+    loads = [0] * n_bins
+    for s in range(len(lam.counts) - 1, -1, -1):
+        left = lam.counts[s]
+        while left:
+            if not heap or -heap[0][0] < s:
+                return None
+            neg_t, first, run, pieces = heap[0]
+            # A batch stops at the first bin of the next run of this level,
+            # the smallest entry after the top if it has this level.  Two runs
+            # from the same first bin merge over their common bins, whose
+            # pieces are interchangeable.
+            stop = first + run
+            if len(heap) > 1 and (after := min(heap[1:3]))[0] == neg_t:
+                if after[1] == first:
+                    heapq.heappop(heap)
+                    heapq.heappop(heap)
+                    common = min(run, after[2])
+                    heapq.heappush(heap, (neg_t, first, common, pieces + after[3]))
+                    for rest, per_bin in ((run, pieces), after[2:]):
+                        if rest > common:
+                            heapq.heappush(heap, (neg_t, first + common, rest - common, per_bin))
+                    continue
+                stop = min(stop, after[1])
+            if left < pieces:  # the level's last boxes, in part of one bin
+                heapq.heapreplace(heap, (neg_t, first, 1, pieces - left))
+                if run > 1:
+                    heapq.heappush(heap, (neg_t, first + 1, run - 1, pieces))
+                bins, pieces = 1, left
+            else:
+                bins = min(stop - first, left // pieces)
+                if bins < run:
+                    heapq.heapreplace(heap, (neg_t, first + bins, run - bins, pieces))
+                else:
+                    heapq.heappop(heap)
+            left -= bins * pieces
+            load = pieces * q**s
+            if bins == 1:  # most batches of small inputs; no slices
+                assignment.extend(repeat(first, pieces))
+                loads[first] += load
+            else:
+                if pieces == 1:
+                    assignment.extend(range(first, first + bins))
+                else:
+                    for j in range(first, first + bins):
+                        assignment.extend(repeat(j, pieces))
+                loads[first:first + bins] = [x + load for x in loads[first:first + bins]]
+            for e in range(s, -neg_t):
+                heapq.heappush(heap, (-e, first, bins, pieces * (q - 1)))
     return EmbeddingWitness(tuple(assignment), tuple(loads))

@@ -13,7 +13,9 @@ coefficient scaled to (top count)^(N+1), N the last index of the first pass,
 makes every division exact; it may stop earlier than the first, and its own
 coefficients, scaled to an integral partition, are the catalyst.  It is also
 a catalyst of the pair as given, so only that pair's products are built, as
-count vectors (convolutions of the counts), and embedded.  A halt gives a
+count vectors (convolutions of the counts), and embedded, unless either would
+hold more than ``MAX_PRODUCT_BOXES`` boxes: the witness lists one bin per box,
+so such a catalyst answers UNKNOWN and names its box count.  A halt gives a
 catalyst, so the iteration halts only on stable pairs, but not on every one:
 base 2 [0,1,4,2,4] / [4,4,0,3,0,2] is stable with nu = [7,10,0,0,9], yet its
 first pass still runs after 100,000 steps.  So the step budget produces
@@ -72,6 +74,10 @@ from .orders import (
 HOLDS = "HOLDS"
 FAILS = "FAILS"
 UNKNOWN = "UNKNOWN"
+
+# Most boxes that either catalyst product may hold, the same as the CLI's limit
+# on a count document; a larger catalyst answers UNKNOWN.
+MAX_PRODUCT_BOXES = 10**6
 
 BULK_FAILS = "BulkFails"
 NORM_EQUALITY = "NormEquality"
@@ -311,7 +317,8 @@ def construct_nu(lam: PowerPartition, mu: PowerPartition,
     (violations raise ContractViolation): mu nonempty whenever lam is, and
     mu's top box index not below lam's.  A pair that cancels down to an empty
     lam gets the trivial catalyst [1].  The verdict is HOLDS with a validated
-    witness, or UNKNOWN when ``max_steps`` (default 64*(n+m+2)) runs out.  The
+    witness, or UNKNOWN when ``max_steps`` (default 64*(n+m+2)) runs out or
+    when a product would hold more than ``MAX_PRODUCT_BOXES`` boxes.  The
     iteration halts only on stable pairs, but some stable pairs never halt it,
     and slow halting and divergence cannot be told apart within a budget.
     """
@@ -387,6 +394,11 @@ def _construct_nu(lam: PowerPartition, mu: PowerPartition, lt: PowerPartition,
     # span, and scaling by q^top makes the boxes integral: counts[i] boxes of
     # size q^i with counts[i] = c[top - i].
     nu_pp = PowerPartition(q, tuple(c[::-1]))
+    boxes = max(lam.box_count, mu.box_count) * nu_pp.box_count
+    if boxes > MAX_PRODUCT_BOXES:
+        return StableVerdict(UNKNOWN, None, None, spent,
+                             detail=f"the catalyst products would hold {boxes} boxes, "
+                                    f"more than the limit of {MAX_PRODUCT_BOXES}")
     w = embed_powerq(count_product(lam, nu_pp), count_product(mu, nu_pp))
     if w is None:
         raise RuntimeError("internal error: stop rule fired without product dominance")

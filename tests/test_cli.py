@@ -138,6 +138,30 @@ class TestCheckCommand:
         assert code == 65
         assert "exactly one" in err
 
+    def test_entry_past_the_digit_limit_exit_65(self, capsys, tmp_path):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+        # integer of more digits than int parses.
+        long = "[1" + "0" * sys.get_int_max_str_digits() + "]"
+        limit = f"an integer has more digits than the limit of {sys.get_int_max_str_digits()}"
+        code, out, err = run(capsys, "check", "embed", "--lhs", long, "--rhs", long)
+        assert (code, out, err) == (65, "", f"partembed: --lhs: {limit}\n")
+        doc = tmp_path / "long.json"
+        doc.write_text(long)
+        code, _, err = run(capsys, "check", "embed", str(doc), "--rhs", "[4]")
+        assert (code, err) == (65, f"partembed: {doc}: {limit}\n")
+        corpus = tmp_path / "corpus.ndjson"
+        corpus.write_text(f'{{"lhs": [4], "rhs": [4]}}\n{{"lhs": {long}, "rhs": [4]}}\n')
+        code, out, err = run(capsys, "conjecture-scan", str(corpus))
+        assert (code, out, err) == (65, "", f"partembed: {corpus}:2: {limit}\n")
+
+    def test_file_that_is_not_utf8_exit_65(self, capsys, tmp_path):
+        doc = tmp_path / "doc.json"
+        doc.write_bytes(b"\xff[4]")
+        code, _, err = run(capsys, "check", "embed", str(doc), "--rhs", "[4]")
+        assert code == 65 and err.startswith(f"partembed: cannot read {doc}: 'utf-8' codec")
+        code, _, err = run(capsys, "conjecture-scan", str(doc))
+        assert code == 65 and err.startswith(f"partembed: cannot read {doc}: 'utf-8' codec")
+
     def test_bad_base_flag_exit_65(self, capsys):
         code, _, err = run(capsys, "check", "embed",
                            "--lhs", "[5]", "--rhs", "[5]", "--base", "2")

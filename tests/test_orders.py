@@ -10,6 +10,7 @@ import partembed.core
 from partembed.core import (
     BaseMismatch,
     PowerPartition,
+    count_product,
     from_base_counts,
     from_entries,
     to_base_counts,
@@ -361,6 +362,32 @@ class TestWitnessValidation:
         assert not EmbeddingWitness((5,), (0,)).validate(lam, mu)
 
 
+def _per_box_greedy(lam, mu):
+    """The power-of-q greedy one box at a time: one heap entry (-level, bin,
+    pieces) per mu box, the top entry gives one piece to each lam box, and
+    a split pushes one entry of q - 1 pieces per level."""
+    q = lam.base
+
+    def levels(pp):
+        return [i for i in range(len(pp.counts) - 1, -1, -1) for _ in range(pp.counts[i])]
+
+    heap = [(-t, j, 1) for j, t in enumerate(levels(mu))]
+    assignment, loads = [], [0] * len(heap)
+    for s in levels(lam):
+        if not heap or -heap[0][0] < s:
+            return None
+        neg_t, origin, run = heap[0]
+        if run > 1:
+            heapq.heapreplace(heap, (neg_t, origin, run - 1))
+        else:
+            heapq.heappop(heap)
+        assignment.append(origin)
+        loads[origin] += q**s
+        for e in range(s, -neg_t):
+            heapq.heappush(heap, (-e, origin, q - 1))
+    return EmbeddingWitness(tuple(assignment), tuple(loads))
+
+
 class TestEmbedPowerq:
     def test_all_into_one_bin(self):
         w = embed_powerq(PowerPartition(2, (0, 4)), PowerPartition(2, (0, 0, 0, 1)))
@@ -401,26 +428,69 @@ class TestEmbedPowerq:
 
     def test_large_base_keeps_runs_of_pieces(self, monkeypatch):
         # Placing [1] in [q] leaves q - 1 unit pieces; they go on the heap as
-        # one run, not q - 1 tuples.
+        # one run, not q - 1 entries.  Boxes of one level are placed a batch
+        # at a time, so multiplying every count by 1,000 adds no push.
         push, pushes = heapq.heappush, []
 
         def counted(heap, item):
             pushes.append(item)
             if len(pushes) > 1000:
-                raise AssertionError("embed_powerq pushed one tuple per piece")
+                raise AssertionError("embed_powerq pushed one entry per piece or per box")
             push(heap, item)
 
         monkeypatch.setattr(heapq, "heappush", counted)
         q = 10**18 + 9
         w = embed_powerq(PowerPartition(q, (1,)), PowerPartition(q, (0, 1)))
         assert w == EmbeddingWitness((0,), (1,))
-        assert len(pushes) == 1
+        assert pushes == [(0, 0, 1, q - 1)]
         # [q, 1, 1] into [q**2, q]: all three go into q**2.  The q leaves a
-        # run of q - 1 pieces at level 1, and each 1 takes one of them and
-        # leaves a run of q - 1 unit pieces.
+        # run of q - 1 pieces at level 1, and the two 1s take one of them
+        # each, in one batch, which leaves a run of 2 * (q - 1) unit pieces.
+        pushes.clear()
         w = embed_powerq(PowerPartition(q, (2, 1)), PowerPartition(q, (0, 1, 1)))
         assert w == EmbeddingWitness((0, 0, 0), (q + 2, 0))
-        assert pushes[1:] == [(-1, 0, q - 1), (0, 0, q - 1), (0, 0, q - 1)]
+        assert pushes == [(-1, 0, 1, q - 1), (0, 0, 1, 2 * (q - 1))]
+        # The same pairs with 1,000 and 1,000,000 times the boxes: the q
+        # boxes go one to a bin of q**2, and all the 1s into the first bin.
+        # At 1,000 times, the 1s fill part of one bin's run, which costs one
+        # push more than at 1 time; 1,000 times more boxes again cost none.
+        for lam, mu in (((1,), (0, 1)), ((2, 1), (0, 1, 1))):
+            counts = []
+            for scale in (1000, 10**6):
+                pushes.clear()
+                w = embed_powerq(PowerPartition(q, tuple(scale * c for c in lam)),
+                                 PowerPartition(q, tuple(scale * c for c in mu)))
+                counts.append(len(pushes))
+                if lam == (1,):
+                    assert w.assignment == tuple(range(scale)) and w.loads == (1,) * scale
+                else:
+                    assert w.assignment == (*range(scale), *(0,) * (2 * scale))
+                    assert w.loads == (q + 2 * scale, *(q,) * (scale - 1), *(0,) * scale)
+            assert counts[0] == counts[1] <= 3
+
+    def test_batches_match_the_per_box_greedy(self):
+        # Random pairs, every third multiplied by a random catalyst-like
+        # vector, and the products of the catalysts the construction finds:
+        # the greedy a run at a time gives the witness of one box at a time.
+        rng = random.Random(26)
+        held = catalysts = 0
+        for k in range(6000):
+            q = (2, 3, 5, 10**18 + 9)[k % 4]
+            lam = random_powerq(rng, q, levels=7, max_count=8)
+            mu = random_powerq(rng, q, levels=8, max_count=8)
+            if k % 3 == 0:
+                nu = random_powerq(rng, q, levels=5, max_count=6)
+                lam, mu = count_product(lam, nu), count_product(mu, nu)
+            elif q < 4 and stablep.Pair(lam, mu).refutation is None:
+                verdict = stablep.construct_nu(lam, mu)
+                if verdict.status == stablep.HOLDS and len(verdict.witness.nu) > 1:
+                    nu = to_base_counts(verdict.witness.nu, q)
+                    lam, mu = count_product(lam, nu), count_product(mu, nu)
+                    catalysts += 1
+            w = embed_powerq(lam, mu)
+            assert w == _per_box_greedy(lam, mu), (lam, mu)
+            held += w is not None
+        assert held > 1500 and catalysts > 100
 
     def test_equivalence_with_supermajorization(self):
         rng = random.Random(34)

@@ -25,6 +25,7 @@ from partembed.core import (
 from partembed.norms import BulkVerdict, exact_dominates_powerq
 from partembed.stablep import (
     BULK_FAILS,
+    MAX_PRODUCT_BOXES,
     FAILS,
     HOLDS,
     NORM_EQUALITY,
@@ -332,6 +333,35 @@ class TestConstructNu:
         lam_nu, mu_nu = count_product(lam, nu), count_product(mu, nu)
         witness = partembed.orders.embed_powerq(lam_nu, mu_nu)
         assert witness.validate(from_base_counts(lam_nu), from_base_counts(mu_nu))
+
+    @pytest.mark.parametrize("lam, mu", [
+        # The two known-defect pairs, whose products would hold 9.7e15 and
+        # 1.4e8 boxes, and two pairs whose catalysts hold more than 2**63
+        # boxes at one level.
+        ((0, 0, 4), (7, 1, 0, 1)),
+        ((1, 4, 5, 0, 1, 0, 5, 4, 4, 3, 1, 0, 0, 5, 6), (4, 0, 5, 3, 6, 4, 3, 5, 5, 4, 6, 5, 6, 1, 0, 3)),
+        ((2, 1, 1, 5, 3, 6), (5, 6, 3, 5, 2, 2, 2)),
+        ((6, 0, 3, 1, 6), (6, 5, 3, 2, 1, 2)),
+    ])
+    def test_products_past_the_box_cap_are_unknown(self, lam, mu):
+        start = time.monotonic()
+        verdict = stable_embeds(PowerPartition(2, lam), PowerPartition(2, mu))
+        assert time.monotonic() - start < 1
+        assert verdict.status == UNKNOWN and verdict.witness is None
+        assert verdict.detail.endswith(f"boxes, more than the limit of {MAX_PRODUCT_BOXES}")
+        assert MAX_PRODUCT_BOXES == cli.MAX_COUNT_BOXES
+
+    def test_box_cap_counts_the_larger_product(self, monkeypatch):
+        # nu = [2,1,1]: lam x nu holds 4 * 3 boxes and mu x nu 9 * 3.
+        lam, mu = to_base_counts(LAM1, 2), to_base_counts(MU1, 2)
+        monkeypatch.setattr(partembed.stablep, "MAX_PRODUCT_BOXES", 27)
+        holds = construct_nu(lam, mu)
+        assert holds.status == HOLDS
+        monkeypatch.setattr(partembed.stablep, "MAX_PRODUCT_BOXES", 26)
+        verdict = construct_nu(lam, mu)
+        assert (verdict.status, verdict.budget_spent, verdict.detail) == (
+            UNKNOWN, holds.budget_spent,
+            "the catalyst products would hold 27 boxes, more than the limit of 26")
 
     def test_validates_on_random_stable_pairs(self):
         rng = random.Random(41)

@@ -336,8 +336,8 @@ class TestConstructNu:
 
     @pytest.mark.parametrize("lam, mu", [
         # The two known-defect pairs, whose products would hold 9.7e15 and
-        # 1.4e8 boxes, and two pairs whose catalysts hold more than 2**63
-        # boxes at one level.
+        # 1.4e8 boxes, and two pairs whose products would hold more than
+        # 2**63 boxes at one level.
         ((0, 0, 4), (7, 1, 0, 1)),
         ((1, 4, 5, 0, 1, 0, 5, 4, 4, 3, 1, 0, 0, 5, 6), (4, 0, 5, 3, 6, 4, 3, 5, 5, 4, 6, 5, 6, 1, 0, 3)),
         ((2, 1, 1, 5, 3, 6), (5, 6, 3, 5, 2, 2, 2)),

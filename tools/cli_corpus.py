@@ -51,9 +51,9 @@ level up to mu's top on both sides (so normalization cancels something) as
 stable and all, an 800,000-box count document against ``[8,8,4,2,1]`` as
 supermajorize and all, ``[1]`` / ``[1000003]``, whose greedy embedding holds
 1000002 unit pieces, as embed, stable and all, two base-2 count pairs whose
-catalysts hold more than 2**63 boxes at one level, as stable and all,
-``gen random``, ``powerq``
-and ``divisible`` with ``--seed 3 --count 5``, ``conjecture-scan`` over
+catalyst products hold more than 2**63 boxes at one level, as stable and
+all, ``gen random``, ``powerq`` and ``divisible`` with ``--seed 3 --count
+5``, ``conjecture-scan`` over
 ``tools/scan_corpus.ndjson`` with and without ``--json`` and
 ``--max-steps 3``, a few queries with an invalid option, among them the
 removed ``--tol`` and ``--grid``, which are usage errors, a pair whose
@@ -213,8 +213,8 @@ MANY_BOXES = ('{"base":2,"counts":[500000,200000,100000]}', "[8,8,4,2,1]")
 # Base 1000003, a prime: placing the one box of [1] in the bin 1000003 leaves
 # 1000002 unit pieces for the greedy embedding to hold.
 BIG_BASE = ("[1]", "[1000003]")
-# Base-2 count pairs that pass every refutation rule, whose catalysts have
-# more than 2**63 boxes at one level.
+# Base-2 count pairs that pass every refutation rule, whose catalyst products
+# hold more than 2**63 boxes at one level.
 HUGE_CATALYSTS = (
     ('{"base":2,"counts":[2,1,1,5,3,6]}', '{"base":2,"counts":[5,6,3,5,2,2,2]}'),
     ('{"base":2,"counts":[6,0,3,1,6]}', '{"base":2,"counts":[6,5,3,2,1,2]}'),

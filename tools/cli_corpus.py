@@ -45,7 +45,10 @@ m * s_max * ln v_1 = 2**60: ``[N+3,N,N-2]`` / ``[N+4,N,N-3]`` with N about
 2**128, and ``[N,N]`` / ``[N+1,N-1]`` with N = 2**200, and four count
 documents against an entries document: base 4 with level 1 empty against
 ``[2]``, unit boxes only against ``[4,2,1]``, base 9 against ``[27,3]`` and
-base 2 against ``[3]``, which has no common base) under every relation, the
+base 2 against ``[3]``, which has no common base, and two pairs tight at
+s = 1 with no common base, ``[3,3]`` / ``[6]``, whose prefix sums of
+n v ln v are all >= 0, and ``[24,23]`` / ``[29,18]``, one of whose prefix
+sums is negative) under every relation, the
 first 100 ``powerq-mix`` catalyst-family pairs with one box added at every
 level up to mu's top on both sides (so normalization cancels something) as
 stable and all, an 800,000-box count document against ``[8,8,4,2,1]`` as
@@ -206,6 +209,12 @@ PAIRS = (
     ('{"base":6,"counts":[3]}', "[4,2,1]"),
     ('{"base":9,"counts":[1,2]}', "[27,3]"),
     ('{"base":2,"counts":[1,1]}', "[3]"),
+    # Tight at s = 1 with no common base.  Every prefix sum of n v ln v of
+    # [3,3] / [6] is >= 0, so f' > 0 on the first grid interval; the prefix
+    # sums of [24,23] / [29,18] dip below 0, so f'(1) ~ 1.29 alone does not
+    # bound f' there.
+    ("[3,3]", "[6]"),
+    ("[24,23]", "[29,18]"),
 )
 # An 800,000-box count document against an entries document: decided on its
 # counts, never expanded.

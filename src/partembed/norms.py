@@ -16,7 +16,11 @@ same pass bounds f from below on each grid interval by Abel summation of the
 prefix sums W_i = sum_{j <= i} n_j v_j**s against the weights v**(s' - s),
 the partial-sum form of Laguerre's rule of signs; a grid minimum whose
 bracket is bounded above twice the failure band is not refined, as its
-refinement could neither fail nor report a hint.  For
+refinement could neither fail nor report a hint.  A pair tight at s = 1 has
+f(1) = 0, so no such bound on the first grid interval is above 0; there the
+same Abel sum over the terms n_v v ln v bounds f' from below by L', and
+f(s) >= f(1) + (s - 1) L' certifies the first interval past s = 1 + 1e-9,
+where hints start, before it is refined.  For
 partitions whose entries are powers of one base q the substitution x = q**s
 turns f into an integer polynomial P(x), and dominance on [q, oo) is decided
 exactly.  The tail sums T_i = sum_{j >= i} P_j q**j are
@@ -67,6 +71,8 @@ INF = math.inf
 _PRECISION_BITS = 120
 # Samples of f on the capped search interval; local minima among them are refined.
 _GRID = 64
+# A near-zero refined minimum is an equality hint only past s = 1 + _HINT_GAP.
+_HINT_GAP = 1e-9
 
 
 def power_sum(a: Partition, s: int) -> int:
@@ -168,6 +174,28 @@ class NormProfile:
                      for _, ln_v, n in self._log_terms]
         return mpmath.mp.make_mpf(lib.mpf_sum(terms, prec, rnd))
 
+    def _grid_steps(self, span) -> tuple:
+        """What the grid over [1, 1 + span] steps by: (prec, h, the ln v at
+        prec, the steps v**h, the drops v_i**h - v_{i+1}**h with
+        v_{m+1}**h = 1, margin), as raw mpf values; see ``stepped_grid``."""
+        import mpmath
+
+        lib = mpmath.libmp
+        rnd, up = lib.round_nearest, lib.round_up
+        add, mul = lib.mpf_add, lib.mpf_mul
+        values = [lib.from_int(v) for v, _ in self.coefficients]
+        reach = mul(add(span._mpf_, lib.fone, 53, up), lib.mpf_log(values[0], 53, up), 53, up)
+        spread = lib.mpf_mul_int(reach, len(values), 53, up)  # m (1 + span) ln v_1
+        prec = _PRECISION_BITS + 10 + max(0, spread[2] + spread[3] - 60)
+        h = lib.mpf_div(span._mpf_, lib.from_int(_GRID - 1), _PRECISION_BITS, rnd)
+        logs = [lib.mpf_log(v, prec, rnd) for v in values]
+        steps = [lib.mpf_exp(mul(h, ln_v, prec, rnd), prec, rnd) for ln_v in logs]
+        drops = [lib.mpf_sub(a, b, prec, rnd) for a, b in zip(steps, steps[1:] + [lib.fone])]
+        mass = sum(abs(n) for _, n in self.coefficients)
+        slack = add(spread, lib.from_int(len(values) + 2**10), 53, up)
+        margin = lib.mpf_shift(lib.mpf_mul_int(slack, mass, 53, up), -_PRECISION_BITS)
+        return prec, h, logs, steps, drops, margin
+
     def stepped_grid(self, span) -> tuple[list, list]:
         """f(s_k) at the ``_GRID`` points s_k = 1 + k*h, h = span / (_GRID - 1),
         and a lower bound L_k of f on each interval [s_k, s_{k+1}].
@@ -185,45 +213,80 @@ class NormProfile:
         f(s) = W_m + sum_{i <= m} W_i (w_i - w_{i+1}) with w_{m+1} = 1.  On
         the interval each w_i - w_{i+1} lies in [0, v_i**h - v_{i+1}**h], so
         L_k = W_m + sum_{W_i < 0} W_i (v_i**h - v_{i+1}**h) - margin, with
-        v_{m+1}**h = 1.  The margin, 2**-_PRECISION_BITS * sum |n| *
-        v_1**s_{k+1} * (2**10 + m * (1 + (1 + span) ln v_1)), covers the
-        rounding of the steps, of the sums and of ``f_mpf`` on the interval
-        (each of its ln v has 130 bits); it is formed in mpf, rounded up, as
-        (1 + span) ln v_1 can pass the float range.  L_k > 0 forces
-        W_m = f(s_k) > 0.
+        v_{m+1}**h = 1 (``_abel_sum``).  The margin, 2**-_PRECISION_BITS *
+        sum |n| * v_1**s_{k+1} * (2**10 + m * (1 + (1 + span) ln v_1)),
+        covers the rounding of the steps, of the sums and of ``f_mpf`` on
+        the interval (each of its ln v has 130 bits); it is formed in mpf,
+        rounded up, as (1 + span) ln v_1 can pass the float range.  L_k > 0
+        forces W_m = f(s_k) > 0.  A pair tight at s = 1 has f(1) = 0, so L_0
+        is at most 0 there: ``first_interval_low`` bounds f on that interval
+        by its slope instead.
         """
         import mpmath
 
         lib, make = mpmath.libmp, mpmath.mp.make_mpf
-        rnd, up = lib.round_nearest, lib.round_up
-        add, mul = lib.mpf_add, lib.mpf_mul
-        values = [lib.from_int(v) for v, _ in self.coefficients]
-        reach = mul(add(span._mpf_, lib.fone, 53, up), lib.mpf_log(values[0], 53, up), 53, up)
-        spread = lib.mpf_mul_int(reach, len(values), 53, up)  # m (1 + span) ln v_1
-        prec = _PRECISION_BITS + 10 + max(0, spread[2] + spread[3] - 60)
-        h = lib.mpf_div(span._mpf_, lib.from_int(_GRID - 1), _PRECISION_BITS, rnd)
-        steps = [lib.mpf_exp(mul(h, lib.mpf_log(v, prec, rnd)), prec, rnd) for v in values]
-        drops = [lib.mpf_sub(a, b, prec, rnd) for a, b in zip(steps, steps[1:] + [lib.fone])]
+        rnd, mul = lib.round_nearest, lib.mpf_mul
+        prec, _, _, steps, drops, margin = self._grid_steps(span)
         terms = [lib.from_int(n * v) for v, n in self.coefficients]
-        mass = sum(abs(n) for _, n in self.coefficients)
-        slack = add(spread, lib.from_int(len(values) + 2**10), 53, up)
-        margin = lib.mpf_shift(lib.mpf_mul_int(slack, mass, 53, up), -_PRECISION_BITS)
-        top = values[0]  # v_1**s_{k+1}
+        top = lib.from_int(self.coefficients[0][0])  # v_1**s_{k+1}
         fs, lows = [], []
         for k in range(_GRID):
-            total = low = lib.fzero
-            for term, drop in zip(terms, drops):
-                total = add(total, term, prec, rnd)
-                if total[0]:  # a negative prefix sum
-                    low = add(low, mul(total, drop, prec, rnd), prec, rnd)
+            total, low = _abel_sum(terms, drops, prec)
             fs.append(make(total))
             if k == _GRID - 1:
                 break
             terms = [mul(term, r, prec, rnd) for term, r in zip(terms, steps)]
             top = mul(top, steps[0], prec, rnd)
-            low = lib.mpf_sub(add(total, low, prec, rnd), mul(margin, top, prec, rnd), prec, rnd)
-            lows.append(make(low))
+            lows.append(make(lib.mpf_sub(low, mul(margin, top, prec, rnd), prec, rnd)))
         return fs, lows
+
+    def first_interval_low(self, span) -> mpmath.mpf:
+        """A lower bound of f, and of ``f_mpf``, on [1 + gap, 1 + h], the
+        first grid interval of ``stepped_grid`` past 1 + gap, gap =
+        ``_HINT_GAP`` <= h.
+
+        A lower bound L' of f'(s) = sum n_v ln v v**s on [1, 1 + h] is the
+        grid's Abel sum at s = 1 with the terms n v ln v in place of n v:
+        W'_m + sum_{W'_i < 0} W'_i (v_i**h - v_{i+1}**h) for the prefix sums
+        W'_i of n v ln v, less the grid's margin on the interval times
+        ln v_1, as each term is a term n v times ln v <= ln v_1.  Then
+        f(s) >= f(1) + (s - 1) L' on the interval: f >= f(1) + gap L' past
+        1 + gap when L' >= 0, and f >= f(1) + h L' on all of it otherwise.
+        f(1) is taken less the grid's margin on the interval, which covers
+        ``f_mpf``'s rounding there, and the sums are rounded down.
+        """
+        import mpmath
+
+        lib = mpmath.libmp
+        rnd, up, down = lib.round_nearest, lib.round_up, lib.round_floor
+        mul = lib.mpf_mul
+        prec, h, logs, steps, drops, margin = self._grid_steps(span)
+        terms = [mul(lib.from_int(n * v), ln_v, prec, rnd)
+                 for (v, n), ln_v in zip(self.coefficients, logs)]
+        _, slope = _abel_sum(terms, drops, prec)
+        top = mul(lib.from_int(self.coefficients[0][0]), steps[0], prec, up)  # v_1**(1 + h)
+        edge = mul(margin, top, prec, up)
+        slope = lib.mpf_sub(slope, mul(edge, logs[0], prec, up), prec, down)
+        reach = h if slope[0] else lib.from_float(_HINT_GAP)
+        low = lib.mpf_add(lib.from_int(self.f1()), mul(reach, slope, prec, down), prec, down)
+        return mpmath.mp.make_mpf(lib.mpf_sub(low, edge, prec, down))
+
+
+def _abel_sum(terms: list, drops: list, prec: int) -> tuple:
+    """(W_m, W_m + sum_{W_i < 0} W_i * drops_i) for the prefix sums W_i of
+    ``terms``, raw mpf values at ``prec``: with each drop the greatest growth
+    of w_i - w_{i+1} over an interval, a lower bound there of the Abel sum
+    W_m + sum_i W_i (w_i - w_{i+1}) (``NormProfile.stepped_grid``)."""
+    import mpmath
+
+    lib = mpmath.libmp
+    add, mul, rnd = lib.mpf_add, lib.mpf_mul, lib.round_nearest
+    total = low = lib.fzero
+    for term, drop in zip(terms, drops):
+        total = add(total, term, prec, rnd)
+        if total[0]:  # a negative prefix sum
+            low = add(low, mul(total, drop, prec, rnd), prec, rnd)
+    return total, add(total, low, prec, rnd)
 
 
 def norm_profile(lam: Partition, mu: Partition) -> NormProfile:
@@ -307,8 +370,13 @@ def dominates_all_s(lam: Partition, mu: Partition) -> BulkVerdict:
     ``_refine_minimum``, except where the grid's lower bound on each interval
     of the minimum's bracket exceeds 2 tol: there every value the refinement
     would see is above tol, so it could neither fail nor report a hint, and
-    it is skipped.  Near-zero minima are reported as interior equalities with
-    ``exact=False``; they are hints, not certificates.  A failure at s = 1,
+    it is skipped.  The first interval [1, 1 + h] is certified by a bound on
+    f' before it is refined: where f(1) = 0, every lower bound of f on it is
+    at most 0, but ``NormProfile.first_interval_low`` can put f above 2 tol
+    past 1 + ``_HINT_GAP``, where hints start, by f >= f(1) + (s - 1) L'
+    with L' a lower bound of f' there.  Near-zero minima are reported as
+    interior equalities with ``exact=False``; they are hints, not
+    certificates.  A failure at s = 1,
     or as s -> oo at an s where v**s stays under ``_EXACT_POWER_BITS`` bits,
     is found in exact integer arithmetic, without loading mpmath.
     """
@@ -368,24 +436,33 @@ def dominates_all_s(lam: Partition, mu: Partition) -> BulkVerdict:
             # Formed only where a point is printed or bounds a refinement.
             return one + span * i / (_GRID - 1)
 
+        # The scan compares raw mpf values: the same booleans as mpf objects
+        # give, without a context dispatch per comparison.
+        lt, le, gt = mpmath.libmp.mpf_lt, mpmath.libmp.mpf_le, mpmath.libmp.mpf_gt
         fs, lows = profile.stepped_grid(span)
+        fs = [y._mpf_ for y in fs]
         for i, y in enumerate(fs):
-            if y < fail_below:
+            if lt(y, fail_below._mpf_):
                 return verdict(holds=False, failure_exponent=float(grid(i)))
 
         last = _GRID - 1
+        minima = [i for i in range(_GRID)
+                  if (i == 0 or le(fs[i], fs[i - 1])) and (i == last or le(fs[i], fs[i + 1]))]
+        above = skip_above._mpf_
+        if minima[0] <= 1 and not gt(lows[0]._mpf_, above):
+            # f(1) = 0 keeps every value bound on [1, 1 + h] at or below 0.
+            # A bound past 1 + _HINT_GAP serves as well: below that point a
+            # minimum is no hint, and f >= f(1) >= 0 there unless the bound,
+            # from L' < 0, covers the whole interval.
+            lows[0] = profile.first_interval_low(span)
         equalities: list[EqualityPoint] = []
-        for i in range(_GRID):
-            left_ok = i == 0 or fs[i] <= fs[i - 1]
-            right_ok = i == last or fs[i] <= fs[i + 1]
-            if not (left_ok and right_ok):
-                continue
-            if all(low > skip_above for low in lows[max(0, i - 1):i + 1]):
+        for i in minima:
+            if all(gt(low._mpf_, above) for low in lows[max(0, i - 1):i + 1]):
                 continue  # f > 2 tol on the bracket: no failure, no hint
             s_min, f_min = _refine_minimum(profile, grid(max(0, i - 1)), grid(min(last, i + 1)))
             if f_min < fail_below:
                 return verdict(holds=False, failure_exponent=float(s_min))
-            if abs(f_min) <= tol_m and s_min > 1 + 1e-9:
+            if abs(f_min) <= tol_m and s_min > 1 + _HINT_GAP:
                 equalities.append(EqualityPoint(s=float(s_min), exact=False))
 
         return verdict(holds=True, interior_equalities=tuple(_dedupe_equalities(equalities)))

@@ -459,6 +459,121 @@ class TestSteppedGridKeepsVerdicts:
             assert repr(dominates_all_s(lam, mu)) == repr(_reference_dominates_all_s(lam, mu)), (lam, mu)
 
 
+def _tight_pairs(n, seed=29):
+    """[24,23] / [29,18] and [3,3] / [6], then n pairs tight at s = 1 with no
+    common power base: lam of 2-8 entries up to 32, and mu from lam by 1-4
+    merges, splits and shifts that keep it to 8 entries up to 32.  A pair is
+    kept when f'(1) > 0, checked exactly as prod v**(n v) > 1, and mu holds
+    the top value, so that the grid decides it."""
+    yield from_entries([24, 23]), from_entries([29, 18])
+    yield from_entries([3, 3]), from_entries([6])
+    rng = random.Random(seed)
+    kept = 0
+    while kept < n:
+        lam = [rng.randint(1, 32) for _ in range(rng.randint(2, 8))]
+        mu = list(lam)
+        for _ in range(rng.randint(1, 4)):
+            i, j = rng.sample(range(len(mu)), 2) if len(mu) > 1 else (0, 0)
+            op = rng.random()
+            if op < 0.3 and i != j and mu[i] + mu[j] <= 32:
+                mu[i] += mu[j]
+                del mu[j]
+            elif op < 0.5 and len(mu) < 8 and mu[i] > 1:
+                x = rng.randint(1, mu[i] - 1)
+                mu[i] -= x
+                mu.append(x)
+            elif i != j:
+                x = rng.randint(1, 8)
+                if mu[j] > x and mu[i] + x <= 32:
+                    mu[i] += x
+                    mu[j] -= x
+        lam, mu = from_entries(lam), from_entries(mu)
+        prof = norm_profile(lam, mu)
+        if len(prof.coefficients) < 2 or prof.coefficients[0][1] < 0 or Pair(lam, mu).base:
+            continue
+        up = math.prod(v ** (c * v) for v, c in prof.coefficients if c > 0)
+        down = math.prod(v ** (-c * v) for v, c in prof.coefficients if c < 0)
+        if up > down:
+            kept += 1
+            yield lam, mu
+
+
+def _reference_first_slope(prof):
+    """L' of ``NormProfile.first_interval_low`` at 200 bits, with no margin:
+    the Abel sum of the prefix sums W'_i of n v ln v against the drops
+    v_i**h - v_{i+1}**h where W'_i < 0."""
+    import mpmath
+
+    span = _grid_span(prof)
+    with mpmath.workprec(120):
+        h = span / 63
+    values = [v for v, _ in prof.coefficients] + [1]
+    with mpmath.workprec(200):
+        prefix = low = mpmath.mpf(0)
+        for i, (v, c) in enumerate(prof.coefficients):
+            prefix += c * v * mpmath.log(v)
+            if prefix < 0:
+                low += prefix * (mpmath.power(v, h) - mpmath.power(values[i + 1], h))
+        return prefix + low
+
+
+class TestFirstIntervalSlopeBound:
+    def test_bound_holds_past_the_hint_gap(self):
+        # The bound is one on f and on f_mpf, sampled at 33 points of
+        # [1 + gap, 1 + h], on random profiles of either sign at s = 1 and
+        # on the tight pairs.
+        import mpmath
+
+        profiles = [prof for prof, _ in _grid_profiles(12, seed=43)]
+        profiles += [norm_profile(lam, mu) for lam, mu in _tight_pairs(20)]
+        gap, positive = norms._HINT_GAP, 0
+        for prof in profiles:
+            span = _grid_span(prof)
+            low = prof.first_interval_low(span)
+            with mpmath.workprec(120):
+                h = span / 63
+            with mpmath.workprec(200):
+                for j in range(33):
+                    s = 1 + gap + (h - gap) * mpmath.mpf(j) / 32
+                    f = mpmath.fsum(c * mpmath.power(v, s) for v, c in prof.coefficients)
+                    assert low <= f and low <= prof.f_mpf(s), (prof, j)
+            positive += low > 0
+        assert positive >= 10
+
+    def test_tight_pairs_match_the_reference(self, monkeypatch):
+        # Every pair keeps the reference verdict.  Where 1e-9 L' > 2 tol the
+        # first interval is cleared and nothing is refined; where L' < 0, as
+        # on [24,23] / [29,18] (f'(1) ~ 1.29), f(1) = 0 leaves no bound above
+        # 0 there and the grid minimum at s = 1 is refined.
+        import mpmath
+
+        refine, calls = norms._refine_minimum, []
+        monkeypatch.setattr(norms, "_refine_minimum",
+                            lambda *args: calls.append(args) or refine(*args))
+        seen = {"skipped": 0, "refined": 0, "supermajorized": 0, "not": 0}
+        for k, (lam, mu) in enumerate(_tight_pairs(60)):
+            start = len(calls)
+            verdict = dominates_all_s(lam, mu)
+            refined = len(calls) - start
+            assert repr(verdict) == repr(_reference_dominates_all_s(lam, mu)), (lam, mu)
+            prof = norm_profile(lam, mu)
+            slope, tol = _reference_first_slope(prof), norms._default_tol(prof)
+            with mpmath.workprec(120):
+                clears = slope * mpmath.mpf(norms._HINT_GAP) > 2 * mpmath.mpf(tol.numerator) / tol.denominator
+            if clears:
+                assert refined == 0, (lam, mu, slope)
+                seen["skipped"] += 1
+            if slope < 0:
+                assert refined >= 1, (lam, mu, slope)
+                seen["refined"] += 1
+            if k < 2:  # [24,23] / [29,18], then [3,3] / [6]
+                assert (slope < 0, clears) == ((True, False), (False, True))[k]
+            seen["supermajorized" if supermajorizes(mu, lam).holds else "not"] += 1
+        # Both branches, on supermajorized pairs and on pairs that are not.
+        assert seen["skipped"] >= 30 and seen["refined"] >= 5, seen
+        assert seen["supermajorized"] >= 10 and seen["not"] >= 30, seen
+
+
 class TestDominatesAllS:
     def test_counterexample_touch_point(self):
         verdict = dominates_all_s(LAM2, MU3)

@@ -189,7 +189,7 @@ class NormProfile:
         prec = _PRECISION_BITS + 10 + max(0, spread[2] + spread[3] - 60)
         h = lib.mpf_div(span._mpf_, lib.from_int(_GRID - 1), _PRECISION_BITS, rnd)
         logs = [lib.mpf_log(v, prec, rnd) for v in values]
-        steps = [lib.mpf_exp(mul(h, ln_v, prec, rnd), prec, rnd) for ln_v in logs]
+        steps = [lib.mpf_exp(mul(h, ln_v), prec, rnd) for ln_v in logs]
         drops = [lib.mpf_sub(a, b, prec, rnd) for a, b in zip(steps, steps[1:] + [lib.fone])]
         mass = sum(abs(n) for _, n in self.coefficients)
         slack = add(spread, lib.from_int(len(values) + 2**10), 53, up)

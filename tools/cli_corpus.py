@@ -55,17 +55,21 @@ stable and all, an 800,000-box count document against ``[8,8,4,2,1]`` as
 supermajorize and all, ``[1]`` / ``[1000003]``, whose greedy embedding holds
 1000002 unit pieces, as embed, stable and all, two base-2 count pairs whose
 catalyst products hold more than 2**63 boxes at one level, as stable and
-all, ``gen random``, ``powerq`` and ``divisible`` with ``--seed 3 --count
-5``, ``conjecture-scan`` over
-``tools/scan_corpus.ndjson`` with and without ``--json`` and
+all, ``[N,N]`` / ``[N+1,N-1]`` with N = 2**1023 as bulk, whose numeric search
+interval still ends inside the float range, and with N = 2**1024 and
+N = 2**1100, where it does not, as bulk, stable and all, ``gen random``,
+``powerq`` and ``divisible`` with ``--seed 3 --count 5``,
+``conjecture-scan`` over ``tools/scan_corpus.ndjson`` with and without ``--json`` and
 ``--max-steps 3``, a few queries with an invalid option, among them the
 removed ``--tol`` and ``--grid``, which are usage errors, a pair whose
 direct search runs out of a 1-node budget as embed and as stable,
 every kind of malformed partition document, all-zero counts among them,
 which exits 65, an entry of 5,001 digits, past the digit limit of
 Python's int parsing, inline and in ``tools/long_entry.ndjson``, read by
-``check embed`` and by ``conjecture-scan``, ``check bulk`` on a base-4
-count pair with ``--base`` 2, 3 and 16, and the other input paths:
+``check embed`` and by ``conjecture-scan``, an entry inside 1,000 nested
+arrays, past the nesting Python's JSON parser takes, inline and in
+``tools/deep_nesting.ndjson``, read the same three ways, ``check bulk``
+on a base-4 count pair with ``--base`` 2, 3 and 16, and the other input paths:
 trailing zero counts, a missing side, unreadable and non-JSON input files,
 and an empty and a missing scan corpus.
 
@@ -100,6 +104,9 @@ SCAN_CORPUS = "tools/scan_corpus.ndjson"
 # One scan line whose lhs entry has 5,001 digits, also read as a partition
 # document file.
 LONG_ENTRY_FILE = "tools/long_entry.ndjson"
+# One scan line whose lhs entry sits inside 1,000 nested arrays, also read as
+# a partition document file.
+DEEP_FILE = "tools/deep_nesting.ndjson"
 RELATIONS = ("embed", "supermajorize", "bulk", "stable", "all")
 # LAM2/MU3 of the tests scaled by 3: no common power base, so the numeric bulk
 # path decides it and reports one touch hint.
@@ -228,8 +235,16 @@ HUGE_CATALYSTS = (
     ('{"base":2,"counts":[2,1,1,5,3,6]}', '{"base":2,"counts":[5,6,3,5,2,2,2]}'),
     ('{"base":2,"counts":[6,0,3,1,6]}', '{"base":2,"counts":[6,5,3,2,1,2]}'),
 )
+# [N,N] / [N+1,N-1]: the numeric path's search interval ends near
+# s = 1.2e308 for N = 2**1023; past the float range for N = 2**1024, and
+# for N = 2**1100 the gap between the top two logarithms underflows to 0.
+FLOAT_EDGE = tuple((json.dumps([2**e] * 2), json.dumps([2**e + 1, 2**e - 1]))
+                   for e in (1023, 1024, 1100))
 # 10**5000, one digit past the 4,300-digit limit of Python's int parsing.
 LONG_ENTRY = "[1" + "0" * 5000 + "]"
+# The entry 2 inside 1,000 nested arrays, deeper than Python's JSON parser
+# recurses.
+DEEP = "[" * 1000 + "2" + "]" * 1000
 # A pair whose direct search runs out of a 1-node budget and which no
 # refutation rule settles, so its stable detail also names that budget.
 BUDGET_PAIR = ("[5,4,3,3,2,2,2]", "[9,8,4]")
@@ -282,6 +297,9 @@ EDGE_QUERIES = (
     ["check", "embed", "--lhs", LONG_ENTRY, "--rhs", LONG_ENTRY],
     ["check", "embed", LONG_ENTRY_FILE, "--rhs", "[4]"],
     ["conjecture-scan", LONG_ENTRY_FILE],
+    ["check", "embed", "--lhs", DEEP, "--rhs", "[4]"],
+    ["check", "embed", DEEP_FILE, "--rhs", "[4]"],
+    ["conjecture-scan", DEEP_FILE],
     *(["check", "bulk", "--lhs", BASE4[0], "--rhs", BASE4[1], "--base", base]
       for base in ("2", "3", "16")),
     ["check", "embed", "--lhs", '{"base":2,"counts":[0,1,0]}', "--rhs", "[2]"],
@@ -333,7 +351,9 @@ def queries() -> list[list[str]]:
         out += ask(query, ("stable", "all"))
     for (lhs, rhs), relations in ((MANY_BOXES, ("supermajorize", "all")),
                                   (BIG_BASE, ("embed", "stable", "all")),
-                                  *((pair, ("stable", "all")) for pair in HUGE_CATALYSTS)):
+                                  *((pair, ("stable", "all")) for pair in HUGE_CATALYSTS),
+                                  (FLOAT_EDGE[0], ("bulk",)),
+                                  *((pair, ("bulk", "stable", "all")) for pair in FLOAT_EDGE[1:])):
         for relation in relations:
             argv = ["check", relation, "--lhs", lhs, "--rhs", rhs]
             out += [argv + ["--json"], argv]

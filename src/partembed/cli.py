@@ -2,7 +2,9 @@
 
 Exit codes: 0 the queried relation holds (or, for ``check all``, everything
 was decided), 1 it fails, 2 undecided within budget, 64 usage error,
-65 malformed input data.
+65 malformed input data or input past a stated limit: an integer of more
+digits than ``int`` parses, JSON nested deeper than the recursion limit, or
+a pair whose numeric bulk search interval passes the float range.
 
 Partitions travel as JSON documents with exactly one of ``entries`` (a list
 of positive integers, any order) or ``counts`` plus ``base`` (the power
@@ -38,6 +40,7 @@ from .core import (
     product,
     to_base_counts,
 )
+from .norms import BeyondFloatRange
 from .orders import DEFAULT_NODE_BUDGET
 from .stablep import (
     FAILS,
@@ -227,32 +230,33 @@ def parse_partition_doc(obj) -> tuple[Partition | PowerPartition, str | None]:
 # ---------------------------------------------------------------------------
 
 
-def _too_many_digits(where: str) -> _InputError:
-    """The error for a JSON integer longer than ``int`` parses: past
-    ``sys.get_int_max_str_digits()`` digits ``json.loads`` raises a plain
-    ValueError, not a JSONDecodeError."""
-    return _InputError(f"{where}: an integer has more digits than the limit of "
-                       f"{sys.get_int_max_str_digits()}")
+def _parse_json(text: str, where: str, invalid: str = "not valid JSON: "):
+    """The JSON value of ``text``.  Malformed JSON, an integer of more digits
+    than ``int`` parses (``json.loads`` raises a plain ValueError for it,
+    not a JSONDecodeError) and nesting deeper than the parser recurses are
+    each an _InputError that names ``where``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise _InputError(f"{where}: {invalid}{exc}") from exc
+    except ValueError as exc:
+        raise _InputError(f"{where}: an integer has more digits than the limit of "
+                          f"{sys.get_int_max_str_digits()}") from exc
+    except RecursionError as exc:
+        raise _InputError(f"{where}: JSON nested too deeply for the recursion limit of "
+                          f"{sys.getrecursionlimit()}") from exc
 
 
 def _load_doc(inline: str | None, path: str | None, side: str):
     if inline is not None:
-        try:
-            obj = json.loads(inline)
-        except json.JSONDecodeError as exc:
-            raise _InputError(f"--{side}: not valid JSON: {exc}") from exc
-        except ValueError as exc:
-            raise _too_many_digits(f"--{side}") from exc
+        obj = _parse_json(inline, f"--{side}")
     elif path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
-                obj = json.load(fh)
+                text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise _InputError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise _InputError(f"{path}: not valid JSON: {exc}") from exc
-        except ValueError as exc:
-            raise _too_many_digits(path) from exc
+        obj = _parse_json(text, path)
     else:
         raise _InputError(f"missing {side} partition: give a file or --{side}")
     return parse_partition_doc(obj)
@@ -487,14 +491,13 @@ def cmd_conjecture_scan(args) -> int:
                 line = line.strip()
                 if not line:
                     continue
+                where = f"{args.corpus}:{line_no + 1}"
+                obj = _parse_json(line, where, invalid="")
                 try:
-                    obj = json.loads(line)
                     lam, lname = parse_partition_doc(obj["lhs"])
                     mu, _ = parse_partition_doc(obj["rhs"])
-                except (KeyError, TypeError, json.JSONDecodeError) as exc:
-                    raise _InputError(f"{args.corpus}:{line_no + 1}: {exc}") from exc
-                except ValueError as exc:
-                    raise _too_many_digits(f"{args.corpus}:{line_no + 1}") from exc
+                except (KeyError, TypeError) as exc:
+                    raise _InputError(f"{where}: {exc}") from exc
                 name = obj.get("name") or lname or f"pair-{line_no}"
                 rows.append(_scan_pair(name, lam, mu, args.max_steps))
     except (OSError, UnicodeDecodeError) as exc:
@@ -576,7 +579,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as exc:
+    except (_InputError, BeyondFloatRange) as exc:
         print(f"partembed: {exc}", file=sys.stderr)
         return EX_DATA
 

@@ -9,18 +9,17 @@ has the same sign as norm(mu, s) - norm(lam, s) at every s.  Dominance over
 all of [1, oo] therefore reduces to f >= 0 on [1, oo).
 
 Two decision paths are provided.  The numeric path samples f in very high
-precision on a provably sufficient interval and refines sign changes and
-near-zero minima.  Its grid is stepped by multiplication (v**(s + h) =
-v**s * v**h) at a precision sized from the grid's reach in s * ln v, and the
-same pass bounds f from below on each grid interval by Abel summation of the
-prefix sums W_i = sum_{j <= i} n_j v_j**s against the weights v**(s' - s),
-the partial-sum form of Laguerre's rule of signs; a grid minimum whose
-bracket is bounded above twice the failure band is not refined, as its
-refinement could neither fail nor report a hint.  A pair tight at s = 1 has
-f(1) = 0, so no such bound on the first grid interval is above 0; there the
-same Abel sum over the terms n_v v ln v bounds f' from below by L', and
-f(s) >= f(1) + (s - 1) L' certifies the first interval past s = 1 + 1e-9,
-where hints start, before it is refined.  For
+precision on a provably sufficient interval [1, s_max], which must end
+inside the float range, and refines sign changes and near-zero minima.  One
+pass steps its grid by multiplication (v**(s + h) = v**s * v**h) at a
+precision sized from the grid's reach in s * ln v, and bounds f from below
+on each grid interval by Abel summation of the prefix sums
+W_i = sum_{j <= i} n_j v_j**s against the weights v**(s' - s), the
+partial-sum form of Laguerre's rule of signs; where f(1) = 0 keeps that
+bound at or below 0 on the first interval, the same sum over the terms
+n_v v ln v bounds f' there instead.  A grid minimum whose bracket is bounded
+above twice the failure band is not refined, as its refinement could
+neither fail nor report a hint.  For
 partitions whose entries are powers of one base q the substitution x = q**s
 turns f into an integer polynomial P(x), and dominance on [q, oo) is decided
 exactly.  The tail sums T_i = sum_{j >= i} P_j q**j are
@@ -45,6 +44,7 @@ trusted as refutations.  ``stablep.Pair`` picks the path for a pair.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -54,6 +54,7 @@ from .core import (
     BaseMismatch,
     InvalidExponent,
     Partition,
+    PartitionError,
     PowerPartition,
     integer_root,
 )
@@ -157,8 +158,6 @@ class NormProfile:
         prec, rnd = _PRECISION_BITS, lib.round_nearest
         if isinstance(s, mpmath.mpf):
             t = s._mpf_
-        elif isinstance(s, float):
-            t = lib.from_float(s)
         elif isinstance(s, int):
             t = lib.from_int(s)
         else:
@@ -174,31 +173,10 @@ class NormProfile:
                      for _, ln_v, n in self._log_terms]
         return mpmath.mp.make_mpf(lib.mpf_sum(terms, prec, rnd))
 
-    def _grid_steps(self, span) -> tuple:
-        """What the grid over [1, 1 + span] steps by: (prec, h, the ln v at
-        prec, the steps v**h, the drops v_i**h - v_{i+1}**h with
-        v_{m+1}**h = 1, margin), as raw mpf values; see ``stepped_grid``."""
-        import mpmath
-
-        lib = mpmath.libmp
-        rnd, up = lib.round_nearest, lib.round_up
-        add, mul = lib.mpf_add, lib.mpf_mul
-        values = [lib.from_int(v) for v, _ in self.coefficients]
-        reach = mul(add(span._mpf_, lib.fone, 53, up), lib.mpf_log(values[0], 53, up), 53, up)
-        spread = lib.mpf_mul_int(reach, len(values), 53, up)  # m (1 + span) ln v_1
-        prec = _PRECISION_BITS + 10 + max(0, spread[2] + spread[3] - 60)
-        h = lib.mpf_div(span._mpf_, lib.from_int(_GRID - 1), _PRECISION_BITS, rnd)
-        logs = [lib.mpf_log(v, prec, rnd) for v in values]
-        steps = [lib.mpf_exp(mul(h, ln_v), prec, rnd) for ln_v in logs]
-        drops = [lib.mpf_sub(a, b, prec, rnd) for a, b in zip(steps, steps[1:] + [lib.fone])]
-        mass = sum(abs(n) for _, n in self.coefficients)
-        slack = add(spread, lib.from_int(len(values) + 2**10), 53, up)
-        margin = lib.mpf_shift(lib.mpf_mul_int(slack, mass, 53, up), -_PRECISION_BITS)
-        return prec, h, logs, steps, drops, margin
-
     def stepped_grid(self, span) -> tuple[list, list]:
         """f(s_k) at the ``_GRID`` points s_k = 1 + k*h, h = span / (_GRID - 1),
-        and a lower bound L_k of f on each interval [s_k, s_{k+1}].
+        and a lower bound L_k of f on each interval [s_k, s_{k+1}], as raw mpf
+        values (``_mpf_`` tuples).
 
         Each v**h is one exp, and each term n v**s_{k+1} is n v**s_k * v**h.
         The relative error of a stepped v**s_k is about s_k times the error
@@ -218,58 +196,54 @@ class NormProfile:
         covers the rounding of the steps, of the sums and of ``f_mpf`` on
         the interval (each of its ln v has 130 bits); it is formed in mpf,
         rounded up, as (1 + span) ln v_1 can pass the float range.  L_k > 0
-        forces W_m = f(s_k) > 0.  A pair tight at s = 1 has f(1) = 0, so L_0
-        is at most 0 there: ``first_interval_low`` bounds f on that interval
-        by its slope instead.
-        """
-        import mpmath
+        forces W_m = f(s_k) > 0.
 
-        lib, make = mpmath.libmp, mpmath.mp.make_mpf
-        rnd, mul = lib.round_nearest, lib.mpf_mul
-        prec, _, _, steps, drops, margin = self._grid_steps(span)
-        terms = [lib.from_int(n * v) for v, n in self.coefficients]
-        top = lib.from_int(self.coefficients[0][0])  # v_1**s_{k+1}
-        fs, lows = [], []
-        for k in range(_GRID):
-            total, low = _abel_sum(terms, drops, prec)
-            fs.append(make(total))
-            if k == _GRID - 1:
-                break
-            terms = [mul(term, r, prec, rnd) for term, r in zip(terms, steps)]
-            top = mul(top, steps[0], prec, rnd)
-            lows.append(make(lib.mpf_sub(low, mul(margin, top, prec, rnd), prec, rnd)))
-        return fs, lows
-
-    def first_interval_low(self, span) -> mpmath.mpf:
-        """A lower bound of f, and of ``f_mpf``, on [1 + gap, 1 + h], the
-        first grid interval of ``stepped_grid`` past 1 + gap, gap =
-        ``_HINT_GAP`` <= h.
-
-        A lower bound L' of f'(s) = sum n_v ln v v**s on [1, 1 + h] is the
-        grid's Abel sum at s = 1 with the terms n v ln v in place of n v:
-        W'_m + sum_{W'_i < 0} W'_i (v_i**h - v_{i+1}**h) for the prefix sums
-        W'_i of n v ln v, less the grid's margin on the interval times
-        ln v_1, as each term is a term n v times ln v <= ln v_1.  Then
-        f(s) >= f(1) + (s - 1) L' on the interval: f >= f(1) + gap L' past
-        1 + gap when L' >= 0, and f >= f(1) + h L' on all of it otherwise.
-        f(1) is taken less the grid's margin on the interval, which covers
-        ``f_mpf``'s rounding there, and the sums are rounded down.
+        A pair tight at s = 1 has f(1) = 0, so L_0 <= 0.  Where L_0 <= 0,
+        the same Abel sum at s = 1 over the terms n v ln v, less the margin
+        on [1, s_1] times ln v_1 (each term is a term n v times
+        ln v <= ln v_1), is a lower bound L' of f' on [1, s_1], and
+        f(s) >= f(1) + (s - 1) L' there: f >= f(1) + gap L' past 1 + gap,
+        gap = ``_HINT_GAP`` <= h, when L' >= 0, else f >= f(1) + h L'.  That
+        bound, less the margin and rounded down, replaces L_0 where it is
+        higher, so L_0 bounds f and ``f_mpf`` on [1 + gap, s_1].
         """
         import mpmath
 
         lib = mpmath.libmp
         rnd, up, down = lib.round_nearest, lib.round_up, lib.round_floor
-        mul = lib.mpf_mul
-        prec, h, logs, steps, drops, margin = self._grid_steps(span)
-        terms = [mul(lib.from_int(n * v), ln_v, prec, rnd)
-                 for (v, n), ln_v in zip(self.coefficients, logs)]
-        _, slope = _abel_sum(terms, drops, prec)
-        top = mul(lib.from_int(self.coefficients[0][0]), steps[0], prec, up)  # v_1**(1 + h)
-        edge = mul(margin, top, prec, up)
-        slope = lib.mpf_sub(slope, mul(edge, logs[0], prec, up), prec, down)
-        reach = h if slope[0] else lib.from_float(_HINT_GAP)
-        low = lib.mpf_add(lib.from_int(self.f1()), mul(reach, slope, prec, down), prec, down)
-        return mpmath.mp.make_mpf(lib.mpf_sub(low, edge, prec, down))
+        add, mul, sub = lib.mpf_add, lib.mpf_mul, lib.mpf_sub
+        values = [lib.from_int(v) for v, _ in self.coefficients]
+        reach = mul(add(span._mpf_, lib.fone, 53, up), lib.mpf_log(values[0], 53, up), 53, up)
+        spread = lib.mpf_mul_int(reach, len(values), 53, up)  # m (1 + span) ln v_1
+        prec = _PRECISION_BITS + 10 + max(0, spread[2] + spread[3] - 60)
+        h = lib.mpf_div(span._mpf_, lib.from_int(_GRID - 1), _PRECISION_BITS, rnd)
+        logs = [lib.mpf_log(v, prec, rnd) for v in values]
+        steps = [lib.mpf_exp(mul(h, ln_v), prec, rnd) for ln_v in logs]
+        drops = [sub(a, b, prec, rnd) for a, b in zip(steps, steps[1:] + [lib.fone])]
+        mass = sum(abs(n) for _, n in self.coefficients)
+        slack = add(spread, lib.from_int(len(values) + 2**10), 53, up)
+        margin = lib.mpf_shift(lib.mpf_mul_int(slack, mass, 53, up), -_PRECISION_BITS)
+        at_one = terms = [lib.from_int(n * v) for v, n in self.coefficients]
+        top = values[0]  # v_1**s_{k+1}
+        fs, lows = [], []
+        for k in range(_GRID):
+            total, low = _abel_sum(terms, drops, prec)
+            fs.append(total)
+            if k == _GRID - 1:
+                break
+            terms = [mul(term, r, prec, rnd) for term, r in zip(terms, steps)]
+            top = mul(top, steps[0], prec, rnd)
+            lows.append(sub(low, mul(margin, top, prec, rnd), prec, rnd))
+        if lib.mpf_le(lows[0], lib.fzero):
+            terms = [mul(term, ln_v, prec, rnd) for term, ln_v in zip(at_one, logs)]
+            edge = mul(margin, mul(values[0], steps[0], prec, up), prec, up)
+            slope = sub(_abel_sum(terms, drops, prec)[1], mul(edge, logs[0], prec, up), prec, down)
+            width = h if slope[0] else lib.from_float(_HINT_GAP)
+            low = add(lib.from_int(self.f1()), mul(width, slope, prec, down), prec, down)
+            low = sub(low, edge, prec, down)
+            if lib.mpf_gt(low, lows[0]):
+                lows[0] = low
+        return fs, lows
 
 
 def _abel_sum(terms: list, drops: list, prec: int) -> tuple:
@@ -360,25 +334,27 @@ def _default_tol(profile: NormProfile) -> Fraction:
     return Fraction(1, 10**12) * max(1, scale)
 
 
+class BeyondFloatRange(PartitionError):
+    """The numeric bulk path's search interval would pass the float range."""
+
+
 def dominates_all_s(lam: Partition, mu: Partition) -> BulkVerdict:
     """Decide f(s) >= 0 on [1, oo) numerically.
 
     s = 1 and the top-coefficient sign (the s -> oo behaviour) are checked
-    exactly; the search interval is then capped at the point beyond which the
-    top term provably dominates, sampled on ``_GRID`` points by
+    exactly; the search interval is then capped at the point s_max beyond
+    which the top term provably dominates (BeyondFloatRange where s_max is
+    not a finite float), sampled on ``_GRID`` points by
     ``NormProfile.stepped_grid``, and local minima are refined by
     ``_refine_minimum``, except where the grid's lower bound on each interval
     of the minimum's bracket exceeds 2 tol: there every value the refinement
     would see is above tol, so it could neither fail nor report a hint, and
-    it is skipped.  The first interval [1, 1 + h] is certified by a bound on
-    f' before it is refined: where f(1) = 0, every lower bound of f on it is
-    at most 0, but ``NormProfile.first_interval_low`` can put f above 2 tol
-    past 1 + ``_HINT_GAP``, where hints start, by f >= f(1) + (s - 1) L'
-    with L' a lower bound of f' there.  Near-zero minima are reported as
+    it is skipped.  On the first interval that bound holds past
+    1 + ``_HINT_GAP``, where hints start.  Near-zero minima are reported as
     interior equalities with ``exact=False``; they are hints, not
-    certificates.  A failure at s = 1,
-    or as s -> oo at an s where v**s stays under ``_EXACT_POWER_BITS`` bits,
-    is found in exact integer arithmetic, without loading mpmath.
+    certificates.  A failure at s = 1, or as s -> oo at an s where v**s stays
+    under ``_EXACT_POWER_BITS`` bits, is found in exact integer arithmetic,
+    without loading mpmath.
     """
     profile = norm_profile(lam, mu)
     f1 = profile.f1()
@@ -415,17 +391,19 @@ def dominates_all_s(lam: Partition, mu: Partition) -> BulkVerdict:
     if gap == 0.0:
         # Close large values whose logarithms round to the same float.
         gap = math.log1p((top_v - v2) / v2)
-    s_max = 1.0 + math.log(max(2, coeff_mass)) / gap
+    s_max = 1.0 + math.log(max(2, coeff_mass)) / gap if gap else INF
+    if s_max == INF:
+        raise BeyondFloatRange("the numeric bulk path cannot decide this pair: its search interval "
+                               f"would end past s = {sys.float_info.max:.4g}, the largest float")
 
     tol = _default_tol(profile)
     with mpmath.workprec(_PRECISION_BITS):
         tol_m = mpmath.mpf(tol.numerator) / tol.denominator
-        fail_below, skip_above = -tol_m, 2 * tol_m
         if f1 == 0:
             # f(1) = 0 with f decreasing at 1 dips negative before the first
             # grid sample; the derivative settles it without sampling.
             d1 = mpmath.fsum(n * v * mpmath.log(v) for v, n in profile.coefficients)
-            if d1 < fail_below:
+            if d1 < -tol_m:
                 s = mpmath.mpf(1) + mpmath.mpf("1e-3")
                 while profile.f_mpf(s) >= 0:
                     s = 1 + (s - 1) / 2
@@ -436,31 +414,22 @@ def dominates_all_s(lam: Partition, mu: Partition) -> BulkVerdict:
             # Formed only where a point is printed or bounds a refinement.
             return one + span * i / (_GRID - 1)
 
-        # The scan compares raw mpf values: the same booleans as mpf objects
-        # give, without a context dispatch per comparison.
-        lt, le, gt = mpmath.libmp.mpf_lt, mpmath.libmp.mpf_le, mpmath.libmp.mpf_gt
+        lib = mpmath.libmp
+        fail_below, skip_above = lib.mpf_neg(tol_m._mpf_), lib.mpf_shift(tol_m._mpf_, 1)
         fs, lows = profile.stepped_grid(span)
-        fs = [y._mpf_ for y in fs]
         for i, y in enumerate(fs):
-            if lt(y, fail_below._mpf_):
+            if lib.mpf_lt(y, fail_below):
                 return verdict(holds=False, failure_exponent=float(grid(i)))
 
         last = _GRID - 1
-        minima = [i for i in range(_GRID)
-                  if (i == 0 or le(fs[i], fs[i - 1])) and (i == last or le(fs[i], fs[i + 1]))]
-        above = skip_above._mpf_
-        if minima[0] <= 1 and not gt(lows[0]._mpf_, above):
-            # f(1) = 0 keeps every value bound on [1, 1 + h] at or below 0.
-            # A bound past 1 + _HINT_GAP serves as well: below that point a
-            # minimum is no hint, and f >= f(1) >= 0 there unless the bound,
-            # from L' < 0, covers the whole interval.
-            lows[0] = profile.first_interval_low(span)
+        minima = [i for i in range(_GRID) if (i == 0 or lib.mpf_le(fs[i], fs[i - 1]))
+                  and (i == last or lib.mpf_le(fs[i], fs[i + 1]))]
         equalities: list[EqualityPoint] = []
         for i in minima:
-            if all(gt(low._mpf_, above) for low in lows[max(0, i - 1):i + 1]):
+            if all(lib.mpf_gt(low, skip_above) for low in lows[max(0, i - 1):i + 1]):
                 continue  # f > 2 tol on the bracket: no failure, no hint
             s_min, f_min = _refine_minimum(profile, grid(max(0, i - 1)), grid(min(last, i + 1)))
-            if f_min < fail_below:
+            if f_min < -tol_m:
                 return verdict(holds=False, failure_exponent=float(s_min))
             if abs(f_min) <= tol_m and s_min > 1 + _HINT_GAP:
                 equalities.append(EqualityPoint(s=float(s_min), exact=False))

@@ -154,6 +154,35 @@ class TestCheckCommand:
         code, out, err = run(capsys, "conjecture-scan", str(corpus))
         assert (code, out, err) == (65, "", f"partembed: {corpus}:2: {limit}\n")
 
+    def test_deeply_nested_json_exit_65(self, capsys, tmp_path):
+        # json.loads raises RecursionError for nesting past the recursion
+        # limit, inline, from a file and on a scan corpus line.
+        deep = "[" * 1000 + "2" + "]" * 1000
+        limit = f"JSON nested too deeply for the recursion limit of {sys.getrecursionlimit()}"
+        code, out, err = run(capsys, "check", "embed", "--lhs", deep, "--rhs", "[4]")
+        assert (code, out, err) == (65, "", f"partembed: --lhs: {limit}\n")
+        doc = tmp_path / "deep.json"
+        doc.write_text(deep)
+        code, out, err = run(capsys, "check", "embed", str(doc), "--rhs", "[4]")
+        assert (code, out, err) == (65, "", f"partembed: {doc}: {limit}\n")
+        corpus = tmp_path / "corpus.ndjson"
+        corpus.write_text(f'{{"lhs": [4], "rhs": [4]}}\n{{"lhs": [4], "rhs": {deep}}}\n')
+        code, out, err = run(capsys, "conjecture-scan", str(corpus))
+        assert (code, out, err) == (65, "", f"partembed: {corpus}:2: {limit}\n")
+
+    @pytest.mark.parametrize("relation", ["bulk", "stable", "all"])
+    @pytest.mark.parametrize("e", [1024, 1100])
+    def test_close_values_past_the_float_range_exit_65(self, capsys, relation, e):
+        # [N,N] / [N+1,N-1] has no common base, and the numeric path's search
+        # interval would end past the float range: at N = 2**1024 s_max is
+        # inf, and at N = 2**1100 the gap of the top two logarithms is 0.
+        n = 2**e
+        code, out, err = run(capsys, "check", relation, "--lhs", json.dumps([n, n]),
+                             "--rhs", json.dumps([n + 1, n - 1]), "--json")
+        assert (code, out) == (65, "")
+        assert err == ("partembed: the numeric bulk path cannot decide this pair: its search "
+                       "interval would end past s = 1.798e+308, the largest float\n")
+
     def test_file_that_is_not_utf8_exit_65(self, capsys, tmp_path):
         doc = tmp_path / "doc.json"
         doc.write_bytes(b"\xff[4]")

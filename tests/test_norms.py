@@ -32,7 +32,7 @@ from partembed.norms import (
     _squarefree_chain,
     _variations,
 )
-from partembed.core import InvalidExponent
+from partembed.core import InvalidExponent, PartitionError
 from partembed.oracle import brute_supermajorize
 from partembed.orders import supermajorizes
 from partembed.stablep import Pair
@@ -235,20 +235,30 @@ def _grid_profiles(n, seed=41):
 _BIG = 345217350318977185375237309378926972062  # about 2**128
 
 
+def _grid(prof, span):
+    """``prof.stepped_grid(span)``, its raw values made mpf objects."""
+    import mpmath
+
+    return tuple([mpmath.mp.make_mpf(y) for y in ys] for ys in prof.stepped_grid(span))
+
+
 class TestSteppedGrid:
     def test_each_lower_bound_holds_on_its_interval(self):
+        # Each L_k holds on [s_k, s_{k+1}], except L_0, which may come from
+        # the bound on f' and then holds on [1 + _HINT_GAP, s_1].
         import mpmath
 
         positive = 0
         for prof, span in _grid_profiles(12):
-            fs, lows = prof.stepped_grid(span)
+            fs, lows = _grid(prof, span)
             assert len(fs) == 64 and len(lows) == 63
             with mpmath.workprec(120):
                 h = span / 63  # the step stepped_grid takes
             with mpmath.workprec(200):
                 for k, low in enumerate(lows):
+                    start = 1 + mpmath.mpf(norms._HINT_GAP) if k == 0 else 1 + k * h
                     for j in range(33):
-                        s = 1 + (k + mpmath.mpf(j) / 32) * h
+                        s = start + (1 + (k + 1) * h - start) * mpmath.mpf(j) / 32
                         f = mpmath.fsum(c * mpmath.power(v, s) for v, c in prof.coefficients)
                         assert low <= f, (prof, k, j)
                     positive += low > 0
@@ -259,7 +269,7 @@ class TestSteppedGrid:
         import mpmath
 
         for prof, span in _grid_profiles(40, seed=42):
-            fs, _ = prof.stepped_grid(span)
+            fs, _ = _grid(prof, span)
             mass = sum(abs(c) for _, c in prof.coefficients)
             with mpmath.workprec(120):
                 h = span / 63
@@ -277,7 +287,7 @@ class TestSteppedGrid:
         prof = norm_profile(from_entries([3, 3]), from_entries([4, 1, 1]))
         with mpmath.workprec(120):
             fs, _ = prof.stepped_grid(mpmath.mpf(63) / 8)
-        assert prof.f1() == 0 and fs[0] == 0 and fs[0]._mpf_ == prof.f_mpf(1)._mpf_
+        assert prof.f1() == 0 and fs[0] == mpmath.libmp.fzero == prof.f_mpf(1)._mpf_
 
     def test_close_values_past_the_float_range(self):
         # (N+1)**s - 2 N**s + (N-1)**s with N = 2**1017 takes a span near
@@ -288,7 +298,7 @@ class TestSteppedGrid:
         big = 2**1017
         prof = norm_profile(from_entries([big] * 2), from_entries([big + 1, big - 1]))
         with mpmath.workprec(120):
-            fs, lows = prof.stepped_grid(mpmath.mpf(1 + math.log(4) / math.log1p(1 / big)) - 1)
+            fs, lows = _grid(prof, mpmath.mpf(1 + math.log(4) / math.log1p(1 / big)) - 1)
         assert len(fs) == 64 and len(lows) == 63 and all(low < 0 for low in lows)
 
     @pytest.mark.parametrize("lam, mu", [
@@ -306,7 +316,7 @@ class TestSteppedGrid:
 
         prof = norm_profile(from_entries(lam), from_entries(mu))
         span = _grid_span(prof)
-        fs, _ = prof.stepped_grid(span)
+        fs, _ = _grid(prof, span)
         v_1, m = prof.coefficients[0][0], len(prof.coefficients)
         mass = sum(abs(c) for _, c in prof.coefficients)
         with mpmath.workprec(53):
@@ -499,7 +509,7 @@ def _tight_pairs(n, seed=29):
 
 
 def _reference_first_slope(prof):
-    """L' of ``NormProfile.first_interval_low`` at 200 bits, with no margin:
+    """L' of ``NormProfile.stepped_grid`` at 200 bits, with no margin:
     the Abel sum of the prefix sums W'_i of n v ln v against the drops
     v_i**h - v_{i+1}**h where W'_i < 0."""
     import mpmath
@@ -519,20 +529,22 @@ def _reference_first_slope(prof):
 
 class TestFirstIntervalSlopeBound:
     def test_bound_holds_past_the_hint_gap(self):
-        # The bound is one on f and on f_mpf, sampled at 33 points of
-        # [1 + gap, 1 + h], on random profiles of either sign at s = 1 and
-        # on the tight pairs.
+        # The first interval's bound L_0 is one on f and on f_mpf, sampled
+        # at 33 points of [1 + gap, 1 + h], on random profiles of either sign
+        # at s = 1 and on the tight pairs.  The points are formed in mpf:
+        # 1 + gap summed as floats puts the last one past 1 + h.
         import mpmath
 
         profiles = [prof for prof, _ in _grid_profiles(12, seed=43)]
         profiles += [norm_profile(lam, mu) for lam, mu in _tight_pairs(20)]
-        gap, positive = norms._HINT_GAP, 0
+        positive = 0
         for prof in profiles:
             span = _grid_span(prof)
-            low = prof.first_interval_low(span)
+            low = mpmath.mp.make_mpf(prof.stepped_grid(span)[1][0])
             with mpmath.workprec(120):
                 h = span / 63
             with mpmath.workprec(200):
+                gap = mpmath.mpf(norms._HINT_GAP)
                 for j in range(33):
                     s = 1 + gap + (h - gap) * mpmath.mpf(j) / 32
                     f = mpmath.fsum(c * mpmath.power(v, s) for v, c in prof.coefficients)
@@ -619,6 +631,14 @@ class TestDominatesAllS:
             tracemalloc.stop()
         assert not verdict.holds and verdict.failure_exponent == 2.0**20
         assert peak < 2**18
+
+    def test_close_values_past_the_float_range(self):
+        # The search interval of [N,N] / [N+1,N-1] ends near s = 1.2e308 at
+        # N = 2**1023, but past the float range from N = 2**1024 on.
+        for n in (2**1024, 2**1100):
+            with pytest.raises(norms.BeyondFloatRange, match="the largest float"):
+                dominates_all_s(from_entries([n, n]), from_entries([n + 1, n - 1]))
+        assert issubclass(norms.BeyondFloatRange, PartitionError)
 
     def test_dip_right_after_one(self):
         # equal sums, positive top coefficient, but f decreases at s=1: the

@@ -78,8 +78,10 @@ the first 100 seed-1 ``powerq-mix`` catalyst-family pairs as they are, 100
 pairs of equal totals and equal top box, 25 from each of four groups (base
 2 or 3, scan status holds or fails) of the count vectors with up to four
 levels and counts up to 4, every k-th in enumeration order, then the
-base-rule ``PAIRS``, a base-4 document against the equal base-2 one, and two
-tight pairs, in base 4 and in base 2 against base 4.  Queries name it by a
+base-rule ``PAIRS``, a base-4 document against the equal base-2 one, two
+tight pairs, in base 4 and in base 2 against base 4, and two pairs whose
+name is not a string: a JSON list on the line, and a JSON object in the
+lhs document of a line with no name of its own.  Queries name it by a
 path relative to this checkout, which is the working directory while they
 run, so the argv is the same whichever tree ``--tree`` points at.
 The workload streams come from this checkout's ``bench/workloads.py``, which

@@ -58,6 +58,7 @@ from .stablep import (
     FAILS,
     HOLDS,
     UNKNOWN,
+    Pair,
     RelationReport,
     StableRefutation,
     StableVerdict,
@@ -65,9 +66,6 @@ from .stablep import (
     StepRecord,
     construct_nu,
     normalize_pair,
-    prefilter_stable,
-    relations,
-    stable_embeds,
 )
 from . import oracle
 from .oracle import nu_order_compare

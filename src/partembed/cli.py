@@ -510,7 +510,7 @@ def cmd_conjecture_scan(args) -> int:
         for r in rows:
             extra = r.get("detail") or (f"steps={r.get('steps')} nu={r.get('nu')}"
                                         if "steps" in r else "")
-            print(f"{r['name']:<28} {r['status']:<9} {extra}")
+            print(f"{str(r['name']):<28} {r['status']:<9} {extra}")
         print("--")
         if rows:
             print("  ".join(f"{k}={v}" for k, v in sorted(counts.items())))

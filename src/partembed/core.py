@@ -136,13 +136,6 @@ class PowerPartition:
         return not self.counts
 
     @property
-    def top_index(self) -> int:
-        """Index of the largest box size present."""
-        if not self.counts:
-            raise EmptyPartition("empty count vector has no top index")
-        return len(self.counts) - 1
-
-    @property
     def box_count(self) -> int:
         return sum(self.counts)
 

@@ -47,7 +47,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from typing import TYPE_CHECKING, Iterable
 
 from .core import (
@@ -123,9 +123,6 @@ class NormProfile:
 
     coefficients: tuple[tuple[int, int], ...]
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.coefficients)
-
     def f1(self) -> int:
         """Exact f(1) = total(mu) - total(lam)."""
         return sum(n * v for v, n in self.coefficients)
@@ -136,42 +133,12 @@ class NormProfile:
             raise InvalidExponent(f"f_exact needs an integer s >= 1, got {s!r}")
         return sum(n * v**s for v, n in self.coefficients)
 
-    @cached_property
-    def _log_terms(self) -> tuple:
-        """(v, ln v, n) per term, v and ln v as raw mpf values; ln v is taken
-        at the precision and rounding ``mpmath.power`` uses for it."""
-        import mpmath
-
-        lib = mpmath.libmp
-        return tuple((lib.from_int(v), lib.mpf_log(lib.from_int(v), _PRECISION_BITS + 10,
-                                                   lib.round_nearest), n)
-                     for v, n in self.coefficients)
-
     def f_mpf(self, s) -> mpmath.mpf:
-        """High-precision f(s) for real s.
-
-        The same bits as ``fsum(n * power(v, s) ...)`` at 120 bits, but each
-        ln v is computed once per profile, not once per sample."""
+        """High-precision f(s) for real s, at ``_PRECISION_BITS`` bits."""
         import mpmath
 
-        lib = mpmath.libmp
-        prec, rnd = _PRECISION_BITS, lib.round_nearest
-        if isinstance(s, mpmath.mpf):
-            t = s._mpf_
-        elif isinstance(s, int):
-            t = lib.from_int(s)
-        else:
-            with mpmath.workprec(prec):
-                t = mpmath.mpf(s)._mpf_
-        # mpf_pow's own branches: integer and half-integer exponents take
-        # exact powers and square roots, every other one exp(t * ln v).
-        if t[2] >= -1:
-            terms = [lib.mpf_mul_int(lib.mpf_pow(v, t, prec, rnd), n, prec, rnd)
-                     for v, _, n in self._log_terms]
-        else:
-            terms = [lib.mpf_mul_int(lib.mpf_exp(lib.mpf_mul(t, ln_v), prec, rnd), n, prec, rnd)
-                     for _, ln_v, n in self._log_terms]
-        return mpmath.mp.make_mpf(lib.mpf_sum(terms, prec, rnd))
+        with mpmath.workprec(_PRECISION_BITS):
+            return mpmath.fsum(n * mpmath.power(v, s) for v, n in self.coefficients)
 
     def stepped_grid(self, span) -> tuple[list, list]:
         """f(s_k) at the ``_GRID`` points s_k = 1 + k*h, h = span / (_GRID - 1),
@@ -183,11 +150,11 @@ class NormProfile:
         of ln v, so everything is carried at prec = ``_PRECISION_BITS`` + 10 +
         max(0, bits(m (1 + span) ln v_1) - 60) bits, each ln v taken at prec:
         the stepped values stay within 2**-60 sum |n| v_1**s_k of f, and
-        while m (1 + span) ln v_1 < 2**60 prec is 130 bits, the precision of
-        ``f_mpf``'s ln v.  With v_1 > ... > v_m the values and
-        W_i = sum_{j <= i} n_j v_j**s_k the prefix sums, Abel summation
-        against the weights w_j = v_j**(s - s_k), which are >= 1 and do not
-        increase with j, gives
+        while m (1 + span) ln v_1 < 2**60 prec is 130 bits, the precision at
+        which ``mpmath.power`` takes ln v for ``f_mpf``.  With
+        v_1 > ... > v_m the values and W_i = sum_{j <= i} n_j v_j**s_k the
+        prefix sums, Abel summation against the weights w_j = v_j**(s - s_k),
+        which are >= 1 and do not increase with j, gives
         f(s) = W_m + sum_{i <= m} W_i (w_i - w_{i+1}) with w_{m+1} = 1.  On
         the interval each w_i - w_{i+1} lies in [0, v_i**h - v_{i+1}**h], so
         L_k = W_m + sum_{W_i < 0} W_i (v_i**h - v_{i+1}**h) - margin, with

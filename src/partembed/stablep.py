@@ -27,13 +27,11 @@ failed norm dominance, an exactly certified interior norm equality point for
 a pair that is not identical, and a valuation gap under tight packing (equal
 totals force every product bin to be filled exactly, which is impossible when
 some prime divides every lam entry more often than every mu entry), checked
-on the pair as given and, for a power-of-q pair, on the normalized pair.  A
-top-box-index gap after normalization also refutes, but failed norm dominance
-implies it, so it is never reported; its certificate still verifies.
+on the pair as given and, for a power-of-q pair, on the normalized pair.
 
 This module owns the per-pair pipeline: a ``Pair`` computes each fact of a
-pair once, on first use, and every relation (``relations``, ``stable_embeds``,
-``prefilter_stable`` and the CLI's ``check`` and ``conjecture-scan``) reads
+pair once, on first use, and every relation (``Pair.report``, ``Pair.stable``,
+``Pair.refutation`` and the CLI's ``check`` and ``conjecture-scan``) reads
 them from one ``Pair``.
 """
 
@@ -81,7 +79,6 @@ MAX_PRODUCT_BOXES = 10**6
 
 BULK_FAILS = "BulkFails"
 NORM_EQUALITY = "NormEquality"
-TOP_INDEX = "TopIndexRule"
 TIGHT_VALUATION = "TightValuation"
 
 
@@ -112,6 +109,7 @@ class StableRefutation:
     bulk: BulkVerdict | None = None
     equality: EqualityPoint | None = None
     base: int | None = None
+    # No rule sets these two; every refutation document still prints them.
     top_lam: int | None = None
     top_mu: int | None = None
     prime: int | None = None
@@ -127,9 +125,11 @@ class StableRefutation:
         if self.rule == BULK_FAILS:
             if self.bulk is None or self.bulk.holds:
                 return False
-            if self.bulk.failure_x is not None and self.base is not None:
+            x = self.bulk.failure_x
+            if x is not None and self.base is not None:
+                # x = q**s, and the orders say nothing below s = 1.
                 P = self._profile(lam, mu)
-                return P is not None and _eval_poly(P, self.bulk.failure_x) < 0
+                return x >= self.base and P is not None and _eval_poly(P, x) < 0
             s = self.bulk.failure_exponent
             profile = norm_profile(lam, mu)
             if s is None or not 1 <= s < math.inf or not profile.coefficients:
@@ -159,22 +159,16 @@ class StableRefutation:
             if xa == q and _eval_poly(S, Fraction(q)) == 0:
                 return False
             return _eval_poly(S, xa) * _eval_poly(S, xb) < 0
-        # The normalized lam keeps the levels where P < 0, the normalized mu
-        # those where P > 0.
-        if self.rule == TOP_INDEX:
-            P = self._profile(lam, mu)
-            return bool(P) and P[-1] < 0 < max(P)
         if self.rule == TIGHT_VALUATION:
             if self.prime is None or self.prime < 2 or lam.total != mu.total:
                 return False
             if self.base is None:
                 g_lam, g_mu = math.gcd(*lam.entries), math.gcd(*mu.entries)
             else:
-                P = self._profile(lam, mu)
-                if not P or not min(P) < 0 < max(P):
+                gcds = _normalized_gcds(self._profile(lam, mu), self.base)
+                if gcds is None:
                     return False
-                g_lam = self.base ** next(i for i, c in enumerate(P) if c < 0)
-                g_mu = self.base ** next(i for i, c in enumerate(P) if c > 0)
+                g_lam, g_mu = gcds
             v_l = _valuation(g_lam, self.prime)
             v_m = _valuation(g_mu, self.prime)
             return v_l == self.lam_valuation and v_m == self.mu_valuation and v_l > v_m
@@ -243,27 +237,6 @@ def normalize_pair(lam: PowerPartition, mu: PowerPartition) -> tuple[PowerPartit
             PowerPartition(lam.base, _trim([c if c > 0 else 0 for c in P])))
 
 
-def prefilter_stable(lam: Partition | PowerPartition,
-                     mu: Partition | PowerPartition) -> StableRefutation | None:
-    """Refutation rules, applied in order; None when no rule fires.
-
-    (a) stability needs full norm dominance; (b) an exactly certified interior
-    norm equality with lam != mu is fatal; (c) after normalization lam's top
-    box may not outrank mu's; (d) under tight packing (equal totals) a prime
-    dividing every lam entry strictly more often than every mu entry is fatal,
-    because every product bin would have to be filled exactly by pieces that
-    carry more of that prime than the bin does; for a power-of-q pair where
-    the given pair shows no gap, (d) is applied to the normalized pair and
-    its certificate records ``base``.
-
-    (a) implies (c), so (c) is never reported: normalization leaves P
-    unchanged and at most one side holding boxes at each level, so when lam's
-    top box outranks mu's, P's leading coefficient is negative and the exact
-    bulk decision fails.
-    """
-    return Pair(lam, mu).refutation
-
-
 def _valuation_gap(g_lam: int, g_mu: int, base: int | None = None) -> StableRefutation | None:
     """The tight-valuation rule on the entry gcds of a pair of equal totals;
     ``base`` is set when the gcds are those of the normalized pair.
@@ -281,6 +254,16 @@ def _valuation_gap(g_lam: int, g_mu: int, base: int | None = None) -> StableRefu
     r = next((k for k in range(2, min(math.isqrt(d), 2**20) + 1) if d % k == 0), d)
     return StableRefutation(TIGHT_VALUATION, base=base, prime=r,
                             lam_valuation=_valuation(g_lam, r), mu_valuation=_valuation(g_mu, r))
+
+
+def _normalized_gcds(P: list[int] | None, base: int) -> tuple[int, int] | None:
+    """The entry gcds of the normalized pair of the profile polynomial P in
+    ``base``, whose lam keeps the levels where P < 0 and mu those where
+    P > 0; None when P is None or either side is empty."""
+    if not P or not min(P) < 0 < max(P):
+        return None
+    return (base ** next(i for i, c in enumerate(P) if c < 0),
+            base ** next(i for i, c in enumerate(P) if c > 0))
 
 
 def _lowest_box(pp: PowerPartition) -> int:
@@ -321,13 +304,6 @@ def construct_nu(lam: PowerPartition, mu: PowerPartition,
     when a product would hold more than ``MAX_PRODUCT_BOXES`` boxes.  The
     iteration halts only on stable pairs, but some stable pairs never halt it,
     and slow halting and divergence cannot be told apart within a budget.
-    """
-    return _construct_nu(lam, mu, *normalize_pair(lam, mu), max_steps)
-
-
-def _construct_nu(lam: PowerPartition, mu: PowerPartition, lt: PowerPartition,
-                  mt: PowerPartition, max_steps: int | None) -> StableVerdict:
-    """``construct_nu`` on a pair whose normalized pair (lt, mt) is known.
 
     With bm = mu's top box count and S the first pass's length, every
     ceiling division of the second pass at a step t <= S is exact, by
@@ -339,6 +315,7 @@ def _construct_nu(lam: PowerPartition, mu: PowerPartition, lt: PowerPartition,
     (demand - room) / bm is a multiple of bm**(S - t), or it is 0 and the
     new leftover room - demand is a multiple of bm**(S - t + 1).
     """
+    lt, mt = normalize_pair(lam, mu)
     q = lam.base
     if lt.is_empty:
         return StableVerdict(HOLDS, StableWitness(from_entries([1]), embed_powerq(lam, mu)),
@@ -405,14 +382,6 @@ def _construct_nu(lam: PowerPartition, mu: PowerPartition, lt: PowerPartition,
     return StableVerdict(HOLDS, StableWitness(from_base_counts(nu_pp), w, tuple(log)), None, spent)
 
 
-def stable_embeds(lam: Partition | PowerPartition, mu: Partition | PowerPartition, *,
-                  node_budget: int = DEFAULT_NODE_BUDGET,
-                  max_steps: int | None = None) -> StableVerdict:
-    """Tri-state stable-embeddability decision (see ``Pair.stable``); either
-    side may be a Partition or a count vector."""
-    return Pair(lam, mu, node_budget, max_steps).stable
-
-
 @dataclass(frozen=True)
 class Pair:
     """A pair (lam, mu) and the facts its relations share, each computed on
@@ -454,10 +423,10 @@ class Pair:
                       else to_base_counts(side, self.base) for side in (self.lam, self.mu)])
 
     @cached_property
-    def normalized(self) -> tuple[PowerPartition, PowerPartition] | None:
-        """The count vectors with their common boxes cancelled, either side
-        possibly empty; None without a base."""
-        return None if self.counts is None else normalize_pair(*self.counts)
+    def profile(self) -> list[int] | None:
+        """The profile polynomial P of the count vectors, or None without a
+        base."""
+        return None if self.counts is None else profile_poly(*self.counts)
 
     @cached_property
     def embedding(self) -> tuple[EmbeddingWitness | None, bool]:
@@ -475,7 +444,7 @@ class Pair:
         """mu supermajorizes lam; for a pair with a base, by one tail-sum
         sweep of the profile (q**i, P_i)."""
         if self.counts is not None:
-            failing_x = tail_threshold(profile_poly(*self.counts), self.base)
+            failing_x = tail_threshold(self.profile, self.base)
             return Supermajorization(failing_x is None, failing_x)
         lam, mu = self.partitions
         return supermajorizes(mu, lam)
@@ -488,7 +457,20 @@ class Pair:
 
     @cached_property
     def refutation(self) -> StableRefutation | None:
-        """The first rule of ``prefilter_stable`` that fires, or None."""
+        """The first refutation rule that fires, or None.
+
+        (a) stability needs full norm dominance; (b) an exactly certified
+        interior norm equality with lam != mu is fatal; (c) under tight
+        packing (equal totals) a prime dividing every lam entry strictly more
+        often than every mu entry is fatal, because every product bin would
+        have to be filled exactly by pieces that carry more of that prime than
+        the bin does; for a power-of-q pair where the given pair shows no gap,
+        (c) is applied to the normalized pair and its certificate records
+        ``base``.  A normalized lam whose top box outranks mu's refutes too,
+        but (a) implies it: normalization leaves P unchanged and at most one
+        side holding boxes at each level, so P's leading coefficient is then
+        negative and the exact bulk decision fails.
+        """
         base, bulk = self.base, self.bulk
         if not bulk.holds:
             return StableRefutation(BULK_FAILS, bulk=bulk, base=base)
@@ -498,16 +480,13 @@ class Pair:
                 return StableRefutation(NORM_EQUALITY, bulk=bulk, equality=eq, base=base)
         if not bulk.tight_at_one:  # f(1) = total(mu) - total(lam) != 0
             return None
-        if self.counts is not None:
-            ref = _valuation_gap(*map(_lowest_box, self.counts))
-        else:
-            ref = _valuation_gap(*(math.gcd(*side.entries) for side in self.partitions))
-        normalized = self.normalized
-        if ref is None and normalized is not None and not normalized[0].is_empty:
+        if self.counts is None:
+            return _valuation_gap(*(math.gcd(*side.entries) for side in self.partitions))
+        ref = _valuation_gap(*map(_lowest_box, self.counts))
+        if ref is None and (gcds := _normalized_gcds(self.profile, base)) is not None:
             # Common boxes can hide the gap (a shared unit box makes both
             # gcds 1); the normalized pair is as stable as the given one.
-            # lam keeps boxes here, so mu does too, as bulk holds.
-            ref = _valuation_gap(*map(_lowest_box, normalized), base=base)
+            ref = _valuation_gap(*gcds, base=base)
         return ref
 
     @cached_property
@@ -520,7 +499,7 @@ class Pair:
         if self.counts is None:
             return StableVerdict(UNKNOWN, None, None, 0,
                                  detail="no common power base, so no catalyst construction applies")
-        return _construct_nu(*self.counts, *self.normalized, self.max_steps)
+        return construct_nu(*self.counts, self.max_steps)
 
     @cached_property
     def stable(self) -> StableVerdict:
@@ -581,11 +560,3 @@ class RelationReport:
     stable: StableVerdict
     bulk: BulkVerdict
     base: int | None = None
-
-
-def relations(lam: Partition | PowerPartition, mu: Partition | PowerPartition, *,
-              node_budget: int = DEFAULT_NODE_BUDGET,
-              max_steps: int | None = None) -> RelationReport:
-    """Compute all four relations and enforce the implication diagram (see
-    ``Pair.report``); either side may be a Partition or a count vector."""
-    return Pair(lam, mu, node_budget, max_steps).report()

@@ -28,10 +28,9 @@ from partembed.orders import embed_powerq, embeds, first_fit, supermajorizes
 from partembed.stablep import (
     FAILS,
     HOLDS,
+    Pair,
     construct_nu,
     normalize_pair,
-    prefilter_stable,
-    stable_embeds,
 )
 from helpers import (
     LAM1,
@@ -172,7 +171,7 @@ def test_criterion_6_implication_diagram():
         sup = supermajorizes(mu, lam).holds
         assert sup == brute_supermajorize(mu, lam), (lam, mu)
         bulk = dominates_all_s(lam, mu).holds
-        stable = stable_embeds(lam, mu, max_steps=200)
+        stable = Pair(lam, mu, max_steps=200).stable
         if emb:
             assert sup, (lam, mu)
             assert stable.status != FAILS, (lam, mu)
@@ -214,7 +213,7 @@ def test_criterion_8_catalyst_minimality():
         lam, mu = from_base_counts(u), from_base_counts(v)
         if len(lam) > 8 or len(mu) > 10:
             continue
-        if prefilter_stable(lam, mu) is not None:
+        if Pair(lam, mu).refutation is not None:
             continue
         lt, mt = normalize_pair(u, v)
         if lt.is_empty:
@@ -243,7 +242,7 @@ def _normalized_status(u, v):
         return HOLDS
     if mt.is_empty:
         return FAILS
-    return stable_embeds(from_base_counts(lt), from_base_counts(mt), max_steps=300).status
+    return Pair(from_base_counts(lt), from_base_counts(mt), max_steps=300).stable.status
 
 
 def _catalyst_family():
@@ -269,14 +268,14 @@ def test_criterion_9_normalization_equivalence():
     pad_rng = random.Random(2009)
     for u, v in pairs:
         normalized = _normalized_status(u, v)
-        assert stable_embeds(from_base_counts(u), from_base_counts(v),
-                             max_steps=300).status == normalized, (u, v)
+        assert Pair(from_base_counts(u), from_base_counts(v),
+                    max_steps=300).stable.status == normalized, (u, v)
         # 1-2 common boxes at every level up to the taller side's top, which
         # normalization cancels again; a shared unit box makes both gcds 1.
         pad = [pad_rng.randint(1, 2) for _ in range(max(len(u.counts), len(v.counts)))]
         lam, mu = (from_base_counts(PowerPartition(pp.base, tuple(
             c + d for c, d in itertools.zip_longest(pp.counts, pad, fillvalue=0))))
             for pp in (u, v))
-        assert stable_embeds(lam, mu, max_steps=300).status == normalized, (u, v, pad)
+        assert Pair(lam, mu, max_steps=300).stable.status == normalized, (u, v, pad)
     report(9, "stable verdicts are identical before and after pair normalization "
               f"({len(pairs)} pairs, each also padded with common boxes)", True)

@@ -35,8 +35,6 @@ from partembed.stablep import (
     StableVerdict,
     StableWitness,
     StepRecord,
-    relations,
-    stable_embeds,
 )
 from helpers import LAM1, LAM2, LAM3, MU1, MU2, MU3, MU4
 
@@ -339,6 +337,21 @@ class TestConjectureScan:
         assert by_name["tight"]["status"] == "holds"
         assert by_name["mixed"]["status"] == "excluded"
 
+    def test_names_that_are_not_strings(self, capsys, tmp_path):
+        # A name is printed as str() of its JSON value, the line's own or
+        # else its lhs document's.
+        corpus = tmp_path / "corpus.ndjson"
+        lines = [
+            {"name": ["a", 1], "lhs": [2, 2, 2, 2], "rhs": [4, 1, 1, 1, 1, 1, 1, 1, 1]},
+            {"lhs": {"entries": [4, 1, 1, 1, 1], "name": {"k": 2}}, "rhs": [4, 2, 2]},
+        ]
+        corpus.write_text("\n".join(json.dumps(l) for l in lines) + "\n")
+        code, out, _ = run(capsys, "conjecture-scan", str(corpus))
+        assert code == 0
+        rows = out.splitlines()
+        assert rows[0].startswith("['a', 1]  ") and "excluded" in rows[0]
+        assert rows[1].startswith("{'k': 2}  ") and "holds" in rows[1]
+
 
 GOLDEN = Path(__file__).parent / "golden"
 TOUCH_PAIRS = (
@@ -507,17 +520,17 @@ class TestJsonRoundTrips:
 
     def test_stable_verdicts(self):
         for verdict in (
-            stable_embeds(LAM1, MU1),
-            stable_embeds(LAM2, MU3),
-            stable_embeds(LAM3, MU4),
-            stable_embeds(from_entries([4, 4, 4]), from_entries([7, 6])),
+            Pair(LAM1, MU1).stable,
+            Pair(LAM2, MU3).stable,
+            Pair(LAM3, MU4).stable,
+            Pair(from_entries([4, 4, 4]), from_entries([7, 6])).stable,
         ):
             doc = json.loads(json.dumps(cli.to_doc(verdict)))
             assert cli.from_doc(StableVerdict, doc) == verdict
 
     def test_relation_reports(self):
         for lam, mu in ((LAM1, MU1), (LAM3, MU4), (LAM1, MU2)):
-            report = relations(lam, mu)
+            report = Pair(lam, mu).report()
             doc = json.loads(json.dumps(cli.to_doc(report)))
             assert cli.from_doc(RelationReport, doc) == report
 

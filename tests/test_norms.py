@@ -83,14 +83,14 @@ class TestPNorm:
 class TestNormProfile:
     def test_counterexample_profile(self):
         prof = norm_profile(LAM2, MU3)
-        assert prof.as_dict() == {16: 1, 8: -4, 4: -4, 2: 16, 1: 16}
+        assert dict(prof.coefficients) == {16: 1, 8: -4, 4: -4, 2: 16, 1: 16}
 
     def test_identical_is_empty(self):
         assert norm_profile(LAM1, LAM1).coefficients == ()
 
     def test_small_profile(self):
         prof = norm_profile(from_entries([2]), from_entries([1, 1, 1]))
-        assert prof.as_dict() == {2: -1, 1: 3}
+        assert dict(prof.coefficients) == {2: -1, 1: 3}
 
     def test_f1_matches_totals(self):
         rng = random.Random(22)
@@ -165,10 +165,10 @@ class TestFailingThreshold:
 
 
 class TestFMpfBits:
-    # f_mpf keeps each ln v from one call to the next.  The refinements and
-    # the failure searches evaluate f through it (the grid samples come from
-    # stepped_grid), so it must still return the very bits of the plain mpmath
-    # sum, or numeric verdicts, failure exponents and hints move.
+    # The refinements and the failure searches evaluate f through f_mpf (the
+    # grid samples come from stepped_grid), so it must return the very bits
+    # of the plain mpmath sum, or numeric verdicts, failure exponents and
+    # hints move.
     @staticmethod
     def reference(prof, s):
         import mpmath

@@ -16,7 +16,7 @@ from partembed.oracle import (
     bulk_sample,
 )
 from partembed.orders import embeds, supermajorizes
-from partembed.stablep import FAILS, stable_embeds
+from partembed.stablep import FAILS, Pair
 from helpers import LAM1, LAM3, MU1, MU2, MU4, random_partition
 
 
@@ -73,7 +73,7 @@ class TestBruteStableSearch:
         assert brute_stable_search(lam, lam, 1, 1) == from_entries([1])
 
     def test_consistent_with_refutation(self):
-        assert stable_embeds(LAM3, MU4).status == FAILS
+        assert Pair(LAM3, MU4).stable.status == FAILS
         assert brute_stable_search(LAM3, MU4, 3, 8) is None
 
     def test_guard(self):

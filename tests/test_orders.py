@@ -26,7 +26,7 @@ from partembed.orders import (
 )
 from partembed import orders, stablep
 from partembed.oracle import brute_supermajorize
-from partembed.stablep import relations
+from partembed.stablep import Pair
 from helpers import (
     LAM1,
     LAM2,
@@ -341,7 +341,7 @@ class TestWastedSpacePrune:
         lam, mu = from_entries([1] * 1500 + [3]), from_entries([1503])
         start = time.monotonic()
         w = embeds(lam, mu)
-        report = relations(lam, mu)
+        report = Pair(lam, mu).report()
         assert time.monotonic() - start < 1
         assert w.assignment == (0,) * 1501 and w.validate(lam, mu)
         assert report.embeds and report.stable.status == stablep.HOLDS
@@ -519,7 +519,7 @@ class TestFirstFitCompleteness:
 
 class TestRelations:
     def test_lam1_mu1(self):
-        rep = relations(LAM1, MU1)
+        rep = Pair(LAM1, MU1).report()
         assert rep.embeds is False
         assert not rep.supermajorized
         assert rep.stable.status == stablep.HOLDS
@@ -527,7 +527,7 @@ class TestRelations:
         assert rep.bulk.holds
 
     def test_lam2_mu3(self):
-        rep = relations(LAM2, MU3)
+        rep = Pair(LAM2, MU3).report()
         assert rep.embeds is False
         assert not rep.supermajorized
         assert rep.stable.status == stablep.FAILS
@@ -535,7 +535,7 @@ class TestRelations:
         assert rep.bulk.holds
 
     def test_lam3_mu4(self):
-        rep = relations(LAM3, MU4)
+        rep = Pair(LAM3, MU4).report()
         assert rep.embeds is False
         assert rep.supermajorized
         assert rep.stable.status == stablep.FAILS
@@ -547,7 +547,7 @@ class TestRelations:
         for _ in range(60):
             lam = random_partition(rng, 4, 12)
             mu = random_partition(rng, 4, 12)
-            rep = relations(lam, mu)
+            rep = Pair(lam, mu).report()
             if rep.embeds:
                 assert rep.supermajorized
                 assert rep.stable.status != stablep.FAILS

@@ -24,8 +24,6 @@ from partembed.stablep import (
     HOLDS,
     Pair,
     StableRefutation,
-    prefilter_stable,
-    relations,
 )
 
 SWEEP = settings(derandomize=True, database=None, deadline=None, max_examples=120)
@@ -47,7 +45,7 @@ def tail_fails(mu, lam, x: int) -> bool:
 @SWEEP
 @given(partitions, partitions)
 def test_general_pair_verdicts_are_certified(lam, mu):
-    report = relations(lam, mu, node_budget=10**4)
+    report = Pair(lam, mu, node_budget=10**4).report()
     if report.embeds:
         assert report.embed_witness.validate(lam, mu)
     elif report.embeds is False:
@@ -84,7 +82,7 @@ def test_powerq_pair_verdicts_are_certified(sides):
     if not bulk.holds:
         assert bulk.failure_x is not None
         assert StableRefutation(BULK_FAILS, bulk=bulk, base=pair.base).verify(lam, mu)
-    ref = prefilter_stable(lam, mu)
+    ref = Pair(lam, mu).refutation
     assert (ref is not None and ref.rule == BULK_FAILS) == (not bulk.holds)
     if ref is not None:
         assert ref.verify(lam, mu)

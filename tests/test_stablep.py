@@ -30,15 +30,11 @@ from partembed.stablep import (
     HOLDS,
     NORM_EQUALITY,
     TIGHT_VALUATION,
-    TOP_INDEX,
     UNKNOWN,
     Pair,
     StableRefutation,
     construct_nu,
     normalize_pair,
-    prefilter_stable,
-    relations,
-    stable_embeds,
     _valuation,
     _valuation_gap,
 )
@@ -82,7 +78,7 @@ class TestNormalizePair:
 
 class TestPrefilter:
     def test_norm_equality_refutation(self):
-        ref = prefilter_stable(LAM2, MU3)
+        ref = Pair(LAM2, MU3).refutation
         assert ref is not None and ref.rule == NORM_EQUALITY
         assert ref.equality.exact
         a, b = ref.equality.x_interval
@@ -90,7 +86,7 @@ class TestPrefilter:
         assert ref.verify(LAM2, MU3)
 
     def test_tight_valuation_refutation(self):
-        ref = prefilter_stable(LAM3, MU4)
+        ref = Pair(LAM3, MU4).refutation
         assert ref is not None and ref.rule == TIGHT_VALUATION
         assert ref.prime == 2
         assert ref.lam_valuation == 1 and ref.mu_valuation == 0
@@ -99,7 +95,7 @@ class TestPrefilter:
     def test_tight_valuation_on_the_normalized_pair(self):
         lam = from_base_counts(PowerPartition(2, (1, 5, 1)))
         mu = from_base_counts(PowerPartition(2, (5, 1, 2)))
-        ref = prefilter_stable(lam, mu)
+        ref = Pair(lam, mu).refutation
         assert ref is not None and ref.rule == TIGHT_VALUATION and ref.base == 2
         assert (ref.prime, ref.lam_valuation, ref.mu_valuation) == (2, 1, 0)
         assert ref.verify(lam, mu)
@@ -108,27 +104,41 @@ class TestPrefilter:
         assert not ref.verify(mu, lam)
 
     def test_tight_valuation_on_the_given_pair_records_no_base(self):
-        assert prefilter_stable(LAM3, MU4).base is None
+        assert Pair(LAM3, MU4).refutation.base is None
 
     def test_valuation_certificate_needs_a_prime(self):
-        ref = prefilter_stable(LAM3, MU4)
+        ref = Pair(LAM3, MU4).refutation
         assert not replace(ref, prime=1).verify(LAM3, MU4)
         assert not replace(ref, prime=0).verify(LAM3, MU4)
 
     def test_embeddable_pair_passes(self):
-        assert prefilter_stable(from_entries([2, 2]), from_entries([4])) is None
+        assert Pair(from_entries([2, 2]), from_entries([4])).refutation is None
 
     def test_bulk_failure_refutation(self):
-        ref = prefilter_stable(from_entries([2]), from_entries([1, 1, 1]))
+        ref = Pair(from_entries([2]), from_entries([1, 1, 1])).refutation
         assert ref is not None and ref.rule == BULK_FAILS
         assert ref.verify(from_entries([2]), from_entries([1, 1, 1]))
 
     def test_bulk_failure_is_checked_at_its_own_exponent(self):
         # [3,3] vs [4,1,1] fails just above s = 1, but f(3) = 64 + 2 - 54 = 12.
         lam, mu = from_entries([3, 3]), from_entries([4, 1, 1])
-        assert prefilter_stable(lam, mu).verify(lam, mu)
+        assert Pair(lam, mu).refutation.verify(lam, mu)
         at_three = StableRefutation(BULK_FAILS, bulk=BulkVerdict(False, failure_exponent=3.0))
         assert not at_three.verify(lam, mu)
+
+    def test_bulk_failure_below_the_base_is_rejected(self):
+        # [1,1] / [2] is stable, but its P(x) = x - 2 is negative below
+        # x = q**1 = 2, where the orders say nothing.
+        lam, mu = from_entries([1, 1]), from_entries([2])
+        assert Pair(lam, mu).stable.status == HOLDS
+        for x in (Fraction(1), Fraction(3, 2)):
+            forged = StableRefutation(BULK_FAILS, bulk=BulkVerdict(
+                False, failure_exponent=0.0, failure_x=x), base=2)
+            assert not forged.verify(lam, mu), x
+        lam, mu = from_entries([4]), from_entries([2, 2])
+        ref = Pair(lam, mu).refutation
+        assert ref.rule == BULK_FAILS and ref.bulk.failure_x > 2
+        assert ref.verify(lam, mu)
 
     def test_bulk_failure_needs_an_exponent(self):
         lam, mu = from_entries([3, 3]), from_entries([4, 1, 1])
@@ -142,23 +152,22 @@ class TestPrefilter:
     ])
     def test_bulk_failure_in_interval_arithmetic(self, lam, mu, wrong):
         lam, mu = from_entries(lam), from_entries(mu)
-        ref = prefilter_stable(lam, mu)
+        ref = Pair(lam, mu).refutation
         assert ref.rule == BULK_FAILS and ref.verify(lam, mu)
         assert not replace(ref, bulk=replace(ref.bulk, failure_exponent=wrong)).verify(lam, mu)
 
     def test_top_index_certificate_verifies(self):
-        # [8,2] vs [4,4,1,1]: after normalization lam keeps level 3, mu tops at 2.
-        # The dominance prefilter already refutes this pair (the top surviving
-        # profile coefficient is negative), so the rule is exercised directly.
+        # [8,2] vs [4,4,1,1]: after normalization lam keeps level 3, mu tops at
+        # 2, and the dominance rule refutes the pair (the top surviving
+        # profile coefficient is negative).
         lam, mu = from_entries([8, 2]), from_entries([4, 4, 1, 1])
-        cert = StableRefutation(TOP_INDEX, base=2, top_lam=3, top_mu=2)
-        assert cert.verify(lam, mu)
-        ref = prefilter_stable(lam, mu)
+        ref = Pair(lam, mu).refutation
         assert ref is not None and ref.rule == BULK_FAILS
+        assert ref.verify(lam, mu)
 
     def test_top_index_gap_implies_bulk_fails(self):
         # When normalized lam tops mu, P's leading coefficient is negative, so
-        # the exact bulk decision fails and rule (a) fires before rule (c).
+        # the exact bulk decision fails and the dominance rule refutes.
         rng = random.Random(44)
         gaps = 0
         for _ in range(400):
@@ -166,23 +175,19 @@ class TestPrefilter:
             u = random_powerq(rng, base=base, levels=4, max_count=3)
             v = random_powerq(rng, base=base, levels=4, max_count=3)
             lt, mt = normalize_pair(u, v)
-            if lt.is_empty or (not mt.is_empty and mt.top_index >= lt.top_index):
+            if lt.is_empty or len(mt.counts) >= len(lt.counts):
                 continue
             gaps += 1
             lam, mu = from_base_counts(u), from_base_counts(v)
             assert not exact_dominates_powerq(u, v).holds, (u, v)
             assert Pair(lam, mu).refutation.rule == BULK_FAILS, (u, v)
-            if not mt.is_empty:
-                cert = StableRefutation(TOP_INDEX, base=base,
-                                        top_lam=lt.top_index, top_mu=mt.top_index)
-                assert cert.verify(lam, mu), (u, v)
         assert gaps > 100
 
     def test_norm_equality_point_interval_verifies(self):
         # P = (x-4)**2: the touch root 4 is a bisection midpoint, so the
         # certificate's isolating interval is the point 4.
         lam, mu = from_entries([2] * 8), from_entries([4] + [1] * 16)
-        ref = prefilter_stable(lam, mu)
+        ref = Pair(lam, mu).refutation
         assert ref.rule == NORM_EQUALITY
         assert ref.equality.x_interval == (Fraction(4), Fraction(4))
         assert ref.verify(lam, mu)
@@ -193,7 +198,7 @@ class TestPrefilter:
         P = 2**61 - 1
         lam, mu = from_entries([P, P]), from_entries([2 * P - 1, 1])
         start = time.monotonic()
-        verdict = stable_embeds(lam, mu)
+        verdict = Pair(lam, mu).stable
         assert time.monotonic() - start < 1
         ref = verdict.reason
         assert verdict.status == FAILS and ref.rule == TIGHT_VALUATION
@@ -206,7 +211,7 @@ class TestPrefilter:
         d = (2**31 - 1) * (2**61 - 1)
         g = 6 * d
         lam, mu = from_entries([g, g]), from_entries([2 * g - 6, 6])
-        ref = prefilter_stable(lam, mu)
+        ref = Pair(lam, mu).refutation
         assert ref.rule == TIGHT_VALUATION
         assert (ref.prime, ref.lam_valuation, ref.mu_valuation) == (d, 1, 0)
         assert ref.verify(lam, mu)
@@ -246,7 +251,7 @@ class TestPrefilter:
         (BULK_FAILS, from_entries([4]), from_entries([2, 2]), [5], [3, 3]),
     ], ids=[TIGHT_VALUATION, NORM_EQUALITY, BULK_FAILS])
     def test_certificates_reject_wrong_pairs(self, rule, lam, mu, wrong_lam, wrong_mu):
-        ref = prefilter_stable(lam, mu)
+        ref = Pair(lam, mu).refutation
         assert ref.rule == rule and ref.verify(lam, mu)
         assert not ref.verify(from_entries(wrong_lam), from_entries(wrong_mu))
 
@@ -325,7 +330,7 @@ class TestConstructNu:
         # first pass runs out of the default budget, 64 * (4 + 5 + 2) steps
         # on the normalized pair [0,0,4,0,4] / [4,3,0,1,0,2].
         lam, mu = PowerPartition(2, (0, 1, 4, 2, 4)), PowerPartition(2, (4, 4, 0, 3, 0, 2))
-        assert prefilter_stable(from_base_counts(lam), from_base_counts(mu)) is None
+        assert Pair(from_base_counts(lam), from_base_counts(mu)).refutation is None
         verdict = construct_nu(lam, mu)
         assert (verdict.status, verdict.budget_spent, verdict.detail) == (
             UNKNOWN, 704, "iteration budget exhausted in the first pass")
@@ -345,7 +350,7 @@ class TestConstructNu:
     ])
     def test_products_past_the_box_cap_are_unknown(self, lam, mu):
         start = time.monotonic()
-        verdict = stable_embeds(PowerPartition(2, lam), PowerPartition(2, mu))
+        verdict = Pair(PowerPartition(2, lam), PowerPartition(2, mu)).stable
         assert time.monotonic() - start < 1
         assert verdict.status == UNKNOWN and verdict.witness is None
         assert verdict.detail.endswith(f"boxes, more than the limit of {MAX_PRODUCT_BOXES}")
@@ -371,7 +376,7 @@ class TestConstructNu:
             u = random_powerq(rng, base=base, levels=3, max_count=3)
             v = random_powerq(rng, base=base, levels=4, max_count=4)
             lam, mu = from_base_counts(u), from_base_counts(v)
-            if prefilter_stable(lam, mu) is not None:
+            if Pair(lam, mu).refutation is not None:
                 continue
             lt, mt = normalize_pair(u, v)
             if lt.is_empty:
@@ -390,7 +395,7 @@ class TestConstructNu:
         # at [2187,729,972], and the catalyst comes from it.
         lam = from_entries([16] * 7)
         mu = from_entries([32] * 3 + [8] + [4] * 4 + [2] * 4)
-        verdict = stable_embeds(lam, mu)
+        verdict = Pair(lam, mu).stable
         assert verdict.status == HOLDS
         nu = verdict.witness.nu
         assert len(nu) == 3888
@@ -422,46 +427,46 @@ class TestNuOrder:
 
 class TestStableEmbeds:
     def test_counterexample_holds(self):
-        verdict = stable_embeds(LAM1, MU1)
+        verdict = Pair(LAM1, MU1).stable
         assert verdict.status == HOLDS
         assert list(verdict.witness.nu.entries) == [2, 1, 1]
         nu = verdict.witness.nu
         assert verdict.witness.embedding.validate(product(LAM1, nu), product(MU1, nu))
 
     def test_valuation_refutation(self):
-        verdict = stable_embeds(LAM3, MU4)
+        verdict = Pair(LAM3, MU4).stable
         assert verdict.status == FAILS
         assert verdict.reason.rule == TIGHT_VALUATION
 
     def test_fast_path_direct_embedding(self):
-        verdict = stable_embeds(from_entries([3, 2]), from_entries([7]))
+        verdict = Pair(from_entries([3, 2]), from_entries([7])).stable
         assert verdict.status == HOLDS
         assert list(verdict.witness.nu.entries) == [1]
 
     def test_unknown_without_common_base(self):
         # [4,4,4] does not embed into [7,6]; no refutation applies and there
         # is no common power base, so the honest answer is UNKNOWN
-        verdict = stable_embeds(from_entries([4, 4, 4]), from_entries([7, 6]))
+        verdict = Pair(from_entries([4, 4, 4]), from_entries([7, 6])).stable
         assert verdict.status == UNKNOWN
         assert verdict.detail
 
     def test_unknown_names_the_exhausted_search(self):
         # [3,3,3] passes the search's pre-checks into [5,5], so a budget of 0
         # nodes runs out; no refutation applies and there is no common base.
-        verdict = stable_embeds(from_entries([3, 3, 3]), from_entries([5, 5]), node_budget=0)
+        verdict = Pair(from_entries([3, 3, 3]), from_entries([5, 5]), node_budget=0).stable
         assert verdict.status == UNKNOWN and verdict.reason is None
         assert verdict.detail == ("no common power base, so no catalyst construction applies; "
                                   "the direct embedding search also hit its budget")
 
     def test_norm_equality_refutation(self):
-        verdict = stable_embeds(LAM2, MU3)
+        verdict = Pair(LAM2, MU3).stable
         assert verdict.status == FAILS
         assert verdict.reason.rule == NORM_EQUALITY
         assert verdict.reason.verify(LAM2, MU3)
 
     def test_determinism(self):
-        a = stable_embeds(LAM1, MU1)
-        b = stable_embeds(LAM1, MU1)
+        a = Pair(LAM1, MU1).stable
+        b = Pair(LAM1, MU1).stable
         assert a == b
 
     def test_normalization_equivalence(self):
@@ -471,15 +476,15 @@ class TestStableEmbeds:
             u = random_powerq(rng, base=base, levels=4, max_count=4)
             v = random_powerq(rng, base=base, levels=4, max_count=4)
             lam, mu = from_base_counts(u), from_base_counts(v)
-            original = stable_embeds(lam, mu, max_steps=400).status
+            original = Pair(lam, mu, max_steps=400).stable.status
             lt, mt = normalize_pair(u, v)
             if lt.is_empty:
                 normalized = HOLDS
             elif mt.is_empty:
                 normalized = FAILS
             else:
-                normalized = stable_embeds(from_base_counts(lt), from_base_counts(mt),
-                                           max_steps=400).status
+                normalized = Pair(from_base_counts(lt), from_base_counts(mt),
+                                  max_steps=400).stable.status
             assert original == normalized, (u, v)
 
     def test_soundness_on_random_pairs(self):
@@ -489,7 +494,7 @@ class TestStableEmbeds:
             u = random_powerq(rng, base=base, levels=4, max_count=4)
             v = random_powerq(rng, base=base, levels=4, max_count=4)
             lam, mu = from_base_counts(u), from_base_counts(v)
-            verdict = stable_embeds(lam, mu, max_steps=400)
+            verdict = Pair(lam, mu, max_steps=400).stable
             if verdict.status == HOLDS:
                 nu = verdict.witness.nu
                 assert verdict.witness.embedding.validate(product(lam, nu), product(mu, nu))
@@ -540,7 +545,7 @@ class TestOneDecisionPerPair:
         base = count_calls(monkeypatch, partembed.core.common_power_base)
         numeric = count_calls(monkeypatch, partembed.norms.dominates_all_s)
         exact = count_calls(monkeypatch, partembed.norms.exact_dominates_powerq)
-        report = relations(lam, mu)
+        report = Pair(lam, mu).report()
         assert report.embeds is False
         assert base.n == 1
         assert numeric.n + exact.n == 1
@@ -553,8 +558,8 @@ class TestOneDecisionPerPair:
         products = count_calls(monkeypatch, partembed.core.product)
         count_products = count_calls(monkeypatch, partembed.core.count_product)
         embeds_q = count_calls(monkeypatch, partembed.orders.embed_powerq)
-        report = relations(from_base_counts(PowerPartition(2, (0, 4))),
-                           from_base_counts(PowerPartition(2, (5, 0, 1))))
+        report = Pair(from_base_counts(PowerPartition(2, (0, 4))),
+                      from_base_counts(PowerPartition(2, (5, 0, 1)))).report()
         assert report.stable.status == HOLDS
         assert products.n == 0
         assert count_products.n == 2
@@ -564,19 +569,26 @@ class TestOneDecisionPerPair:
         # Two for the pair's sides; the catalyst's products are built as
         # count vectors.
         conversions = count_calls(monkeypatch, partembed.core.to_base_counts)
-        report = relations(from_base_counts(PowerPartition(2, (0, 4))),
-                           from_base_counts(PowerPartition(2, (5, 0, 1))))
+        report = Pair(from_base_counts(PowerPartition(2, (0, 4))),
+                      from_base_counts(PowerPartition(2, (5, 0, 1)))).report()
         assert report.stable.status == HOLDS
         assert conversions.n == 2
 
     def test_catalyst_pair_normalized_once(self, monkeypatch):
-        # The refutation rules and the catalyst construction share one
-        # normalization of the count vectors.
+        # The catalyst construction normalizes the count vectors; the
+        # refutation rules read the normalized pair off the profile.
         normalizations = count_calls(monkeypatch, normalize_pair)
-        report = relations(from_base_counts(PowerPartition(2, (0, 4))),
-                           from_base_counts(PowerPartition(2, (5, 0, 1))))
+        report = Pair(from_base_counts(PowerPartition(2, (0, 4))),
+                      from_base_counts(PowerPartition(2, (5, 0, 1)))).report()
         assert report.stable.status == HOLDS
         assert normalizations.n == 1
+
+    def test_check_all_reaches_the_public_construct_nu(self, monkeypatch, capsys):
+        # A CLI query builds its catalyst through the one public entry point.
+        calls = count_calls(monkeypatch, construct_nu)
+        assert cli.main(["check", "all", "--lhs", "[2,2,2,2]",
+                         "--rhs", "[4,1,1,1,1,1,1,1,1]", "--json"]) == 0
+        assert calls.n == 1
 
     @pytest.mark.parametrize("lam, mu", [([2], [2, 1]), ([4, 2], [4, 2])])
     def test_catalyst_when_lam_cancels_away(self, lam, mu):
@@ -635,13 +647,13 @@ class TestOneDecisionPerPair:
     def test_library_takes_count_vectors(self):
         lam, mu = PowerPartition(4, (0, 5)), PowerPartition(4, (6, 0, 1))
         expanded = from_base_counts(lam), from_base_counts(mu)
-        assert relations(lam, mu) == relations(*expanded)
-        assert stable_embeds(lam, mu) == stable_embeds(*expanded)
-        assert prefilter_stable(lam, mu) == prefilter_stable(*expanded)
+        assert Pair(lam, mu).report() == Pair(*expanded).report()
+        assert Pair(lam, mu).stable == Pair(*expanded).stable
+        assert Pair(lam, mu).refutation == Pair(*expanded).refutation
         assert Pair(lam, mu).counts == (PowerPartition(2, (0, 0, 5)),
                                         PowerPartition(2, (6, 0, 0, 0, 1)))
         with pytest.raises(EmptyPartition):
-            relations(lam, PowerPartition(2, ()))
+            Pair(lam, PowerPartition(2, ())).report()
 
     @pytest.mark.parametrize("relation", ["embed", "supermajorize", "bulk", "stable", "all"])
     @pytest.mark.parametrize("lhs, rhs", CHECK_PAIRS)

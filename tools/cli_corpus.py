@@ -6,8 +6,9 @@ imports ``partembed`` from ``DIR/src`` (default: this checkout), calls
 ``partembed.cli.main(argv)`` in-process for every query and writes
 ``{"argv", "rc", "out", "err"}`` per line to ``OUT``.  An exception that
 escapes ``main`` is recorded as ``rc: null`` with its type and message in
-``err``.  Run it on two trees and compare the outputs with ``cmp``: equal
-files mean the two programs print the same bytes and exit codes.
+``err``; the summary line ends with the number of such queries.  Run it on
+two trees and compare the outputs with ``cmp``: equal files mean the two
+programs print the same bytes and exit codes.
 
 The query list is fixed: the first 300 seed-1 queries of ``general-mix`` and
 ``powerq-mix`` re-asked as every relation with and without ``--json`` (deep
@@ -57,7 +58,13 @@ supermajorize and all, ``[1]`` / ``[1000003]``, whose greedy embedding holds
 catalyst products hold more than 2**63 boxes at one level, as stable and
 all, ``[N,N]`` / ``[N+1,N-1]`` with N = 2**1023 as bulk, whose numeric search
 interval still ends inside the float range, and with N = 2**1024 and
-N = 2**1100, where it does not, as bulk, stable and all, ``gen random``,
+N = 2**1100, where it does not, as bulk, stable and all, two supermajorized
+pairs whose search interval passes the float range, ``[10**4000]`` /
+``[10**4000+1]`` and ``[3**2000, 1]`` / ``[3**2000+1]``, as bulk and all, a
+count document of one box 2**20000, whose 6,021 digits pass the limit of
+Python's int printing, against itself as embed, stable and all with
+``--json``, one box 2**20001 against three of 2**20000, whose failing
+threshold prints the same way, as supermajorize and as text all, ``gen random``,
 ``powerq`` and ``divisible`` with ``--seed 3 --count 5``,
 ``conjecture-scan`` over ``tools/scan_corpus.ndjson`` with and without ``--json`` and
 ``--max-steps 3``, a few queries with an invalid option, among them the
@@ -242,6 +249,18 @@ HUGE_CATALYSTS = (
 # for N = 2**1100 the gap between the top two logarithms underflows to 0.
 FLOAT_EDGE = tuple((json.dumps([2**e] * 2), json.dumps([2**e + 1, 2**e - 1]))
                    for e in (1023, 1024, 1100))
+# Supermajorized pairs with no common power base whose numeric search
+# interval passes the float range: the gap between the top two logarithms
+# underflows to 0 for [10**4000] / [10**4000+1] and [3**2000, 1] / [3**2000+1].
+FLOAT_SUPER = tuple((json.dumps(lhs), json.dumps(rhs)) for lhs, rhs in
+                    (([10**4000], [10**4000 + 1]), ([3**2000, 1], [3**2000 + 1])))
+# A count document of one box 2**20000, whose 6,021 digits pass the limit of
+# Python's int printing although the document itself is small, and one box
+# 2**20001 against three of 2**20000, whose failing threshold 2**20000 + 1
+# prints the same way.
+HUGE_BOX = '{"base":2,"counts":[' + "0," * 20000 + "1]}"
+HUGE_SUP = ('{"base":2,"counts":[' + "0," * 20001 + "1]}",
+            '{"base":2,"counts":[' + "0," * 20000 + "3]}")
 # 10**5000, one digit past the 4,300-digit limit of Python's int parsing.
 LONG_ENTRY = "[1" + "0" * 5000 + "]"
 # The entry 2 inside 1,000 nested arrays, deeper than Python's JSON parser
@@ -355,10 +374,15 @@ def queries() -> list[list[str]]:
                                   (BIG_BASE, ("embed", "stable", "all")),
                                   *((pair, ("stable", "all")) for pair in HUGE_CATALYSTS),
                                   (FLOAT_EDGE[0], ("bulk",)),
-                                  *((pair, ("bulk", "stable", "all")) for pair in FLOAT_EDGE[1:])):
+                                  *((pair, ("bulk", "stable", "all")) for pair in FLOAT_EDGE[1:]),
+                                  *((pair, ("bulk", "all")) for pair in FLOAT_SUPER)):
         for relation in relations:
             argv = ["check", relation, "--lhs", lhs, "--rhs", rhs]
             out += [argv + ["--json"], argv]
+    out += [["check", relation, "--lhs", HUGE_BOX, "--rhs", HUGE_BOX, "--json"]
+            for relation in ("embed", "stable", "all")]
+    sup = ["check", "supermajorize", "--lhs", HUGE_SUP[0], "--rhs", HUGE_SUP[1]]
+    out += [sup + ["--json"], sup, ["check", "all", "--lhs", HUGE_SUP[0], "--rhs", HUGE_SUP[1]]]
     out += [["gen", kind, "--seed", "3", "--count", "5"]
             for kind in ("random", "powerq", "divisible")]
     for extra in ((), ("--max-steps", "3")):
@@ -393,10 +417,14 @@ def main(argv=None) -> int:
 
     out = args.out.resolve()
     os.chdir(ROOT)
+    raised = 0
     with open(out, "w", encoding="utf-8") as fh:
         for query in todo:
-            fh.write(json.dumps(record(cli, query)) + "\n")
-    print(f"{len(todo)} queries -> {args.out} (partembed from {Path(cli.__file__).parent})")
+            answer = record(cli, query)
+            raised += answer["rc"] is None
+            fh.write(json.dumps(answer) + "\n")
+    print(f"{len(todo)} queries -> {args.out} (partembed from {Path(cli.__file__).parent}), "
+          f"{raised} raised")
     return 0
 
 

@@ -67,7 +67,5 @@ from .stablep import (
     construct_nu,
     normalize_pair,
 )
-from . import oracle
-from .oracle import nu_order_compare
 
 __version__ = "0.1.0"

@@ -3,8 +3,9 @@
 Exit codes: 0 the queried relation holds (or, for ``check all``, everything
 was decided), 1 it fails, 2 undecided within budget, 64 usage error,
 65 malformed input data or input past a stated limit: an integer of more
-digits than ``int`` parses, JSON nested deeper than the recursion limit, or
-a pair whose numeric bulk search interval passes the float range.
+digits than ``int`` parses or prints, JSON nested deeper than the recursion
+limit, or a pair that is not supermajorized and whose numeric bulk search
+interval passes the float range; such a query prints nothing to stdout.
 
 Partitions travel as JSON documents with exactly one of ``entries`` (a list
 of positive integers, any order) or ``counts`` plus ``base`` (the power
@@ -24,6 +25,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import random
 import sys
 import types
@@ -33,6 +35,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .core import (
+    MAX_BOXES,
     Partition,
     PartitionError,
     PowerPartition,
@@ -40,7 +43,7 @@ from .core import (
     product,
     to_base_counts,
 )
-from .norms import BeyondFloatRange
+from .norms import BeyondFloatRange, _trim
 from .orders import DEFAULT_NODE_BUDGET
 from .stablep import (
     FAILS,
@@ -56,9 +59,6 @@ EX_FAILS = 1
 EX_UNKNOWN = 2
 EX_USAGE = 64
 EX_DATA = 65
-
-# Largest box total of a count-form document.
-MAX_COUNT_BOXES = 10**6
 
 
 class _InputError(Exception):
@@ -103,13 +103,12 @@ def to_doc(obj):
     if isinstance(obj, _SCALARS):
         return obj
     if isinstance(obj, tuple):
-        return [x if isinstance(x, _SCALARS) else to_doc(x) for x in obj]
+        return [to_doc(x) for x in obj]
     if type(obj) is Partition:
         return list(obj.entries)
     if type(obj) is Fraction:
         return f"{obj.numerator}/{obj.denominator}"
-    return {key: v if isinstance(v := getattr(obj, name), _SCALARS) else to_doc(v)
-            for name, key, _ in _fields(type(obj))}
+    return {key: to_doc(getattr(obj, name)) for name, key, _ in _fields(type(obj))}
 
 
 def from_doc(tp, doc):
@@ -174,14 +173,10 @@ def _encode(obj, indent: str) -> str:
         else:
             items = [_encode(x, inner) for x in obj]
         return f"[{inner}{(',' + inner).join(items)}{indent}]"
-    get = _SCALAR_JSON.get
     if isinstance(obj, dict):
-        items = [_json_str(k) + ": " + (write(v) if (write := get(type(v))) else _encode(v, inner))
-                 for k, v in obj.items()]
+        items = [_json_str(k) + ": " + _encode(v, inner) for k, v in obj.items()]
     else:
-        items = [key + (write(v) if (write := get(type(v := getattr(obj, name))))
-                        else _encode(v, inner))
-                 for name, key in _json_members(tp)]
+        items = [key + _encode(getattr(obj, name), inner) for name, key in _json_members(tp)]
     if not items:
         return "{}"
     return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
@@ -209,13 +204,10 @@ def parse_partition_doc(obj) -> tuple[Partition | PowerPartition, str | None]:
         base = obj.get("base")
         if base is None:
             raise _InputError("'counts' form needs a 'base'")
-        counts = list(obj["counts"])
-        while counts and counts[-1] == 0:
-            counts.pop()
-        pp = PowerPartition(base, tuple(counts))
-        if pp.box_count > MAX_COUNT_BOXES:
+        pp = PowerPartition(base, tuple(_trim(list(obj["counts"]))))
+        if pp.box_count > MAX_BOXES:
             raise _InputError(f"'counts' form holds {pp.box_count} boxes, "
-                              f"more than the limit of {MAX_COUNT_BOXES}")
+                              f"more than the limit of {MAX_BOXES}")
         if pp.is_empty:
             raise _InputError("cannot expand an empty count vector")
         return pp, obj.get("name")
@@ -320,13 +312,14 @@ def cmd_check(args) -> int:
         if args.json:
             _write({"relation": "stable", "verdict": verdict.status, "report": verdict})
         else:
-            print(f"stable: {verdict.status}")
+            lines = [f"stable: {verdict.status}"]
             if verdict.witness is not None:
-                print(f"  catalyst nu = {list(verdict.witness.nu.entries)}")
+                lines.append(f"  catalyst nu = {list(verdict.witness.nu.entries)}")
             if verdict.reason is not None:
-                print(f"  refutation: {verdict.reason.rule}")
+                lines.append(f"  refutation: {verdict.reason.rule}")
             if verdict.detail:
-                print(f"  {verdict.detail}")
+                lines.append(f"  {verdict.detail}")
+            print("\n".join(lines))
         return {HOLDS: EX_OK, FAILS: EX_FAILS, UNKNOWN: EX_UNKNOWN}[verdict.status]
 
     # all four relations
@@ -335,13 +328,13 @@ def cmd_check(args) -> int:
         _write(report)
     else:
         emb = "UNKNOWN" if report.embeds is None else ("HOLDS" if report.embeds else "FAILS")
-        print(f"embed:          {emb}")
         sup = "HOLDS" if report.supermajorized else f"FAILS at x={report.supermajorization_failing_x}"
-        print(f"supermajorize:  {sup}")
-        print(f"stable:         {report.stable.status}"
+        print(f"embed:          {emb}\n"
+              f"supermajorize:  {sup}\n"
+              f"stable:         {report.stable.status}"
               + (f" (nu={list(report.stable.witness.nu.entries)})" if report.stable.witness else "")
-              + (f" ({report.stable.reason.rule})" if report.stable.reason else ""))
-        print(f"bulk:           {'HOLDS' if report.bulk.holds else 'FAILS'}")
+              + (f" ({report.stable.reason.rule})" if report.stable.reason else "")
+              + f"\nbulk:           {'HOLDS' if report.bulk.holds else 'FAILS'}")
     decided = report.embeds is not None and report.stable.status != UNKNOWN
     return EX_OK if decided else EX_UNKNOWN
 
@@ -432,17 +425,15 @@ def cmd_gen(args) -> int:
             counts = [rng.randint(0, args.max_count) for _ in range(args.levels)]
             if not any(counts):
                 counts[rng.randrange(len(counts))] = 1
-            while counts[-1] == 0:
-                counts.pop()
-            doc = {"base": args.base, "counts": counts,
+            doc = {"base": args.base, "counts": _trim(counts),
                    "name": f"powerq-b{args.base}-s{args.seed}-{i}"}
         else:  # divisible
             entries = []
             v = rng.randint(1, args.max_value)
             for _ in range(rng.randint(1, args.length)):
                 entries.append(v)
-                divisors = [d for d in range(1, v + 1) if v % d == 0]
-                v = rng.choice(divisors)
+                low = [d for d in range(1, math.isqrt(v) + 1) if v % d == 0]
+                v = rng.choice(low + [v // d for d in reversed(low) if d * d != v])
             doc = {"entries": entries, "name": f"divisible-s{args.seed}-{i}"}
         print(json.dumps(doc))
     return EX_OK
@@ -507,15 +498,15 @@ def cmd_conjecture_scan(args) -> int:
     if args.json:
         _write({"rows": rows, "counts": dict(counts)})
     else:
+        lines = []
         for r in rows:
             extra = r.get("detail") or (f"steps={r.get('steps')} nu={r.get('nu')}"
                                         if "steps" in r else "")
-            print(f"{str(r['name']):<28} {r['status']:<9} {extra}")
-        print("--")
-        if rows:
-            print("  ".join(f"{k}={v}" for k, v in sorted(counts.items())))
-        else:
-            print("empty corpus")
+            lines.append(f"{str(r['name']):<28} {r['status']:<9} {extra}")
+        lines.append("--")
+        lines.append("  ".join(f"{k}={v}" for k, v in sorted(counts.items())) if rows
+                     else "empty corpus")
+        print("\n".join(lines))
     return EX_OK
 
 
@@ -581,6 +572,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except (_InputError, BeyondFloatRange) as exc:
         print(f"partembed: {exc}", file=sys.stderr)
+        return EX_DATA
+    except ValueError as exc:  # an answer's integer past the digit limit of str(int)
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"partembed: the answer holds an integer of more digits than the limit of "
+              f"{sys.get_int_max_str_digits()}", file=sys.stderr)
         return EX_DATA
 
 

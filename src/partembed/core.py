@@ -19,6 +19,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+# Most boxes that a count document or a catalyst product may hold: its
+# expanded list, the entries of a document or the assignment of a witness,
+# holds one item per box.
+MAX_BOXES = 10**6
+
 
 class PartitionError(Exception):
     """Base class for the domain errors raised by this package."""

@@ -310,18 +310,18 @@ def dominates_all_s(lam: Partition, mu: Partition) -> BulkVerdict:
 
     s = 1 and the top-coefficient sign (the s -> oo behaviour) are checked
     exactly; the search interval is then capped at the point s_max beyond
-    which the top term provably dominates (BeyondFloatRange where s_max is
-    not a finite float), sampled on ``_GRID`` points by
-    ``NormProfile.stepped_grid``, and local minima are refined by
-    ``_refine_minimum``, except where the grid's lower bound on each interval
-    of the minimum's bracket exceeds 2 tol: there every value the refinement
-    would see is above tol, so it could neither fail nor report a hint, and
-    it is skipped.  On the first interval that bound holds past
-    1 + ``_HINT_GAP``, where hints start.  Near-zero minima are reported as
-    interior equalities with ``exact=False``; they are hints, not
-    certificates.  A failure at s = 1, or as s -> oo at an s where v**s stays
-    under ``_EXACT_POWER_BITS`` bits, is found in exact integer arithmetic,
-    without loading mpmath.
+    which the top term provably dominates (where s_max is not a finite float,
+    a supermajorized pair holds and any other raises BeyondFloatRange),
+    sampled on ``_GRID`` points by ``NormProfile.stepped_grid``, and local
+    minima are refined by ``_refine_minimum``, except where the grid's lower
+    bound on each interval of the minimum's bracket exceeds 2 tol: there
+    every value the refinement would see is above tol, so it could neither
+    fail nor report a hint, and it is skipped.  On the first interval that
+    bound holds past 1 + ``_HINT_GAP``, where hints start.  Near-zero minima
+    are reported as interior equalities with ``exact=False``; they are
+    hints, not certificates.  A failure at s = 1, or as s -> oo at an s where
+    v**s stays under ``_EXACT_POWER_BITS`` bits, is found in exact integer
+    arithmetic, without loading mpmath.
     """
     profile = norm_profile(lam, mu)
     f1 = profile.f1()
@@ -360,6 +360,12 @@ def dominates_all_s(lam: Partition, mu: Partition) -> BulkVerdict:
         gap = math.log1p((top_v - v2) / v2)
     s_max = 1.0 + math.log(max(2, coeff_mass)) / gap if gap else INF
     if s_max == INF:
+        # Abel summation of the tail sums against the increasing weights
+        # v**(s - 1) gives f > 0 on (1, oo) for a supermajorized pair that is
+        # not identical.  Read here only: reading it on every pair skips most
+        # grids, and waits for a bench whose memory does not grow per query.
+        if failing_threshold(profile.coefficients) is None:
+            return verdict(holds=True)
         raise BeyondFloatRange("the numeric bulk path cannot decide this pair: its search interval "
                                f"would end past s = {sys.float_info.max:.4g}, the largest float")
 

@@ -323,17 +323,13 @@ def embed_powerq(lam: PowerPartition, mu: PowerPartition) -> EmbeddingWitness | 
                 else:
                     heapq.heappop(heap)
             left -= bins * pieces
-            load = pieces * q**s
-            if bins == 1:  # most batches of small inputs; no slices
-                assignment.extend(repeat(first, pieces))
-                loads[first] += load
+            if pieces == 1:
+                assignment.extend(range(first, first + bins))
             else:
-                if pieces == 1:
-                    assignment.extend(range(first, first + bins))
-                else:
-                    for j in range(first, first + bins):
-                        assignment.extend(repeat(j, pieces))
-                loads[first:first + bins] = [x + load for x in loads[first:first + bins]]
+                for j in range(first, first + bins):
+                    assignment.extend(repeat(j, pieces))
+            load = pieces * q**s
+            loads[first:first + bins] = [x + load for x in loads[first:first + bins]]
             for e in range(s, -neg_t):
                 heapq.heappush(heap, (-e, first, bins, pieces * (q - 1)))
     return EmbeddingWitness(tuple(assignment), tuple(loads))

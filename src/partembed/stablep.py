@@ -14,7 +14,7 @@ makes every division exact; it may stop earlier than the first, and its own
 coefficients, scaled to an integral partition, are the catalyst.  It is also
 a catalyst of the pair as given, so only that pair's products are built, as
 count vectors (convolutions of the counts), and embedded, unless either would
-hold more than ``MAX_PRODUCT_BOXES`` boxes: the witness lists one bin per box,
+hold more than ``core.MAX_BOXES`` boxes: the witness lists one bin per box,
 so such a catalyst answers UNKNOWN and names its box count.  A halt gives a
 catalyst, so the iteration halts only on stable pairs, but not on every one:
 base 2 [0,1,4,2,4] / [4,4,0,3,0,2] is stable with nu = [7,10,0,0,9], yet its
@@ -22,7 +22,7 @@ first pass still runs after 100,000 steps.  So the step budget produces
 honest UNKNOWN verdicts, never fabricated ones, and UNKNOWN does not mean
 unstable.
 
-Refutations come from prefilters, each with a re-checkable certificate:
+Refutations come from ``Pair.refutation``, each with a re-checkable certificate:
 failed norm dominance, an exactly certified interior norm equality point for
 a pair that is not identical, and a valuation gap under tight packing (equal
 totals force every product bin to be filled exactly, which is impossible when
@@ -44,6 +44,7 @@ from functools import cached_property
 from operator import mul
 
 from .core import (
+    MAX_BOXES,
     BaseMismatch,
     ContractViolation,
     Partition,
@@ -72,10 +73,6 @@ from .orders import (
 HOLDS = "HOLDS"
 FAILS = "FAILS"
 UNKNOWN = "UNKNOWN"
-
-# Most boxes that either catalyst product may hold, the same as the CLI's limit
-# on a count document; a larger catalyst answers UNKNOWN.
-MAX_PRODUCT_BOXES = 10**6
 
 BULK_FAILS = "BulkFails"
 NORM_EQUALITY = "NormEquality"
@@ -292,7 +289,7 @@ def _spread(pp: PowerPartition, r: int) -> PowerPartition:
 
 def construct_nu(lam: PowerPartition, mu: PowerPartition,
                  max_steps: int | None = None) -> StableVerdict:
-    """Build the catalyst for a prefiltered power-of-q pair.
+    """Build the catalyst for a power-of-q pair that ``Pair.refutation`` passes.
 
     The common box counts are cancelled first and the iteration runs on the
     normalized pair; the witness embeds the products of the given pair.
@@ -301,7 +298,7 @@ def construct_nu(lam: PowerPartition, mu: PowerPartition,
     mu's top box index not below lam's.  A pair that cancels down to an empty
     lam gets the trivial catalyst [1].  The verdict is HOLDS with a validated
     witness, or UNKNOWN when ``max_steps`` (default 64*(n+m+2)) runs out or
-    when a product would hold more than ``MAX_PRODUCT_BOXES`` boxes.  The
+    when a product would hold more than ``MAX_BOXES`` boxes.  The
     iteration halts only on stable pairs, but some stable pairs never halt it,
     and slow halting and divergence cannot be told apart within a budget.
 
@@ -321,13 +318,13 @@ def construct_nu(lam: PowerPartition, mu: PowerPartition,
         return StableVerdict(HOLDS, StableWitness(from_entries([1]), embed_powerq(lam, mu)),
                              None, 0)
     if mt.is_empty:
-        raise ContractViolation("lam has boxes but mu has none; prefilter should have refuted")
+        raise ContractViolation("lam has boxes but mu has none; Pair.refutation refutes this")
     a = lt.counts
     b = mt.counts
     n = len(a) - 1
     m = len(b) - 1
     if m < n:
-        raise ContractViolation("lam's top box outranks mu's; prefilter should have refuted")
+        raise ContractViolation("lam's top box outranks mu's; Pair.refutation refutes this")
     bm = b[m]
     i_min = next(i for i, c in enumerate(a) if c)
     if max_steps is None:
@@ -363,8 +360,7 @@ def construct_nu(lam: PowerPartition, mu: PowerPartition,
             zeros = zeros + 1 if ct == 0 else 0
             log.append(StepRecord(pass_index, t, demand, room, ct, leftover))
         spent += steps
-        while c[-1] == 0:
-            c.pop()
+        _trim(c)
 
     # The second pass's c[k] counts boxes of nominal size q^-k.  It may stop
     # earlier than the first; its own last index, top, sets the catalyst's
@@ -372,10 +368,10 @@ def construct_nu(lam: PowerPartition, mu: PowerPartition,
     # size q^i with counts[i] = c[top - i].
     nu_pp = PowerPartition(q, tuple(c[::-1]))
     boxes = max(lam.box_count, mu.box_count) * nu_pp.box_count
-    if boxes > MAX_PRODUCT_BOXES:
+    if boxes > MAX_BOXES:
         return StableVerdict(UNKNOWN, None, None, spent,
                              detail=f"the catalyst products would hold {boxes} boxes, "
-                                    f"more than the limit of {MAX_PRODUCT_BOXES}")
+                                    f"more than the limit of {MAX_BOXES}")
     w = embed_powerq(count_product(lam, nu_pp), count_product(mu, nu_pp))
     if w is None:
         raise RuntimeError("internal error: stop rule fired without product dominance")

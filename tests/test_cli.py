@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +16,7 @@ import pytest
 import partembed.norms
 from partembed import cli
 from partembed.core import (
+    MAX_BOXES,
     Partition,
     PowerPartition,
     from_base_counts,
@@ -181,6 +183,45 @@ class TestCheckCommand:
         assert err == ("partembed: the numeric bulk path cannot decide this pair: its search "
                        "interval would end past s = 1.798e+308, the largest float\n")
 
+    @pytest.mark.parametrize("relation", ["bulk", "all"])
+    @pytest.mark.parametrize("lhs, rhs", [([10**4000], [10**4000 + 1]),
+                                          ([3**2000, 1], [3**2000 + 1])])
+    def test_supermajorized_pairs_past_the_float_range_hold(self, capsys, relation, lhs, rhs):
+        # The gap of the top two logarithms underflows to 0, but mu
+        # supermajorizes lam, which decides bulk with no interior equality.
+        argv = ["check", relation, "--lhs", json.dumps(lhs), "--rhs", json.dumps(rhs)]
+        code, out, _ = run(capsys, *argv, "--json")
+        bulk = json.loads(out)["report" if relation == "bulk" else "bulk"]
+        assert code == 0 and bulk["holds"] and bulk["interior_equalities"] == []
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and ("bulk: HOLDS (numeric)" if relation == "bulk"
+                              else "bulk:           HOLDS") in out
+
+    @pytest.mark.parametrize("relation, lhs, rhs, extra", [
+        # One box of 2**20000, which has 6,021 digits, in a small document.
+        ("embed", [0] * 20000 + [1], [0] * 20000 + [1], ("--json",)),
+        ("stable", [0] * 20000 + [1], [0] * 20000 + [1], ("--json",)),
+        ("all", [0] * 20000 + [1], [0] * 20000 + [1], ("--json",)),
+        # The failing threshold 2**20000 + 1; text all prints nothing either.
+        ("supermajorize", [0] * 20001 + [1], [0] * 20000 + [3], ("--json",)),
+        ("supermajorize", [0] * 20001 + [1], [0] * 20000 + [3], ()),
+        ("all", [0] * 20001 + [1], [0] * 20000 + [3], ()),
+    ], ids=["embed-json", "stable-json", "all-json", "sup-json", "sup-text", "all-text"])
+    def test_answer_past_the_digit_limit_exit_65(self, capsys, relation, lhs, rhs, extra):
+        code, out, err = run(capsys, "check", relation,
+                             "--lhs", json.dumps({"base": 2, "counts": lhs}),
+                             "--rhs", json.dumps({"base": 2, "counts": rhs}), *extra)
+        assert (code, out) == (65, "")
+        assert err == ("partembed: the answer holds an integer of more digits than the limit "
+                       f"of {sys.get_int_max_str_digits()}\n")
+
+    def test_other_value_errors_are_not_caught(self, monkeypatch):
+        def fail(obj):
+            raise ValueError("not a digit limit")
+        monkeypatch.setattr(cli, "_write", fail)
+        with pytest.raises(ValueError, match="not a digit limit"):
+            cli.main(["check", "embed", "--lhs", "[2]", "--rhs", "[2]", "--json"])
+
     def test_file_that_is_not_utf8_exit_65(self, capsys, tmp_path):
         doc = tmp_path / "doc.json"
         doc.write_bytes(b"\xff[4]")
@@ -196,11 +237,11 @@ class TestCheckCommand:
 
     def test_oversized_count_doc_exit_65(self, capsys):
         # One box over the limit, rejected before the counts are expanded.
-        half = cli.MAX_COUNT_BOXES // 2
+        half = MAX_BOXES // 2
         rhs = json.dumps({"base": 2, "counts": [half + 1, half]})
         code, out, err = run(capsys, "check", "all", "--lhs", "[1]", "--rhs", rhs)
         assert code == 65 and out == ""
-        assert str(cli.MAX_COUNT_BOXES) in err
+        assert str(MAX_BOXES) in err
 
     @pytest.mark.parametrize("tol", [()])
     def test_stable_and_bulk_share_one_bulk_verdict(self, capsys, tol):
@@ -285,6 +326,26 @@ class TestGen:
         for line in out.splitlines():
             entries = json.loads(line)["entries"]
             assert all(entries[i] % entries[i + 1] == 0 for i in range(len(entries) - 1))
+
+    def test_divisible_output_is_pinned(self, capsys):
+        _, out, _ = run(capsys, "gen", "divisible", "--max", "1000000", "--seed", "3",
+                        "--count", "5")
+        assert out == (
+            '{"entries": [249524, 4708, 4, 2, 2], "name": "divisible-s3-0"}\n'
+            '{"entries": [635018], "name": "divisible-s3-1"}\n'
+            '{"entries": [271953, 99, 3, 3, 3], "name": "divisible-s3-2"}\n'
+            '{"entries": [670112, 86], "name": "divisible-s3-3"}\n'
+            '{"entries": [910212, 1212, 1212, 1, 1], "name": "divisible-s3-4"}\n')
+
+    def test_divisible_with_large_entries(self, capsys):
+        # Divisors come from trial division up to sqrt(v), not up to v.
+        start = time.monotonic()
+        _, out, _ = run(capsys, "gen", "divisible", "--max", str(10**12), "--count", "5")
+        assert time.monotonic() - start < 5
+        docs = [json.loads(line)["entries"] for line in out.splitlines()]
+        assert len(docs) == 5
+        for entries in docs:
+            assert all(a % b == 0 for a, b in zip(entries, entries[1:]))
 
     def test_random_docs_parse(self, capsys):
         _, out, _ = run(capsys, "gen", "random", "--max", "32", "--len", "6",

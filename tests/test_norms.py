@@ -640,6 +640,18 @@ class TestDominatesAllS:
                 dominates_all_s(from_entries([n, n]), from_entries([n + 1, n - 1]))
         assert issubclass(norms.BeyondFloatRange, PartitionError)
 
+    @pytest.mark.parametrize("lam, mu", [([10**4000], [10**4000 + 1]),
+                                         ([3**2000, 1], [3**2000 + 1]),
+                                         ([2**1024] * 2, [2**1024 + 1] * 2)])
+    def test_supermajorized_pairs_past_the_float_range_hold(self, lam, mu):
+        # Tail sums that are all >= 0 give f > 0 on (1, oo) by Abel summation,
+        # so a supermajorized pair holds where the grid cannot run.
+        lam, mu = from_entries(lam), from_entries(mu)
+        assert supermajorizes(mu, lam).holds
+        verdict = dominates_all_s(lam, mu)
+        assert verdict.holds and verdict.interior_equalities == ()
+        assert verdict.tight_at_one == (lam.total == mu.total)
+
     def test_dip_right_after_one(self):
         # equal sums, positive top coefficient, but f decreases at s=1: the
         # dominance failure sits just above 1, before any grid sample

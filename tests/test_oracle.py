@@ -1,5 +1,8 @@
 import ast
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +29,16 @@ def test_oracle_imports_only_core():
     package_imports = {node.module for node in ast.walk(tree)
                        if isinstance(node, ast.ImportFrom) and node.level}
     assert package_imports == {"core"}
+
+
+def test_package_import_leaves_the_oracle_unloaded():
+    # The references are for tests; the library and the CLI never load them.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = "import sys, partembed; print('partembed.oracle' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False"]
 
 
 class TestBruteEmbed:

@@ -12,6 +12,7 @@ import partembed.norms
 import partembed.orders
 from partembed import cli
 from partembed.core import (
+    MAX_BOXES,
     BaseMismatch,
     ContractViolation,
     EmptyPartition,
@@ -25,7 +26,6 @@ from partembed.core import (
 from partembed.norms import BulkVerdict, exact_dominates_powerq
 from partembed.stablep import (
     BULK_FAILS,
-    MAX_PRODUCT_BOXES,
     FAILS,
     HOLDS,
     NORM_EQUALITY,
@@ -353,16 +353,15 @@ class TestConstructNu:
         verdict = Pair(PowerPartition(2, lam), PowerPartition(2, mu)).stable
         assert time.monotonic() - start < 1
         assert verdict.status == UNKNOWN and verdict.witness is None
-        assert verdict.detail.endswith(f"boxes, more than the limit of {MAX_PRODUCT_BOXES}")
-        assert MAX_PRODUCT_BOXES == cli.MAX_COUNT_BOXES
+        assert verdict.detail.endswith(f"boxes, more than the limit of {MAX_BOXES}")
 
     def test_box_cap_counts_the_larger_product(self, monkeypatch):
         # nu = [2,1,1]: lam x nu holds 4 * 3 boxes and mu x nu 9 * 3.
         lam, mu = to_base_counts(LAM1, 2), to_base_counts(MU1, 2)
-        monkeypatch.setattr(partembed.stablep, "MAX_PRODUCT_BOXES", 27)
+        monkeypatch.setattr(partembed.stablep, "MAX_BOXES", 27)
         holds = construct_nu(lam, mu)
         assert holds.status == HOLDS
-        monkeypatch.setattr(partembed.stablep, "MAX_PRODUCT_BOXES", 26)
+        monkeypatch.setattr(partembed.stablep, "MAX_BOXES", 26)
         verdict = construct_nu(lam, mu)
         assert (verdict.status, verdict.budget_spent, verdict.detail) == (
             UNKNOWN, holds.budget_spent,

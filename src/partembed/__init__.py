@@ -10,6 +10,10 @@ machine-checkable witness or refutation certificate:
 * stable embeddability (existence of a catalyst partition nu with
   lambda x nu embedding into mu x nu, constructed level by level for
   power-of-q partitions).
+
+``Pair`` decides all four on one pair, and the ``partembed`` command line
+(``cli``) is built on it.  The package holds what those two run; the
+brute-force references the tests compare against live with the tests.
 """
 
 from .core import (
@@ -19,30 +23,23 @@ from .core import (
     InvalidBase,
     InvalidEntry,
     InvalidExponent,
-    InvalidScalar,
     NotPowerOfBase,
     Partition,
     PartitionError,
     PowerPartition,
-    add,
     common_power_base,
     from_base_counts,
     from_entries,
     product,
-    power,
-    scale,
     to_base_counts,
 )
 from .norms import (
-    INF,
     BulkVerdict,
     EqualityPoint,
     NormProfile,
     dominates_all_s,
     exact_dominates_powerq,
     norm_profile,
-    p_norm,
-    power_sum,
 )
 from .orders import (
     DEFAULT_NODE_BUDGET,
@@ -51,7 +48,6 @@ from .orders import (
     Supermajorization,
     embed_powerq,
     embeds,
-    first_fit,
     supermajorizes,
 )
 from .stablep import (

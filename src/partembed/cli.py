@@ -15,8 +15,8 @@ A ``counts`` document parses to its PowerPartition and is decided on its
 counts (``stablep.Pair``); it is expanded into entries only where a path
 reads them: without a common base, for ``check --base`` and for
 ``conjecture-scan``'s identical-pair test.
-Reports print as ``json.dumps(to_doc(x), indent=2)``, written in one pass
-over the report objects by ``_write``, and ``from_doc(type(x), to_doc(x)) == x``.
+Reports print as JSON documents laid out as by ``json.dumps(doc, indent=2)``,
+written in one pass over the report objects by ``_write``.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ import json
 import math
 import random
 import sys
-import types
-import typing
 from collections import Counter
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
@@ -59,6 +57,8 @@ EX_FAILS = 1
 EX_UNKNOWN = 2
 EX_USAGE = 64
 EX_DATA = 65
+# The exit code of a single relation's verdict.
+_EXIT_CODES = {HOLDS: EX_OK, FAILS: EX_FAILS, UNKNOWN: EX_UNKNOWN}
 
 
 class _InputError(Exception):
@@ -82,58 +82,10 @@ def _at_least(low):
 
 
 # ---------------------------------------------------------------------------
-# JSON documents for every report type: from_doc(type(x), to_doc(x)) == x
+# JSON documents for every report type
 # ---------------------------------------------------------------------------
 
 _SCALARS = (bool, int, float, str, type(None))
-
-
-@functools.cache
-def _fields(cls) -> tuple[tuple[str, str, object], ...]:
-    """(attribute, JSON key, type hint) of each field, in declaration order."""
-    hints = typing.get_type_hints(cls)
-    return tuple((f.name, f.metadata.get("key", f.name), hints[f.name])
-                 for f in dataclasses.fields(cls))
-
-
-def to_doc(obj):
-    """The JSON document of a report value: a dataclass as its fields in
-    declaration order, a Partition as its entry list, a Fraction as "p/q"
-    (exact, so 3 is "3/1"), a tuple as a list."""
-    if isinstance(obj, _SCALARS):
-        return obj
-    if isinstance(obj, tuple):
-        return [to_doc(x) for x in obj]
-    if type(obj) is Partition:
-        return list(obj.entries)
-    if type(obj) is Fraction:
-        return f"{obj.numerator}/{obj.denominator}"
-    return {key: to_doc(getattr(obj, name)) for name, key, _ in _fields(type(obj))}
-
-
-def from_doc(tp, doc):
-    """Rebuild a value of type ``tp`` from ``to_doc``'s output, guided by the
-    type hints: ``X | None``, ``tuple[X, ...]``, fixed tuples, Partition,
-    Fraction and nested dataclasses."""
-    if doc is None:
-        return None
-    args = typing.get_args(tp)
-    if isinstance(tp, types.UnionType):
-        (inner,) = [a for a in args if a is not type(None)]
-        return from_doc(inner, doc)
-    if typing.get_origin(tp) is tuple:
-        if args[-1] is Ellipsis:
-            return tuple(from_doc(args[0], x) for x in doc)
-        return tuple(from_doc(a, x) for a, x in zip(args, doc, strict=True))
-    if tp is Partition:
-        return Partition(tuple(doc))
-    if tp is Fraction:
-        return Fraction(doc)
-    if dataclasses.is_dataclass(tp):
-        return tp(**{name: from_doc(hint, doc[key]) for name, key, hint in _fields(tp)})
-    return doc
-
-
 _INTS = {int}
 # Writers of the scalars that report objects hold, by exact type.
 _SCALAR_JSON = {
@@ -146,15 +98,20 @@ _SCALAR_JSON = {
 
 @functools.cache
 def _json_members(cls) -> tuple[tuple[str, str], ...]:
-    """(attribute, '"key": ') of each field, in declaration order."""
-    return tuple((name, _json_str(key) + ": ") for name, key, _ in _fields(cls))
+    """(attribute, '"key": ') of each field, in declaration order; a field's
+    JSON key is its ``key`` metadata, else its name."""
+    return tuple((f.name, _json_str(f.metadata.get("key", f.name)) + ": ")
+                 for f in dataclasses.fields(cls))
 
 
 def _encode(obj, indent: str) -> str:
-    """``json.dumps(to_doc(obj), indent=2)`` for a value whose line starts at
-    ``indent`` (a newline and two spaces per level), written in one pass over
-    the report objects themselves.  Containers are the dataclasses, Partition
-    and Fraction of ``to_doc`` plus JSON lists and dicts with string keys."""
+    """The JSON document of ``obj`` as ``json.dumps(doc, indent=2)`` lays it
+    out, for a value whose line starts at ``indent`` (a newline and two
+    spaces per level), written in one pass over the report objects
+    themselves.  A dataclass is an object of its fields in declaration order,
+    a Partition its entry list, a Fraction "p/q" (exact, so 3 is "3/1") and
+    a tuple a list; JSON lists and dicts with string keys are written as
+    they are."""
     tp = type(obj)
     if write := _SCALAR_JSON.get(tp):
         return write(obj)
@@ -183,7 +140,7 @@ def _encode(obj, indent: str) -> str:
 
 
 def _write(obj) -> None:
-    """Print ``json.dumps(to_doc(obj), indent=2)``: every ``--json`` answer."""
+    """Print the JSON document of ``obj``: every ``--json`` answer."""
     print(_encode(obj, "\n"))
 
 
@@ -266,38 +223,34 @@ def cmd_check(args) -> int:
             raise _InputError(f"--base {args.base}: {exc}") from exc
     if args.relation == "embed":
         witness, undecided = pair.embedding
+        word = UNKNOWN if undecided else (HOLDS if witness else FAILS)
         if args.json:
-            _write({"relation": "embed",
-                    "verdict": "UNKNOWN" if undecided else ("HOLDS" if witness else "FAILS"),
-                    "witness": witness})
+            _write({"relation": "embed", "verdict": word, "witness": witness})
+        elif undecided:
+            print(f"embed: {word} (search budget of {args.budget} nodes exhausted)")
+        elif witness:
+            print(f"embed: {word}  assignment={list(witness.assignment)}")
         else:
-            if undecided:
-                print(f"embed: UNKNOWN (search budget of {args.budget} nodes exhausted)")
-            elif witness:
-                print(f"embed: HOLDS  assignment={list(witness.assignment)}")
-            else:
-                print("embed: FAILS (no assignment exists)")
-        return EX_UNKNOWN if undecided else (EX_OK if witness else EX_FAILS)
+            print(f"embed: {word} (no assignment exists)")
+        return _EXIT_CODES[word]
 
     if args.relation == "supermajorize":
         sup = pair.sup
+        word = HOLDS if sup.holds else FAILS
         if args.json:
-            _write({"relation": "supermajorize", "verdict": "HOLDS" if sup.holds else "FAILS",
-                    "failing_x": sup.failing_x})
+            _write({"relation": "supermajorize", "verdict": word, "failing_x": sup.failing_x})
+        elif sup.holds:
+            print(f"supermajorize: {word}")
         else:
-            if sup.holds:
-                print("supermajorize: HOLDS")
-            else:
-                print(f"supermajorize: FAILS at threshold x={sup.failing_x}")
-        return EX_OK if sup.holds else EX_FAILS
+            print(f"supermajorize: {word} at threshold x={sup.failing_x}")
+        return _EXIT_CODES[word]
 
     if args.relation == "bulk":
         base, verdict = pair.base, pair.bulk
+        word = HOLDS if verdict.holds else FAILS
         if args.json:
-            _write({"relation": "bulk", "verdict": "HOLDS" if verdict.holds else "FAILS",
-                    "base": base, "report": verdict})
+            _write({"relation": "bulk", "verdict": word, "base": base, "report": verdict})
         else:
-            word = "HOLDS" if verdict.holds else "FAILS"
             path = f"exact, base {base}" if base is not None else "numeric"
             print(f"bulk: {word} ({path})")
             if verdict.failure_exponent is not None:
@@ -305,7 +258,7 @@ def cmd_check(args) -> int:
             for eq in verdict.interior_equalities:
                 kind = "exact" if eq.exact else "numeric"
                 print(f"  interior equality at s={eq.s:.6g} ({kind})")
-        return EX_OK if verdict.holds else EX_FAILS
+        return _EXIT_CODES[word]
 
     if args.relation == "stable":
         verdict = pair.stable
@@ -320,7 +273,7 @@ def cmd_check(args) -> int:
             if verdict.detail:
                 lines.append(f"  {verdict.detail}")
             print("\n".join(lines))
-        return {HOLDS: EX_OK, FAILS: EX_FAILS, UNKNOWN: EX_UNKNOWN}[verdict.status]
+        return _EXIT_CODES[verdict.status]
 
     # all four relations
     report = pair.report()

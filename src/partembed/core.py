@@ -1,10 +1,10 @@
 """Integral partitions and their multiset algebra.
 
 A partition here is a finite nonincreasing sequence of positive integers.
-The algebra the embeddability orders need is small: juxtaposition addition,
-entrywise product, iterated product, scalar multiples, and a count-vector
-form for partitions whose entries are all powers of one fixed base, in which
-the entrywise product is the convolution of the count vectors.
+The algebra the embeddability orders need is small: the entrywise product,
+and a count-vector form for partitions whose entries are all powers of one
+fixed base, in which the entrywise product is the convolution of the count
+vectors.
 
 Values are immutable and every operation is a pure function of its inputs,
 so everything in this module is safe for unrestricted concurrent use.
@@ -39,10 +39,6 @@ class EmptyPartition(PartitionError):
 
 class InvalidExponent(PartitionError):
     """Exponent outside its allowed range."""
-
-
-class InvalidScalar(PartitionError):
-    """Scalar multiplier must be a positive integer."""
 
 
 class InvalidBase(PartitionError):
@@ -163,11 +159,6 @@ def from_entries(raw: Iterable[int]) -> Partition:
     return Partition(tuple(sorted(entries, reverse=True)))
 
 
-def add(a: Partition, b: Partition) -> Partition:
-    """Multiset union (reordered juxtaposition) of two partitions."""
-    return Partition(tuple(sorted(a.entries + b.entries, reverse=True)))
-
-
 def product(a: Partition, b: Partition) -> Partition:
     """All pairwise entry products, in canonical order."""
     return Partition(tuple(sorted((x * y for x in a.entries for y in b.entries), reverse=True)))
@@ -185,23 +176,6 @@ def count_product(a: PowerPartition, b: PowerPartition) -> PowerPartition:
         for j, y in enumerate(b.counts):
             counts[i + j] += x * y
     return PowerPartition(a.base, tuple(counts))
-
-
-def power(a: Partition, n: int) -> Partition:
-    """Iterated product of ``a`` with itself, ``n`` factors total (n >= 1)."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise InvalidExponent(f"power exponent {n!r} must be a positive integer")
-    out = a
-    for _ in range(n - 1):
-        out = product(out, a)
-    return out
-
-
-def scale(a: Partition, alpha: int) -> Partition:
-    """Multiply every entry by the positive integer ``alpha``."""
-    if isinstance(alpha, bool) or not isinstance(alpha, int) or alpha < 1:
-        raise InvalidScalar(f"scalar {alpha!r} must be a positive integer")
-    return Partition(tuple(alpha * e for e in a.entries))
 
 
 def _power_exponent(n: int, q: int) -> int | None:

@@ -56,7 +56,6 @@ from .core import (
     Partition,
     PartitionError,
     PowerPartition,
-    integer_root,
 )
 
 if TYPE_CHECKING:
@@ -65,8 +64,6 @@ if TYPE_CHECKING:
 # mpmath is imported inside the numeric functions only, so the embedding and
 # exact paths never load it.
 
-INF = math.inf
-
 # Working precision for the numeric path; the tangential cases need well over
 # double precision to stay resolvable.
 _PRECISION_BITS = 120
@@ -74,44 +71,6 @@ _PRECISION_BITS = 120
 _GRID = 64
 # A near-zero refined minimum is an equality hint only past s = 1 + _HINT_GAP.
 _HINT_GAP = 1e-9
-
-
-def power_sum(a: Partition, s: int) -> int:
-    """Exact sum of entries raised to the integer power s >= 1."""
-    if isinstance(s, bool) or not isinstance(s, int) or s < 1:
-        raise InvalidExponent(f"power_sum needs an integer s >= 1, got {s!r}")
-    return sum(e**s for e in a.entries)
-
-
-def p_norm(a: Partition, s):
-    """The l_s norm of a partition, for s in [1, oo].
-
-    Integer s: the power sum is computed exactly and the exact integer root
-    is returned when it exists; otherwise a high-precision real (relative
-    error well below 2**-60).  s = math.inf returns the max entry.
-    """
-    import mpmath
-
-    if s == INF:
-        return a.max_entry
-    if isinstance(s, bool):
-        raise InvalidExponent(f"exponent {s!r} is not a number >= 1")
-    if isinstance(s, int):
-        if s < 1:
-            raise InvalidExponent(f"exponent {s} must be >= 1")
-        total = power_sum(a, s)
-        root = integer_root(total, s)
-        if root**s == total:
-            return root
-        with mpmath.workprec(_PRECISION_BITS):
-            return mpmath.power(mpmath.mpf(total), mpmath.mpf(1) / s)
-    s_frac = Fraction(s) if isinstance(s, Fraction) else Fraction(str(float(s)))
-    if s_frac < 1:
-        raise InvalidExponent(f"exponent {s!r} must be >= 1")
-    with mpmath.workprec(_PRECISION_BITS):
-        sm = mpmath.mpf(s_frac.numerator) / s_frac.denominator
-        total = mpmath.fsum(mpmath.power(e, sm) for e in a.entries)
-        return mpmath.power(total, 1 / sm)
 
 
 @dataclass(frozen=True)
@@ -358,8 +317,8 @@ def dominates_all_s(lam: Partition, mu: Partition) -> BulkVerdict:
     if gap == 0.0:
         # Close large values whose logarithms round to the same float.
         gap = math.log1p((top_v - v2) / v2)
-    s_max = 1.0 + math.log(max(2, coeff_mass)) / gap if gap else INF
-    if s_max == INF:
+    s_max = 1.0 + math.log(max(2, coeff_mass)) / gap if gap else math.inf
+    if s_max == math.inf:
         # Abel summation of the tail sums against the increasing weights
         # v**(s - 1) gives f > 0 on (1, oo) for a supermajorized pair that is
         # not identical.  Read here only: reading it on every pair skips most

@@ -1,4 +1,4 @@
-"""The directly checkable relations: embedding, first fit, supermajorization.
+"""The directly checkable relations: embedding and supermajorization.
 
 Embedding of lam into mu assigns every entry of lam to an entry of mu so
 that no target is overfilled; deciding it is bin packing, so the exact
@@ -84,28 +84,6 @@ def supermajorizes(mu: Partition, lam: Partition) -> Supermajorization:
     is negative; ``failing_threshold`` gives the smallest failing x."""
     failing_x = failing_threshold(norm_profile(lam, mu).coefficients)
     return Supermajorization(failing_x is None, failing_x)
-
-
-def first_fit(lam: Partition, mu: Partition,
-              bin_order: Sequence[int] | None = None) -> EmbeddingWitness | None:
-    """Greedy placement, largest item first, into the first bin with room.
-
-    Bins are scanned in canonical order unless ``bin_order`` (a permutation
-    of bin indices) says otherwise.  Returns None at the first item that fits
-    nowhere; for divisible-chain lam that is a proof of non-embeddability.
-    """
-    order = range(len(mu)) if bin_order is None else list(bin_order)
-    remaining = list(mu.entries)
-    assignment = []
-    for item in lam.entries:
-        for j in order:
-            if remaining[j] >= item:
-                remaining[j] -= item
-                assignment.append(j)
-                break
-        else:
-            return None
-    return _make_witness(lam, mu, assignment)
 
 
 def embeds(lam: Partition, mu: Partition,

@@ -1,8 +1,9 @@
 """Brute-force reference implementations.
 
-Everything fast in this package is tested against these at desk scale.  The
+Everything fast in ``partembed`` is tested against these at desk scale.  The
 guards are hard errors: an oracle that silently samples is not an oracle.
-Performance is a non-goal here.
+Performance is a non-goal here.  Only ``partembed.core`` is imported, so the
+references share no code with the paths they check.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import (BaseMismatch, EmptyPartition, Partition, PartitionError, PowerPartition,
-                   common_power_base, power, product, to_base_counts)
+from partembed.core import (BaseMismatch, EmptyPartition, InvalidExponent, Partition,
+                            PartitionError, PowerPartition, common_power_base, product,
+                            to_base_counts)
 
 ASSIGNMENT_GUARD = 10**6
 CANDIDATE_GUARD = 10**5
@@ -21,6 +23,16 @@ CANDIDATE_GUARD = 10**5
 
 class TooLarge(PartitionError):
     """The requested exhaustive search exceeds the oracle guard."""
+
+
+def power(a: Partition, n: int) -> Partition:
+    """Iterated product of ``a`` with itself, ``n`` factors total (n >= 1)."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise InvalidExponent(f"power exponent {n!r} must be a positive integer")
+    out = a
+    for _ in range(n - 1):
+        out = product(out, a)
+    return out
 
 
 def brute_embed(lam: Partition, mu: Partition) -> bool:

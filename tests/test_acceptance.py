@@ -18,13 +18,13 @@ from partembed.norms import (
     norm_profile,
     _default_tol,
 )
-from partembed.oracle import (
+from oracle import (
     brute_embed,
     brute_stable_search,
     brute_supermajorize,
     nu_order_compare,
 )
-from partembed.orders import embed_powerq, embeds, first_fit, supermajorizes
+from partembed.orders import embed_powerq, embeds, supermajorizes
 from partembed.stablep import (
     FAILS,
     HOLDS,
@@ -42,6 +42,7 @@ from helpers import (
     random_partition,
     random_powerq,
 )
+from reference import first_fit
 
 S_STAR = math.log(1 + math.sqrt(5)) / math.log(2)
 

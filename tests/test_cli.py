@@ -39,6 +39,7 @@ from partembed.stablep import (
     StepRecord,
 )
 from helpers import LAM1, LAM2, LAM3, MU1, MU2, MU3, MU4
+from reference import from_doc, to_doc
 
 
 def run(capsys, *argv):
@@ -84,7 +85,7 @@ class TestCheckCommand:
         lhs, rhs = '{"base":2,"counts":[1,5,1]}', '{"base":2,"counts":[5,1,2]}'
         code, out, _ = run(capsys, "check", "stable", "--lhs", lhs, "--rhs", rhs, "--json")
         assert code == 1
-        verdict = cli.from_doc(StableVerdict, json.loads(out)["report"])
+        verdict = from_doc(StableVerdict, json.loads(out)["report"])
         assert verdict.status == "FAILS" and verdict.reason.base == 2
         lam = from_base_counts(PowerPartition(2, (1, 5, 1)))
         mu = from_base_counts(PowerPartition(2, (5, 1, 2)))
@@ -471,7 +472,7 @@ class TestNormEqualityOracle:
 
         monkeypatch.setattr(partembed.norms, "_squarefree_chain", forbidden)
         doc = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
-        ref = cli.from_doc(RelationReport, doc).stable.reason
+        ref = from_doc(RelationReport, doc).stable.reason
         xa, xb = ref.equality.x_interval
         assert ref.rule == NORM_EQUALITY and xa < xb
         lam, mu = _golden_pair(name).partitions
@@ -496,7 +497,7 @@ class TestJsonWriter:
         witness, _ = pair.embedding
         for obj in (pair.report(), pair.stable, pair.catalyst, pair.bulk, pair.refutation,
                     witness, pair.sup, pair.lam, pair.mu):
-            assert self.written(capsys, obj) == json.dumps(cli.to_doc(obj), indent=2) + "\n"
+            assert self.written(capsys, obj) == json.dumps(to_doc(obj), indent=2) + "\n"
 
     EDGE_REPORTS = (
         BulkVerdict(holds=True),  # None fields and an empty tuple
@@ -524,7 +525,7 @@ class TestJsonWriter:
 
     @pytest.mark.parametrize("obj", EDGE_REPORTS)
     def test_edge_cases(self, capsys, obj):
-        assert self.written(capsys, obj) == json.dumps(cli.to_doc(obj), indent=2) + "\n"
+        assert self.written(capsys, obj) == json.dumps(to_doc(obj), indent=2) + "\n"
 
     def test_literal_documents(self, capsys):
         # Dicts and lists as cmd_check and the other commands build them,
@@ -536,7 +537,7 @@ class TestJsonWriter:
             {"rows": [{"name": "n", "nu": [2, 1, 1], "steps": 2**64}], "counts": {"holds": 1}},
             [1.5, [True, 1], [2**64, 3], {"x": Fraction(1, 3)}],
         ):
-            want = json.dumps(doc, indent=2, default=cli.to_doc) + "\n"
+            want = json.dumps(doc, indent=2, default=to_doc) + "\n"
             assert self.written(capsys, doc) == want
 
 
@@ -576,8 +577,8 @@ class TestJsonRoundTrips:
             dominates_all_s(LAM2, MU3),
             dominates_all_s(from_entries([2]), from_entries([1, 1, 1])),
         ):
-            doc = json.loads(json.dumps(cli.to_doc(verdict)))
-            assert cli.from_doc(BulkVerdict, doc) == verdict
+            doc = json.loads(json.dumps(to_doc(verdict)))
+            assert from_doc(BulkVerdict, doc) == verdict
 
     def test_stable_verdicts(self):
         for verdict in (
@@ -586,18 +587,18 @@ class TestJsonRoundTrips:
             Pair(LAM3, MU4).stable,
             Pair(from_entries([4, 4, 4]), from_entries([7, 6])).stable,
         ):
-            doc = json.loads(json.dumps(cli.to_doc(verdict)))
-            assert cli.from_doc(StableVerdict, doc) == verdict
+            doc = json.loads(json.dumps(to_doc(verdict)))
+            assert from_doc(StableVerdict, doc) == verdict
 
     def test_relation_reports(self):
         for lam, mu in ((LAM1, MU1), (LAM3, MU4), (LAM1, MU2)):
             report = Pair(lam, mu).report()
-            doc = json.loads(json.dumps(cli.to_doc(report)))
-            assert cli.from_doc(RelationReport, doc) == report
+            doc = json.loads(json.dumps(to_doc(report)))
+            assert from_doc(RelationReport, doc) == report
 
     def test_partition_docs(self):
-        doc = json.loads(json.dumps(cli.to_doc(MU3)))
-        assert cli.from_doc(Partition, doc) == MU3
+        doc = json.loads(json.dumps(to_doc(MU3)))
+        assert from_doc(Partition, doc) == MU3
         assert cli.parse_partition_doc(doc)[0] == MU3
         # A counts document parses to its trimmed count vector, unexpanded.
         counts = {"base": 4, "counts": [1, 0, 2, 0, 0], "name": "c"}

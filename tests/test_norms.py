@@ -5,15 +5,15 @@ import random
 import tracemalloc
 from fractions import Fraction
 from functools import partial
+from math import inf as INF
 from pathlib import Path
 
 import pytest
 
 from partembed import norms
-from partembed.core import BaseMismatch, PowerPartition, from_base_counts, from_entries, power, to_base_counts
+from partembed.core import BaseMismatch, PowerPartition, from_base_counts, from_entries, to_base_counts
 from partembed.cli import parse_partition_doc
 from partembed.norms import (
-    INF,
     BulkVerdict,
     EqualityPoint,
     NormProfile,
@@ -21,9 +21,7 @@ from partembed.norms import (
     exact_dominates_powerq,
     failing_threshold,
     norm_profile,
-    p_norm,
     profile_poly,
-    power_sum,
     _eval_poly,
     _isolate_roots,
     _positive_root_bound,
@@ -33,7 +31,8 @@ from partembed.norms import (
     _variations,
 )
 from partembed.core import InvalidExponent, PartitionError
-from partembed.oracle import brute_supermajorize
+from oracle import brute_supermajorize, power
+from reference import p_norm, power_sum
 from partembed.orders import supermajorizes
 from partembed.stablep import Pair
 from helpers import LAM1, LAM2, MU3, count_pairs, random_embeddable_pair, random_partition, random_powerq

@@ -21,11 +21,11 @@ from partembed.orders import (
     EmbeddingWitness,
     embed_powerq,
     embeds,
-    first_fit,
     supermajorizes,
 )
 from partembed import orders, stablep
-from partembed.oracle import brute_supermajorize
+from oracle import brute_supermajorize
+from reference import first_fit
 from partembed.stablep import Pair
 from helpers import (
     LAM1,

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from partembed import cli
 from partembed.core import PowerPartition, from_base_counts, from_entries, product
-from partembed.oracle import brute_embed, brute_supermajorize
+from oracle import brute_embed, brute_supermajorize
 from partembed.orders import supermajorizes
 from partembed.stablep import (
     BULK_FAILS,

@@ -38,7 +38,7 @@ from partembed.stablep import (
     _valuation,
     _valuation_gap,
 )
-from partembed.oracle import nu_order_compare
+from oracle import nu_order_compare
 from helpers import LAM1, LAM2, LAM3, MU1, MU3, MU4, count_pairs, random_powerq
 
 

@@ -11,15 +11,11 @@ all of [1, oo] therefore reduces to f >= 0 on [1, oo).
 Two decision paths are provided.  The numeric path samples f in very high
 precision on a provably sufficient interval [1, s_max], which must end
 inside the float range, and refines sign changes and near-zero minima.  One
-pass steps its grid by multiplication (v**(s + h) = v**s * v**h) at a
-precision sized from the grid's reach in s * ln v, and bounds f from below
-on each grid interval by Abel summation of the prefix sums
-W_i = sum_{j <= i} n_j v_j**s against the weights v**(s' - s), the
-partial-sum form of Laguerre's rule of signs; where f(1) = 0 keeps that
-bound at or below 0 on the first interval, the same sum over the terms
-n_v v ln v bounds f' there instead.  A grid minimum whose bracket is bounded
-above twice the failure band is not refined, as its refinement could
-neither fail nor report a hint.  For
+pass steps its grid by multiplication (v**(s + h) = v**s * v**h) in integer
+rows and bounds f from below on each grid interval by Abel summation, the
+partial-sum form of Laguerre's rule of signs (``NormProfile.stepped_grid``).
+A grid minimum whose bracket is bounded above twice the failure band is not
+refined, as its refinement could neither fail nor report a hint.  For
 partitions whose entries are powers of one base q the substitution x = q**s
 turns f into an integer polynomial P(x), and dominance on [q, oo) is decided
 exactly.  The tail sums T_i = sum_{j >= i} P_j q**j are
@@ -101,37 +97,34 @@ class NormProfile:
 
     def stepped_grid(self, span) -> tuple[list, list]:
         """f(s_k) at the ``_GRID`` points s_k = 1 + k*h, h = span / (_GRID - 1),
-        and a lower bound L_k of f on each interval [s_k, s_{k+1}], as raw mpf
-        values (``_mpf_`` tuples).
+        and a lower bound L_k of f on each [s_k, s_{k+1}], as raw mpf tuples.
 
-        Each v**h is one exp, and each term n v**s_{k+1} is n v**s_k * v**h.
-        The relative error of a stepped v**s_k is about s_k times the error
-        of ln v, so everything is carried at prec = ``_PRECISION_BITS`` + 10 +
-        max(0, bits(m (1 + span) ln v_1) - 60) bits, each ln v taken at prec:
-        the stepped values stay within 2**-60 sum |n| v_1**s_k of f, and
-        while m (1 + span) ln v_1 < 2**60 prec is 130 bits, the precision at
-        which ``mpmath.power`` takes ln v for ``f_mpf``.  With
-        v_1 > ... > v_m the values and W_i = sum_{j <= i} n_j v_j**s_k the
-        prefix sums, Abel summation against the weights w_j = v_j**(s - s_k),
-        which are >= 1 and do not increase with j, gives
-        f(s) = W_m + sum_{i <= m} W_i (w_i - w_{i+1}) with w_{m+1} = 1.  On
-        the interval each w_i - w_{i+1} lies in [0, v_i**h - v_{i+1}**h], so
-        L_k = W_m + sum_{W_i < 0} W_i (v_i**h - v_{i+1}**h) - margin, with
-        v_{m+1}**h = 1 (``_abel_sum``).  The margin, 2**-_PRECISION_BITS *
-        sum |n| * v_1**s_{k+1} * (2**10 + m * (1 + (1 + span) ln v_1)),
-        covers the rounding of the steps, of the sums and of ``f_mpf`` on
-        the interval (each of its ln v has 130 bits); it is formed in mpf,
-        rounded up, as (1 + span) ln v_1 can pass the float range.  L_k > 0
-        forces W_m = f(s_k) > 0.
+        Each v**h is one exp at prec = ``_PRECISION_BITS`` + 10 +
+        max(0, bits(m (1 + span) ln v_1) - 60) bits (130 below 2**60, the
+        precision of ``f_mpf``'s ln v), ln v at prec too: a stepped v**s_k
+        carries about s_k times the error of ln v.  The rows are integers at
+        B = prec + 16 bits with one binary exponent each: v**h is fixed as
+        M = floor(v**h / 2**e), M_1 of B bits; row 0 is the exact n v, and
+        row k + 1 is row k times M, floored to the unit at which v_1**s_{k+1}
+        has B bits.  A floor takes under one unit, 2**(1 - B) v_1**s_k, so
+        the values stay within 2**(8 - B) sum |n| v_1**s_k of exact stepping.
+        With v_1 > ... > v_m and prefix sums W_i = sum_{j <= i} n_j v_j**s_k,
+        Abel summation against the weights w_j = v_j**(s - s_k), >= 1 and not
+        increasing in j, gives f(s) = W_m + sum_i W_i (w_i - w_{i+1}) with
+        w_{m+1} = 1; on the interval w_i - w_{i+1} lies in
+        [0, v_i**h - v_{i+1}**h], so L_k = W_m + sum_{W_i < 0} W_i
+        (M_i - M_{i+1}) 2**e - margin, M_{m+1} 2**e = 1 (``_abel_sum``).  The
+        margin, 2**-_PRECISION_BITS sum |n| v_1**s_{k+1} (2**10 +
+        m (1 + (1 + span) ln v_1)), formed in mpf as (1 + span) ln v_1 can
+        pass the float range and taken off rounded up, covers the steps'
+        rounding, the floors and ``f_mpf``'s.  L_k > 0 forces f(s_k) > 0.
 
-        A pair tight at s = 1 has f(1) = 0, so L_0 <= 0.  Where L_0 <= 0,
-        the same Abel sum at s = 1 over the terms n v ln v, less the margin
-        on [1, s_1] times ln v_1 (each term is a term n v times
-        ln v <= ln v_1), is a lower bound L' of f' on [1, s_1], and
-        f(s) >= f(1) + (s - 1) L' there: f >= f(1) + gap L' past 1 + gap,
-        gap = ``_HINT_GAP`` <= h, when L' >= 0, else f >= f(1) + h L'.  That
-        bound, less the margin and rounded down, replaces L_0 where it is
-        higher, so L_0 bounds f and ``f_mpf`` on [1 + gap, s_1].
+        Where L_0 <= 0, as on a pair tight at s = 1, the same Abel sum at
+        s = 1 over the terms n v ln v (ln v fixed at B bits), less the margin
+        on [1, s_1] times ln v_1, is a lower bound L' of f' on [1, s_1]: past
+        1 + gap, gap = ``_HINT_GAP`` <= h, f >= f(1) + gap L' when L' >= 0,
+        else f >= f(1) + h L'.  Less the margin and rounded down, that
+        replaces L_0 where higher, to bound f and ``f_mpf`` on [1 + gap, s_1].
         """
         import mpmath
 
@@ -145,25 +138,33 @@ class NormProfile:
         h = lib.mpf_div(span._mpf_, lib.from_int(_GRID - 1), _PRECISION_BITS, rnd)
         logs = [lib.mpf_log(v, prec, rnd) for v in values]
         steps = [lib.mpf_exp(mul(h, ln_v), prec, rnd) for ln_v in logs]
-        drops = [sub(a, b, prec, rnd) for a, b in zip(steps, steps[1:] + [lib.fone])]
         mass = sum(abs(n) for _, n in self.coefficients)
         slack = add(spread, lib.from_int(len(values) + 2**10), 53, up)
         margin = lib.mpf_shift(lib.mpf_mul_int(slack, mass, 53, up), -_PRECISION_BITS)
-        at_one = terms = [lib.from_int(n * v) for v, n in self.coefficients]
-        top = values[0]  # v_1**s_{k+1}
+        bits = prec + 16
+        e = steps[0][2] + steps[0][3] - bits  # M = floor(v**h / 2**e), M_1 of B bits
+        ms = [_shift(step[1], step[2] - e) for step in steps]
+        drops = [a - b for a, b in zip(ms, ms[1:] + [_shift(1, -e)])]
+        terms = [n * v for v, n in self.coefficients]
+        top, unit = self.coefficients[0][0], 0  # v_1**s_k, both in units of 2**unit
         fs, lows = [], []
-        for k in range(_GRID):
-            total, low = _abel_sum(terms, drops, prec)
-            fs.append(total)
-            if k == _GRID - 1:
-                break
-            terms = [mul(term, r, prec, rnd) for term, r in zip(terms, steps)]
-            top = mul(top, steps[0], prec, rnd)
-            lows.append(sub(low, mul(margin, top, prec, rnd), prec, rnd))
+        for _ in range(_GRID - 1):
+            total, low = _abel_sum(terms, drops)
+            fs.append(lib.from_man_exp(total, unit))
+            terms, top, unit = [term * m for term, m in zip(terms, ms)], top * ms[0], unit + e
+            low += _shift(total, -e) + _shift(-margin[1] * top, margin[2])  # margin rounded up
+            lows.append(lib.from_man_exp(low, unit))
+            cut = max(0, top.bit_length() - bits)
+            terms, top, unit = [term >> cut for term in terms], top >> cut, unit + cut
+        fs.append(lib.from_man_exp(sum(terms), unit))
         if lib.mpf_le(lows[0], lib.fzero):
-            terms = [mul(term, ln_v, prec, rnd) for term, ln_v in zip(at_one, logs)]
+            ln_unit = logs[0][2] + logs[0][3] - bits  # ln v_1 of B bits
+            terms = [n * v * _shift(lv[1], lv[2] - ln_unit) for (v, n), lv in zip(self.coefficients, logs)]
+            total, low = _abel_sum(terms, drops)
             edge = mul(margin, mul(values[0], steps[0], prec, up), prec, up)
-            slope = sub(_abel_sum(terms, drops, prec)[1], mul(edge, logs[0], prec, up), prec, down)
+            cost = mul(edge, logs[0], prec, up)
+            low += _shift(total, -e) + _shift(-cost[1], cost[2] - ln_unit - e)
+            slope = lib.from_man_exp(low, ln_unit + e)
             width = h if slope[0] else lib.from_float(_HINT_GAP)
             low = add(lib.from_int(self.f1()), mul(width, slope, prec, down), prec, down)
             low = sub(low, edge, prec, down)
@@ -172,21 +173,20 @@ class NormProfile:
         return fs, lows
 
 
-def _abel_sum(terms: list, drops: list, prec: int) -> tuple:
-    """(W_m, W_m + sum_{W_i < 0} W_i * drops_i) for the prefix sums W_i of
-    ``terms``, raw mpf values at ``prec``: with each drop the greatest growth
-    of w_i - w_{i+1} over an interval, a lower bound there of the Abel sum
-    W_m + sum_i W_i (w_i - w_{i+1}) (``NormProfile.stepped_grid``)."""
-    import mpmath
+def _shift(x: int, n: int) -> int:
+    """floor(x * 2**n); -_shift(-x, n) rounds up."""
+    return x << n if n >= 0 else x >> -n
 
-    lib = mpmath.libmp
-    add, mul, rnd = lib.mpf_add, lib.mpf_mul, lib.round_nearest
-    total = low = lib.fzero
+
+def _abel_sum(terms: list[int], drops: list[int]) -> tuple[int, int]:
+    """(W_m, sum_{W_i < 0} W_i drops_i) for the prefix sums W_i of ``terms``:
+    W_m plus the second sum bounds an Abel sum from below (``stepped_grid``)."""
+    total = low = 0
     for term, drop in zip(terms, drops):
-        total = add(total, term, prec, rnd)
-        if total[0]:  # a negative prefix sum
-            low = add(low, mul(total, drop, prec, rnd), prec, rnd)
-    return total, add(total, low, prec, rnd)
+        total += term
+        if total < 0:
+            low += total * drop
+    return total, low
 
 
 def norm_profile(lam: Partition, mu: Partition) -> NormProfile:

@@ -329,6 +329,67 @@ class TestSteppedGrid:
                 f = mpmath.fsum(c * mpmath.power(v, s) for v, c in prof.coefficients)
                 assert abs(y - f) <= mpmath.ldexp(mass * mpmath.power(v_1, s), -60), (lam, k)
 
+    def test_rows_take_no_mpf_arithmetic(self, monkeypatch):
+        # The 64 x m terms are stepped in integers: mpf adds, multiplies and
+        # subtractions are left only to the setup, the margin and the slope
+        # bound, fewer than one per grid point, on a 16-value profile and on
+        # one tight at s = 1, where the slope bound is taken too.
+        import mpmath
+
+        rng = random.Random(44)
+        values = sorted(rng.sample(range(2, 200), 15), reverse=True)
+        counts = [rng.randint(1, 5)] + [rng.choice((-1, 1)) * rng.randint(1, 5) for _ in values[1:]]
+        loose = NormProfile(tuple(zip(values + [1], counts + [7])))
+        mass_at_one = sum(c * v for v, c in zip(values, counts))
+        tight = NormProfile(tuple(zip(values + [1], counts + [-mass_at_one])))
+        assert mass_at_one and loose.f1() != 0 and tight.f1() == 0
+        calls = []
+        lib = mpmath.libmp
+        for name in ("mpf_add", "mpf_mul", "mpf_sub"):
+            op = getattr(lib, name)
+            monkeypatch.setattr(lib, name, lambda *args, op=op, **kw: calls.append(op) or op(*args, **kw))
+        for prof in (loose, tight):
+            assert len(prof.coefficients) == 16
+            span = _grid_span(prof)
+            start = len(calls)
+            fs, lows = prof.stepped_grid(span)
+            assert len(fs) == 64 and len(lows) == 63
+            assert 0 < len(calls) - start < norms._GRID, prof
+
+    def test_rows_renormalise_below_a_small_top(self):
+        # Counts up to 1000 in size under a top value of count 1: a lower
+        # value's term outgrows the top's and passes B bits in its row.  Each
+        # stepped value stays within the band of test_steps_stay_close_to_f_mpf
+        # of a 200-bit f, and each L_k bounds f at 33 points of its interval.
+        import mpmath
+
+        rng = random.Random(45)
+        positive = outgrown = 0
+        for _ in range(6):
+            values = sorted(rng.sample(range(2, 64), rng.randint(3, 6)), reverse=True)
+            counts = [1] + [rng.choice((-1, 1)) * rng.randint(100, 1000) for _ in values[1:]]
+            prof = NormProfile(tuple(zip(values, counts)))
+            span = _grid_span(prof)
+            fs, lows = _grid(prof, span)
+            mass = sum(abs(c) for c in counts)
+            with mpmath.workprec(120):
+                h = span / 63
+            with mpmath.workprec(200):
+                for k, y in enumerate(fs):
+                    s = 1 + k * h
+                    f = mpmath.fsum(c * mpmath.power(v, s) for v, c in prof.coefficients)
+                    top = mpmath.power(values[0], s)
+                    assert abs(y - f) <= mpmath.ldexp(mass * top, -110), (prof, k)
+                    outgrown += max(abs(c) * mpmath.power(v, s) for v, c in prof.coefficients[1:]) > top
+                for k, low in enumerate(lows):
+                    start = 1 + mpmath.mpf(norms._HINT_GAP) if k == 0 else 1 + k * h
+                    for j in range(33):
+                        s = start + (1 + (k + 1) * h - start) * mpmath.mpf(j) / 32
+                        f = mpmath.fsum(c * mpmath.power(v, s) for v, c in prof.coefficients)
+                        assert low <= f, (prof, k, j)
+                    positive += low > 0
+        assert outgrown > 100 and positive > 50, (outgrown, positive)
+
 
 def _reference_dominates_all_s(lam, mu):
     """The numeric bulk path before grid stepping: ``f_mpf`` at each of the

@@ -14,9 +14,10 @@ better, the gap between the medians as a multiple of the parent's
 interquartile range, and the ratio change/parent of the medians against the
 metric's bound: ``over`` marks a change that is worse than the parent by more
 than the bound.  Each run's ``correct`` and ``failed`` counts are printed as
-it ends, with its ``attempted`` query count next to ``queries_per_s``: the
-bench keeps a little memory per query, so a ``peak_rss_mb`` move is read
-against the number of queries each run held.  The script only reads
+it ends, with its ``attempted`` query count next to ``queries_per_s``, and
+the table ends with an ``attempted`` row of medians, quartiles and their
+ratio: the bench keeps a little memory per query, so a ``peak_rss_mb`` move
+is read against the number of queries each run held.  The script only reads
 ``bench/`` and ``BENCHMARK.json``; the bench itself writes its traces under
 ``bench/out/`` of the tree it runs in.
 """
@@ -73,10 +74,12 @@ def main(argv=None) -> int:
         bench_args += ["--seed", str(args.seed)]
     trees = {"parent": args.parent.resolve(), "change": ROOT}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    attempted: dict[str, list[int]] = {"parent": [], "change": []}
     for i in range(args.pairs):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
             result = run_bench(trees[side], spec["command"], bench_args)
             runs[side].append(result["metrics"])
+            attempted[side].append(result["attempted"])
             print(f"pair {i + 1}/{args.pairs} {side:<6} correct={result['correct']} "
                   f"failed={result['failed']} attempted={result['attempted']} queries_per_s="
                   f"{result['metrics']['queries_per_s']['value']:.1f}", flush=True)
@@ -101,6 +104,9 @@ def main(argv=None) -> int:
         print(f"{name:<15}{f'{pm:.4g} ({p1:.4g}, {p3:.4g})':>32}"
               f"{f'{cm:.4g} ({c1:.4g}, {c3:.4g})':>32}{f'{wins}/{args.pairs}':>7}"
               f"{gap:>9.2f}{ratio:>8.3f}{metric['bound']:>7.2f}{'  over' if over else ''}")
+    (p1, pm, p3), (c1, cm, c3) = quartiles(attempted["parent"]), quartiles(attempted["change"])
+    print(f"{'attempted':<15}{f'{pm:.0f} ({p1:.0f}, {p3:.0f})':>32}"
+          f"{f'{cm:.0f} ({c1:.0f}, {c3:.0f})':>32}{'':>16}{cm / pm if pm else float('nan'):>8.3f}")
     return 0
 
 
